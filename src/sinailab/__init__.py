@@ -32,9 +32,7 @@ from .errors import (
     UnsupportedSystemError,
 )
 from .matrixcore import (
-    CocycleAccumulator,
     WedgeProfile,
-    cocycle_step,
     exact_cocycle_wedge,
     singular_values,
     wedge_profile,

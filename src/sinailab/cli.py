@@ -51,8 +51,8 @@ from .serialize import (
 from .sweep import (
     SweepConfig,
     continuity_modulus,
-    neighborhood_split_entropy,
     run_sweep,
+    split_log_det_integral,
     usc_check,
 )
 from .systems import FAMILIES, build_system
@@ -345,6 +345,9 @@ def cmd_diagnose(ns) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if ns.delta < 0.0:
+        print("error: --delta must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "length": _steps(ns.length), "burn_in": _steps(ns.burn_in),
               "dim_f": ns.dimf, "bound": ns.bound, "delta": ns.delta}
@@ -371,16 +374,11 @@ def cmd_diagnose(ns) -> int:
             keep = system.singular_distance(cand) > 1e-3
             pts = cand[keep][:100]
             report["holder"] = holder_parameter_check(handle, grid, pts)
-    if system.singular_set:
-        fam_for_split = family_id or ns.system
-        try:
-            report["neighborhood_split"] = neighborhood_split_entropy(
-                fam_for_split,
-                float(params.get("alpha", params.get("eps", 0.0))),
-                ns.delta, seed=ns.seed, burn_in=config["burn_in"],
-                length=config["length"])
-        except (KeyError, ValueError):
-            pass
+    if family_id is not None and system.singular_set:
+        split = split_log_det_integral(system, measure, ns.delta)
+        split["t"] = float(system.params[FAMILIES[family_id].parameter_name])
+        split["family"] = family_id
+        report["neighborhood_split"] = split
     if ns.dimf is not None:
         rng = np.random.default_rng([ns.seed, 1])
         anchors = system.space.uniform(rng, 3)

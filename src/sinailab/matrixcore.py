@@ -1,8 +1,9 @@
 """Small dense linear algebra for derivative cocycles.
 
 Everything here works on real square matrices of dimension 1..8: singular
-values, exterior-power (wedge) norms carried in log scale, and QR-rescaled
-accumulators for long cocycle products that would otherwise overflow.
+values, exterior-power (wedge) norms carried in log scale, and the one QR
+reduction of the package, a modified Gram-Schmidt kernel batched over
+stacks of frames (Benettin spectra and bundle frames both run on it).
 """
 
 from __future__ import annotations
@@ -146,57 +147,34 @@ def wedge_profile(a) -> WedgeProfile:
     return WedgeProfile.from_log_singular_values(log_sv)
 
 
-@dataclass(frozen=True)
-class CocycleAccumulator:
-    """QR-rescaled running product of derivative matrices.
+def _gram_schmidt(m: np.ndarray):
+    """Modified Gram-Schmidt on a batch of (d, k) matrices, k <= d.
 
-    Tracks an orthonormal frame pushed through the cocycle and the running
-    per-column log-stretch sums (the classic discrete QR scheme). Values
-    are immutable; cocycle_step returns a new accumulator.
+    The batch runs along the last axis: m has shape (d, k, n), so every
+    entry m[i, j] is one contiguous vector over the batch and each numpy
+    operation sweeps the whole batch. Returns (q, log_r): the orthonormal
+    columns, shape (d, k, n), and log diag(R), shape (k, n), of the QR
+    factorization with diag(R) >= 0. A column left with zero norm restarts
+    at e_j and logs LOG_ZERO.
     """
-
-    dim: int
-    orthonormal_frame: np.ndarray
-    log_diag: np.ndarray
-    steps: int
-
-    @staticmethod
-    def identity(dim: int) -> "CocycleAccumulator":
-        if not 1 <= dim <= MAX_DIM:
-            raise ValueError(f"dimension {dim} outside [1, {MAX_DIM}]")
-        return CocycleAccumulator(
-            dim=dim,
-            orthonormal_frame=np.eye(dim),
-            log_diag=np.zeros(dim),
-            steps=0,
-        )
-
-
-def _qr_positive(m: np.ndarray):
-    """QR with the sign convention diag(R) >= 0."""
-    q, r = np.linalg.qr(m)
-    sign = np.sign(np.diag(r))
-    sign[sign == 0.0] = 1.0
-    return q * sign, r * sign[:, None]
-
-
-def cocycle_step(acc: CocycleAccumulator, df) -> CocycleAccumulator:
-    """Advance the accumulator by one derivative matrix."""
-    m = as_square_matrix(df)
-    if m.shape[0] != acc.dim:
-        raise ValueError(f"dimension mismatch: {m.shape[0]} vs {acc.dim}")
-    q, r = _qr_positive(m @ acc.orthonormal_frame)
-    diag = np.abs(np.diag(r))
-    with np.errstate(divide="ignore"):
-        logs = np.where(diag > 0.0, np.log(np.maximum(diag, 1e-320)), LOG_ZERO)
-    new_logs = acc.log_diag + logs
-    new_logs[new_logs < LOG_ZERO] = LOG_ZERO
-    return CocycleAccumulator(
-        dim=acc.dim,
-        orthonormal_frame=q,
-        log_diag=new_logs,
-        steps=acc.steps + 1,
-    )
+    d, k, n = m.shape
+    q = np.empty((d, k, n))
+    log_r = np.empty((k, n))
+    for j in range(k):
+        v = m[:, j].copy()
+        for i in range(j):
+            qi = q[:, i]
+            v -= (qi * v).sum(axis=0) * qi
+        norm = np.sqrt((v * v).sum(axis=0))
+        dead = ~(norm > 0.0)
+        if dead.any():
+            v[:, dead] = np.eye(d)[:, j, None]
+            norm[dead] = 1.0
+            log_r[j] = np.where(dead, LOG_ZERO, np.log(norm))
+        else:
+            log_r[j] = np.log(norm)
+        q[:, j] = v / norm
+    return q, log_r
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SamplingFailureError, UlamConvergenceError
-from .systems import DynamicalSystem, FamilyHandle, PhaseSpace
+from .systems import SINGULAR_HIT_DISTANCE, DynamicalSystem, FamilyHandle, PhaseSpace
 
 MAX_ULAM_CELLS = 10_000_000
 
@@ -128,13 +128,14 @@ class TransferMatrix:
 MAX_RESTARTS = 100
 
 
-def birkhoff_sample(system: DynamicalSystem, seed: int, burn_in: int,
-                    length: int) -> EmpiricalMeasure:
-    """Equal-weight orbit cloud from a Lebesgue-uniform random start.
+def _sample_orbit(system: DynamicalSystem, seed: int, burn_in: int,
+                  length: int):
+    """(orbit, restart): burn_in + length points from a Lebesgue-uniform
+    random start whose last `length` points are finite and off the
+    singular set.
 
-    Orbits that hit the singular set exactly are restarted with an
-    incremented sub-seed (at most MAX_RESTARTS times). Deterministic given
-    (system, seed, burn_in, length).
+    A rejected orbit is redrawn with an incremented sub-seed (at most
+    MAX_RESTARTS times); restart is the sub-seed that was kept.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -146,25 +147,33 @@ def birkhoff_sample(system: DynamicalSystem, seed: int, burn_in: int,
         dither = np.random.default_rng([seed, restart, 0xD17])
         orbit = system.orbit(x0, burn_in + length - 1, dither)
         points = orbit[burn_in:]
-        if not np.all(np.isfinite(points)):
-            continue
-        if np.any(system.hits_singular_set(points)):
-            continue
-        weights = np.full(length, 1.0 / length)
-        return EmpiricalMeasure(
-            space=system.space,
-            points=points,
-            weights=weights,
-            provenance={
-                "kind": "birkhoff",
-                "seed": int(seed),
-                "burn_in": int(burn_in),
-                "length": int(length),
-                "restarts": restart,
-            },
-        )
+        if np.all(np.isfinite(points)) and not np.any(system.hits_singular_set(points)):
+            return orbit, restart
     raise SamplingFailureError(
         f"{system.name}: orbit hit the singular set on {MAX_RESTARTS} restarts"
+    )
+
+
+def birkhoff_sample(system: DynamicalSystem, seed: int, burn_in: int,
+                    length: int) -> EmpiricalMeasure:
+    """Equal-weight orbit cloud from a Lebesgue-uniform random start.
+
+    Orbits that hit the singular set exactly are restarted with an
+    incremented sub-seed (at most MAX_RESTARTS times). Deterministic given
+    (system, seed, burn_in, length).
+    """
+    orbit, restart = _sample_orbit(system, seed, burn_in, length)
+    return EmpiricalMeasure(
+        space=system.space,
+        points=orbit[burn_in:],
+        weights=np.full(length, 1.0 / length),
+        provenance={
+            "kind": "birkhoff",
+            "seed": int(seed),
+            "burn_in": int(burn_in),
+            "length": int(length),
+            "restarts": restart,
+        },
     )
 
 
@@ -404,7 +413,7 @@ def ls2_integral(system: DynamicalSystem, measure) -> dict:
     """
     pts, w = measure_cloud(measure)
     dist = system.singular_distance(pts)
-    ok = dist >= 1e-15
+    ok = dist >= SINGULAR_HIT_DISTANCE
     dfs = system.differential_batch(pts[ok])
     finite = np.all(np.isfinite(dfs), axis=(1, 2))
     ok_idx = np.where(ok)[0][finite]
@@ -485,7 +494,7 @@ def bounded_jacobian_check(system: DynamicalSystem, measure, bound: float) -> di
     """|integral of log |det Df|| compared against an a-priori bound."""
     pts, w = measure_cloud(measure)
     dist = system.singular_distance(pts)
-    ok = dist >= 1e-15
+    ok = dist >= SINGULAR_HIT_DISTANCE
     logdet = log_det_batch(system, pts[ok])
     finite = np.isfinite(logdet)
     weights = w[ok][finite]

@@ -2,22 +2,24 @@
 Jacobians.
 
 The spectrum comes from the discrete QR (Benettin) scheme run along a
-Birkhoff orbit. Derivatives are reduced in chunks with batched matrix
-products before the sequential re-orthonormalization, which keeps the
-1e6-step runs fast; the chunk length stays small so the graded R factors
-lose nothing to round-off.
+Birkhoff orbit. The orbit is cut into contiguous time blocks whose frames
+advance together, one map step per call of the batched Gram-Schmidt
+kernel; each block's frame first warms up over the WARM orbit steps
+before it. The per-step logs are put back in time order, so the batch
+means read them as one sequential run. For d = 1 the spectrum is the
+closed-form orbit average of log |f'|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import SamplingFailureError, UnsupportedSystemError
-from .matrixcore import LOG_ZERO, _jacobi_column_singular_values
+from .errors import UnsupportedSystemError
+from .matrixcore import LOG_ZERO, _gram_schmidt, _jacobi_column_singular_values
+from .measures import _sample_orbit
 from .systems import DynamicalSystem
 
 
@@ -46,163 +48,65 @@ class LyapunovSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# Fast QR cascade
+# Benettin QR over time blocks in lockstep
 # ---------------------------------------------------------------------------
 
-
-def _chunk_products(dfs: np.ndarray, chunk: int) -> np.ndarray:
-    """Reduce (n, d, d) one-step matrices to (ceil(n/chunk), d, d) chunk
-    products via pairwise batched matmuls; identity-padded at the end."""
-    n, d, _ = dfs.shape
-    n_chunks = (n + chunk - 1) // chunk
-    pad = n_chunks * chunk - n
-    if pad:
-        eye = np.broadcast_to(np.eye(d), (pad, d, d))
-        dfs = np.concatenate([dfs, eye], axis=0)
-    cur = dfs.reshape(n_chunks, chunk, d, d)
-    while cur.shape[1] > 1:
-        if cur.shape[1] % 2:
-            eye = np.broadcast_to(np.eye(d), (n_chunks, 1, d, d))
-            cur = np.concatenate([cur, eye], axis=1)
-        # element 2k+1 acts after element 2k
-        cur = np.matmul(cur[:, 1::2], cur[:, 0::2])
-    return cur[:, 0]
+#: orbit steps over which a time block's frame relaxes before its first
+#: logged step
+WARM = 200
+#: most time blocks advanced together; a block is never shorter than WARM
+MAX_BLOCKS = 1000
 
 
-def _qr_cascade(prods: np.ndarray, q0: Optional[list] = None):
-    """Sequential modified Gram-Schmidt over a stack of products.
+def _lockstep_logs(dfs: np.ndarray, burn_in: int) -> np.ndarray:
+    """Per-step log diag(R) of the QR scheme over dfs[burn_in:], in time order.
 
-    Pure-Python float arithmetic: ~10x faster than per-step LAPACK QR at
-    these dimensions. Returns (per-chunk log-diagonal rows, final frame).
+    The live steps are cut into contiguous time blocks (the first
+    n_steps % n_blocks of them one step longer) that advance together, one map step per _gram_schmidt
+    call. Each block's frame starts at the identity WARM steps before the
+    block, or at dfs[0] if that comes later, and is not logged until the
+    block begins: by then it has forgotten its start, since the QR frame
+    converges exponentially fast onto the Oseledets flag when the
+    exponents are separated.
     """
-    n, d, _ = prods.shape
-    if d == 2:
-        return _qr_cascade_2(prods, q0)
-    rows = prods.tolist()
-    q = q0 if q0 is not None else [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
-    # q[i][j]: row i, column j
-    logs = np.empty((n, d))
-    log = math.log
-    rng_d = range(d)
-    for step in range(n):
-        p = rows[step]
-        # m = p @ q
-        m = [[sum(p[i][k] * q[k][j] for k in rng_d) for j in rng_d] for i in rng_d]
-        for j in rng_d:
-            col = [m[i][j] for i in rng_d]
-            for prev in range(j):
-                qc = [q[i][prev] for i in rng_d]
-                proj = sum(col[i] * qc[i] for i in rng_d)
-                col = [col[i] - proj * qc[i] for i in rng_d]
-            norm = math.sqrt(sum(c * c for c in col))
-            if norm > 0.0:
-                inv = 1.0 / norm
-                for i in rng_d:
-                    q[i][j] = col[i] * inv
-                logs[step, j] = log(norm)
-            else:
-                # degenerate column: restart direction, log sentinel
-                for i in rng_d:
-                    q[i][j] = 1.0 if i == j else 0.0
-                logs[step, j] = LOG_ZERO
-    return logs, q
-
-
-def _qr_cascade_2(prods: np.ndarray, q0: Optional[list] = None):
-    """Unrolled 2x2 cascade (the dominant acceptance workload)."""
-    n = prods.shape[0]
-    rows = prods.tolist()
-    if q0 is None:
-        q00, q01, q10, q11 = 1.0, 0.0, 0.0, 1.0
-    else:
-        q00, q01 = q0[0]
-        q10, q11 = q0[1]
-    logs = np.empty((n, 2))
-    log = math.log
-    sqrt = math.sqrt
-    for step in range(n):
-        p = rows[step]
-        p00, p01 = p[0]
-        p10, p11 = p[1]
-        m00 = p00 * q00 + p01 * q10
-        m10 = p10 * q00 + p11 * q10
-        m01 = p00 * q01 + p01 * q11
-        m11 = p10 * q01 + p11 * q11
-        n0 = sqrt(m00 * m00 + m10 * m10)
-        if n0 > 0.0:
-            inv = 1.0 / n0
-            q00 = m00 * inv
-            q10 = m10 * inv
-            logs[step, 0] = log(n0)
-        else:
-            q00, q10 = 1.0, 0.0
-            logs[step, 0] = LOG_ZERO
-        proj = q00 * m01 + q10 * m11
-        v0 = m01 - proj * q00
-        v1 = m11 - proj * q10
-        n1 = sqrt(v0 * v0 + v1 * v1)
-        if n1 > 0.0:
-            inv = 1.0 / n1
-            q01 = v0 * inv
-            q11 = v1 * inv
-            logs[step, 1] = log(n1)
-        else:
-            q01, q11 = 0.0, 1.0
-            logs[step, 1] = LOG_ZERO
-    return logs, [[q00, q01], [q10, q11]]
+    n_steps = dfs.shape[0] - burn_in
+    d = dfs.shape[1]
+    n_blocks = max(1, min(MAX_BLOCKS, n_steps // WARM))
+    length, extra = divmod(n_steps, n_blocks)
+    blocks = np.arange(n_blocks)
+    starts = burn_in + blocks * length + np.minimum(blocks, extra)
+    q = np.broadcast_to(np.eye(d)[:, :, None], (d, d, n_blocks)).copy()
+    logs = np.empty((d, n_steps))
+    for t in range(-min(WARM, int(starts[-1])), length + (extra > 0)):
+        live = slice(0 if starts[0] + t >= 0 else 1, n_blocks if t < length else extra)
+        idx = starts[live] + t
+        step = dfs.take(idx, axis=0).transpose(1, 2, 0)
+        prod = (step[:, :, None, :] * q[None, :, :, live]).sum(axis=1)
+        q[:, :, live], step_logs = _gram_schmidt(prod)
+        if t >= 0:
+            logs[:, idx - burn_in] = step_logs
+    return logs.T
 
 
 def benettin_spectrum(system: DynamicalSystem, seed: int, burn_in: int,
-                      n_steps: int, blocks: int = 20,
-                      qr_every: int = 8) -> LyapunovSpectrum:
+                      n_steps: int, blocks: int = 20) -> LyapunovSpectrum:
     """QR-cocycle Lyapunov spectrum along a Birkhoff orbit.
 
-    The orbit starts Lebesgue-uniform from the seed; the frame relaxes
-    during burn_in before logging starts. Standard errors are the batch
-    standard errors over `blocks` contiguous orbit segments. Exponents are
-    sorted descending with stable tie order.
+    The orbit is the one birkhoff_sample draws for (seed, burn_in,
+    n_steps). Standard errors are the batch standard errors over `blocks`
+    contiguous orbit segments. Exponents are sorted descending with stable
+    tie order.
     """
     d = system.space.dim
     if n_steps < 10 * d:
         raise ValueError(f"n_steps must be >= {10 * d}")
-    rng = np.random.default_rng([seed, 0])
-    x0 = system.space.uniform(rng, 1)[0]
-    dither = np.random.default_rng([seed, 0, 0xD17])
-    orbit = system.orbit(x0, burn_in + n_steps - 1, dither)
-    if np.any(system.hits_singular_set(orbit)):
-        # try fresh sub-seeded starts, mirroring birkhoff_sample
-        for restart in range(1, 100):
-            rng = np.random.default_rng([seed, restart])
-            x0 = system.space.uniform(rng, 1)[0]
-            dither = np.random.default_rng([seed, restart, 0xD17])
-            orbit = system.orbit(x0, burn_in + n_steps - 1, dither)
-            if not np.any(system.hits_singular_set(orbit)):
-                break
-        else:
-            raise SamplingFailureError(f"{system.name}: orbit sampling failed")
-
+    orbit, _ = _sample_orbit(system, seed, burn_in, n_steps)
     if d == 1:
         dfs = system.differential_batch(orbit)[:, 0, 0]
         logs = np.log(np.abs(dfs[burn_in:burn_in + n_steps]))[:, None]
         return _spectrum_from_logs(logs, n_steps, blocks)
-
-    dfs = system.differential_batch(orbit)
-    # Chunk length adapts to the one-step stretch so each chunk product has
-    # condition number <= ~1e7; longer chunks would push the smallest
-    # singular direction below double-precision resolution.
-    fro = math.sqrt(float(np.einsum("nij,nij->n", dfs, dfs).max()))
-    if fro > 1.0 + 1e-9:
-        chunk = int(min(qr_every, max(1, math.floor(8.06 / math.log(fro)))))
-    else:
-        chunk = qr_every
-    warm = dfs[:burn_in]
-    live = dfs[burn_in:]
-    q = None
-    if burn_in > 0:
-        warm_prods = _chunk_products(warm, chunk)
-        _, q = _qr_cascade(warm_prods)
-    prods = _chunk_products(live, chunk)
-    logs, _ = _qr_cascade(prods, q)
+    first = max(0, burn_in - WARM)
+    logs = _lockstep_logs(system.differential_batch(orbit[first:]), burn_in - first)
     return _spectrum_from_logs(logs, n_steps, blocks)
 
 
@@ -258,13 +162,8 @@ class SplittingEstimate:
 
 
 def _orthonormalize_batch(frames: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of an (m, d, k) stack (k >= 1)."""
-    if frames.shape[2] == 0:
-        return frames
-    q, r = np.linalg.qr(frames)
-    sign = np.sign(np.einsum("mkk->mk", r))
-    sign[sign == 0.0] = 1.0
-    return q * sign[:, None, :]
+    """Orthonormalize the columns of an (m, d, k) stack."""
+    return _gram_schmidt(frames.transpose(1, 2, 0))[0].transpose(2, 0, 1)
 
 
 def _random_frames(rng: np.random.Generator, m: int, d: int, k: int) -> np.ndarray:

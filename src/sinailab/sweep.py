@@ -24,7 +24,7 @@ from .entropy import (
     ls_entropy,
     pesin_entropy,
 )
-from .errors import SinaiLabError, SweepAbortError
+from .errors import SamplingFailureError, SinaiLabError, SweepAbortError
 from .measures import (
     birkhoff_sample,
     dictionary_moments,
@@ -34,7 +34,7 @@ from .measures import (
     ulam_stationary,
 )
 from .oseledets import benettin_spectrum
-from .systems import FamilyHandle, get_family
+from .systems import SINGULAR_HIT_DISTANCE, FamilyHandle, get_family
 
 ESTIMATOR_NAMES = (PESIN, LEDRAPPIER_STRELCYN, JACOBIAN_F)
 
@@ -359,17 +359,20 @@ def split_log_det_integral(system, measure, delta: float) -> dict:
     """Split <log |det Df|>_mu at the delta-neighborhood of the singular set.
 
     Points exactly on the singular set are skipped (reweighted) as in the
-    other cloud integrals; delta = 0 gives an empty inside part.
+    other cloud integrals, and SamplingFailureError is raised when none is
+    usable; delta = 0 gives an empty inside part.
     """
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
     pts, w = measure_cloud(measure)
     dist = system.singular_distance(pts)
-    usable = dist >= 1e-15
+    usable = dist >= SINGULAR_HIT_DISTANCE
     logdet = log_det_batch(system, pts[usable])
     finite = np.isfinite(logdet)
     weights = w[usable][finite]
     total = weights.sum()
+    if total <= 0.0:
+        raise SamplingFailureError("no usable points for the split Jacobian integral")
     weights = weights / total
     dist_ok = dist[usable][finite]
     inside_mask = dist_ok < delta

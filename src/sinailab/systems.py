@@ -27,6 +27,10 @@ TWO_PI = 2.0 * math.pi
 #: collapse onto the fixed point at 0 within ~53 steps.
 DITHER_SCALE = 2.0 ** -50
 
+#: a point closer than this to the singular set counts as on it; cloud
+#: integrals skip such points, orbit samplers restart.
+SINGULAR_HIT_DISTANCE = 1e-15
+
 
 # ---------------------------------------------------------------------------
 # Phase spaces
@@ -202,7 +206,7 @@ class DynamicalSystem:
         return distance_to_singular_set(self.space, self.singular_set, pts)
 
     def hits_singular_set(self, pts: np.ndarray) -> np.ndarray:
-        return self.singular_distance(pts) < 1e-15
+        return self.singular_distance(pts) < SINGULAR_HIT_DISTANCE
 
     # -- orbits -------------------------------------------------------------
     def orbit(self, x0, n: int, dither_rng: Optional[np.random.Generator] = None) -> np.ndarray:

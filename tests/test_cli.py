@@ -6,7 +6,10 @@ import math
 import pytest
 
 from sinailab.cli import main
+from sinailab.measures import birkhoff_sample
 from sinailab.serialize import sha256_file
+from sinailab.sweep import split_log_det_integral
+from sinailab.systems import build_system
 
 LAM = (3.0 + math.sqrt(5.0)) / 2.0
 LOG2 = math.log(2.0)
@@ -159,6 +162,23 @@ class TestDiagnoseCommand:
         assert 0.9 <= rep["ls1"]["beta"] <= 1.1
         assert rep["ls2"]["forward"] == pytest.approx(LOG2, abs=1e-6)
         assert "neighborhood_split" in rep
+
+    @pytest.mark.parametrize("params", [{}, {"d": 32}])
+    def test_viana_split_uses_the_diagnosed_system(self, tmp_path, params):
+        out = tmp_path / "run"
+        argv = ["diagnose", "--system", "viana", "--length", "2e4",
+                "--seed", "7", "--out", str(out)]
+        for key, value in params.items():
+            argv += ["--param", f"{key}={value}"]
+        assert main(argv) == 0
+        split = read_json(out / "diagnose.json")["neighborhood_split"]
+        assert split["t"] == 0.02
+        assert split["family"] == "viana"
+        system = build_system("viana", params)
+        mu = birkhoff_sample(system, seed=7, burn_in=10_000, length=20_000)
+        expect = split_log_det_integral(system, mu, 0.01)
+        for key in ("inside", "outside", "inside_mass", "skipped"):
+            assert split[key] == pytest.approx(expect[key], rel=1e-12, abs=1e-15)
 
     def test_cat_domination(self, tmp_path):
         out = tmp_path / "run"

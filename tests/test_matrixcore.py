@@ -1,4 +1,4 @@
-"""Singular values, wedge norms, and cocycle accumulators."""
+"""Singular values, wedge norms, and the Gram-Schmidt QR kernel."""
 
 import math
 
@@ -8,8 +8,7 @@ import pytest
 from sinailab.errors import OrbitFailureError
 from sinailab.matrixcore import (
     LOG_ZERO,
-    CocycleAccumulator,
-    cocycle_step,
+    _gram_schmidt,
     compound_batch,
     exact_cocycle_wedge,
     singular_values,
@@ -121,31 +120,36 @@ class TestWedgeProfile:
             assert pab.log_wedge_total <= pa.log_wedge_total + pb.log_wedge_total + 1e-10
 
 
+def _qr_cocycle(mats):
+    """Push the identity frame through matrices with the Gram-Schmidt kernel.
+
+    Yields (frame, log diag(R)) after every step.
+    """
+    q = np.eye(mats[0].shape[0])[:, :, None]
+    for a in mats:
+        q, log_r = _gram_schmidt(np.einsum("il,ljn->ijn", a, q))
+        yield q[:, :, 0], log_r[:, 0]
+
+
+def _qr_cocycle_sums(mats):
+    return sum(log_r for _, log_r in _qr_cocycle(mats))
+
+
 class TestCocycleAccumulator:
-    def test_zero_steps(self):
-        acc = CocycleAccumulator.identity(3)
-        assert acc.steps == 0
-        assert np.allclose(acc.log_diag, 0.0)
+    """The Gram-Schmidt kernel iterated along a cocycle (discrete QR)."""
 
     def test_diagonal_cocycle(self):
-        acc = cocycle_step(CocycleAccumulator.identity(2), np.diag([2.0, 0.5]))
-        assert acc.log_diag == pytest.approx([math.log(2.0), -math.log(2.0)], abs=1e-14)
-        assert acc.steps == 1
+        logs = _qr_cocycle_sums([np.diag([2.0, 0.5])])
+        assert logs == pytest.approx([math.log(2.0), -math.log(2.0)], abs=1e-14)
 
     def test_frame_orthonormal(self):
         rng = np.random.default_rng(2)
-        acc = CocycleAccumulator.identity(4)
-        for _ in range(50):
-            acc = cocycle_step(acc, rng.standard_normal((4, 4)))
-            f = acc.orthonormal_frame
+        for f, _ in _qr_cocycle(rng.standard_normal((50, 4, 4))):
             assert np.allclose(f.T @ f, np.eye(4), atol=1e-12)
 
     def test_constant_cat_rate(self):
         n = 400
-        acc = CocycleAccumulator.identity(2)
-        for _ in range(n):
-            acc = cocycle_step(acc, CAT)
-        rates = acc.log_diag / n
+        rates = _qr_cocycle_sums([CAT] * n) / n
         assert abs(rates[0] - math.log(LAM)) <= 2.0 / n
         assert abs(rates[1] + math.log(LAM)) <= 2.0 / n
 
@@ -160,16 +164,27 @@ class TestCocycleAccumulator:
             a = s + s.T + np.eye(d) * 3.0
             target = np.sort(np.log(np.abs(np.linalg.eigvalsh(a))))[::-1]
             n = 300
-            acc = CocycleAccumulator.identity(d)
-            for _ in range(n):
-                acc = cocycle_step(acc, a)
-            rates = np.sort(acc.log_diag / n)[::-1]
+            rates = np.sort(_qr_cocycle_sums([a] * n) / n)[::-1]
             assert np.all(np.abs(rates - target) <= 20.0 / n)
 
-    def test_rejects_nonfinite(self):
-        acc = CocycleAccumulator.identity(2)
-        with pytest.raises(ValueError):
-            cocycle_step(acc, np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+class TestGramSchmidt:
+    def test_matches_positive_diagonal_qr(self):
+        rng = np.random.default_rng(5)
+        for shape in [(300, 2, 1), (300, 4, 2), (300, 4, 4)]:
+            m = rng.standard_normal(shape)
+            q_ref, r_ref = np.linalg.qr(m)
+            sign = np.sign(np.einsum("mkk->mk", r_ref))
+            q, log_r = _gram_schmidt(m.transpose(1, 2, 0))
+            assert np.allclose(q.transpose(2, 0, 1), q_ref * sign[:, None, :], atol=1e-12)
+            assert np.allclose(log_r.T, np.log(np.abs(np.einsum("mkk->mk", r_ref))),
+                               atol=1e-12)
+
+    def test_zero_column_restarts_at_unit_vector(self):
+        m = np.array([[[2.0], [0.0]], [[0.0], [0.0]]])  # (d, k, n) = (2, 2, 1)
+        q, log_r = _gram_schmidt(m)
+        assert np.array_equal(q[:, :, 0], np.eye(2))
+        assert log_r[:, 0].tolist() == [math.log(2.0), LOG_ZERO]
 
 
 class TestCompoundBatch:

@@ -8,7 +8,9 @@ import pytest
 from sinailab.errors import UnsupportedSystemError
 from sinailab.measures import birkhoff_sample, log_det_batch
 from sinailab.oseledets import (
+    WARM,
     SplittingEstimate,
+    _lockstep_logs,
     benettin_spectrum,
     domination_report,
     estimate_bundles,
@@ -18,8 +20,10 @@ from sinailab.oseledets import (
 from sinailab.systems import (
     make_cat_block,
     make_cat_map,
+    make_derived_from_anosov,
     make_manneville_pomeau,
     make_standard_skew,
+    make_viana,
 )
 
 LAM = (3.0 + math.sqrt(5.0)) / 2.0
@@ -50,17 +54,28 @@ class TestBenettinSpectrum:
                                  burn_in=100, n_steps=50_000)
         assert spec.exponents[0] == pytest.approx(math.log(2.0), abs=1e-3)
 
-    def test_sum_matches_log_det_average(self):
-        # exact bookkeeping identity of the QR scheme
-        sys = make_standard_skew(0.7, 2)
+    @pytest.mark.parametrize("make", [
+        lambda: make_standard_skew(0.7, 2),
+        lambda: make_cat_block(2),
+        lambda: make_derived_from_anosov(0.2),
+        lambda: make_viana(1.7808, 0.02, 16),
+    ], ids=["skew", "cat4", "da", "viana"])
+    def test_sum_matches_log_det_average(self, make):
+        # exact bookkeeping identity of the QR scheme, along the orbit that
+        # birkhoff_sample draws for the same arguments
+        sys = make()
         seed, burn, n = 5, 50, 20_000
         spec = benettin_spectrum(sys, seed=seed, burn_in=burn, n_steps=n)
-        rng = np.random.default_rng([seed, 0])
-        x0 = sys.space.uniform(rng, 1)[0]
-        orbit = sys.orbit(x0, burn + n - 1,
-                          np.random.default_rng([seed, 0, 0xD17]))
-        avg_logdet = float(log_det_batch(sys, orbit[burn:burn + n]).mean())
+        orbit = birkhoff_sample(sys, seed=seed, burn_in=burn, length=n).points
+        avg_logdet = float(log_det_batch(sys, orbit).mean())
         assert spec.exponents.sum() == pytest.approx(avg_logdet, abs=1e-8)
+
+    @pytest.mark.parametrize("burn_in", [0, 50, WARM, 3 * WARM])
+    def test_cat_any_burn_in_and_uneven_blocks(self, burn_in):
+        # 20_007 steps: 100 blocks, the first 7 one step longer
+        spec = benettin_spectrum(make_cat_map(), seed=1, burn_in=burn_in,
+                                 n_steps=20_007)
+        assert spec.exponents == pytest.approx([LOG_LAM, -LOG_LAM], abs=1e-3)
 
     def test_volume_preserving_sum_zero(self):
         spec = benettin_spectrum(make_standard_skew(0.5, 2), seed=4,
@@ -82,8 +97,6 @@ class TestBenettinSpectrum:
     def test_viana_base_exponent_exact(self):
         # the base block of Df is the constant d, so the top exponent is
         # log d regardless of the fiber dynamics
-        from sinailab.systems import make_viana
-
         spec = benettin_spectrum(make_viana(1.7808, 0.02, 16), seed=3,
                                  burn_in=2000, n_steps=50_000)
         assert spec.exponents[0] == pytest.approx(math.log(16.0), abs=1e-8)
@@ -93,6 +106,54 @@ class TestBenettinSpectrum:
         spec = benettin_spectrum(make_cat_map(), seed=1, burn_in=10,
                                  n_steps=10_000)
         assert np.all(spec.std_error < 1e-12)
+
+
+def _sequential_qr_logs(dfs):
+    """Reference discrete QR from the identity frame, one LAPACK QR per step."""
+    q = np.eye(dfs.shape[1])
+    logs = []
+    for a in dfs:
+        q, r = np.linalg.qr(a @ q)
+        sign = np.sign(np.diag(r))
+        q = q * sign
+        logs.append(np.log(np.abs(np.diag(r))))
+    return np.array(logs)
+
+
+class TestLockstepLogs:
+    def test_every_step_logged_once_in_time_order(self):
+        # a row's logs sum to log |det| of exactly that step's matrix
+        rng = np.random.default_rng(3)
+        for burn_in, n_steps in [(0, 1_234), (70, 2_001), (500, 40_013)]:
+            dfs = rng.standard_normal((burn_in + n_steps, 3, 3))
+            logs = _lockstep_logs(dfs, burn_in)
+            assert logs.shape == (n_steps, 3)
+            logdet = np.linalg.slogdet(dfs[burn_in:])[1]
+            assert np.allclose(logs.sum(axis=1), logdet, atol=1e-10)
+
+    @pytest.mark.parametrize("burn_in", [0, 70, WARM + 30])
+    def test_blocks_warm_up_over_the_steps_before_them(self, burn_in):
+        # 1_001 live steps: 5 blocks, the first 201 steps long; block 0 warms
+        # up from max(0, burn_in - WARM), block 3 from its start - WARM
+        rng = np.random.default_rng(4)
+        dfs = rng.standard_normal((burn_in + 1_001, 2, 2))
+        logs = _lockstep_logs(dfs, burn_in)
+        first = max(0, burn_in - WARM)
+        ref0 = _sequential_qr_logs(dfs[first:burn_in + 201])[burn_in - first:]
+        assert np.allclose(logs[:201], ref0, atol=1e-10)
+        start3 = burn_in + 201 + 2 * 200
+        ref3 = _sequential_qr_logs(dfs[start3 - WARM:start3 + 200])[WARM:]
+        assert np.allclose(logs[601:801], ref3, atol=1e-10)
+
+    def test_constant_non_normal_small_gap(self):
+        # eigenvalues 1.01 and 1 (log gap 0.01), far from the singular
+        # values; the QR rates converge to log |eigenvalues|. The warm-up
+        # leaves each 200-step block a start-up bias of about
+        # exp(-0.01 * WARM) / 200 ~ 7e-4.
+        a = np.array([[1.0, 0.0], [1.0, 1.01]])
+        rates = _lockstep_logs(np.broadcast_to(a, (100_000, 2, 2)), 0).mean(axis=0)
+        assert rates == pytest.approx([math.log(1.01), 0.0], abs=1e-3)
+        assert np.linalg.svd(a, compute_uv=False)[0] > 1.5
 
 
 class TestEstimateBundles:

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from sinailab.entropy import PESIN, EntropyEstimate
-from sinailab.errors import SweepAbortError
-from sinailab.measures import birkhoff_sample
+from sinailab.errors import SamplingFailureError, SweepAbortError
+from sinailab.measures import EmpiricalMeasure, birkhoff_sample
 from sinailab.serialize import write_json
 from sinailab.sweep import (
     SweepConfig,
@@ -256,6 +257,13 @@ class TestNeighborhoodSplit:
         split = split_log_det_integral(sys, mu, 0.07)
         total = full["inside"] + full["outside"]
         assert split["inside"] + split["outside"] == pytest.approx(total, abs=1e-10)
+
+    def test_no_usable_point_raises(self):
+        sys = make_manneville_pomeau(0.3)
+        mu = EmpiricalMeasure(sys.space, np.array([[0.5], [0.0]]),
+                              np.array([0.5, 0.5]))
+        with pytest.raises(SamplingFailureError):
+            split_log_det_integral(sys, mu, 0.01)
 
     def test_monotone_in_delta(self):
         sys = make_manneville_pomeau(0.2)
