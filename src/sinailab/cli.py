@@ -70,14 +70,12 @@ _METHOD_ALIASES = {
 }
 
 
-def _default_workers() -> int:
-    env = os.environ.get("SINAILAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _env_workers():
+    """SINAILAB_WORKERS as a worker count, or None when unset or invalid."""
+    try:
+        return max(1, int(os.environ["SINAILAB_WORKERS"]))
+    except (KeyError, ValueError):
+        return None
 
 
 def _parse_params(pairs) -> dict:
@@ -191,7 +189,8 @@ def cmd_entropy(ns) -> int:
         if method == PESIN:
             spectrum = benettin_spectrum(system, seed=ns.seed,
                                          burn_in=config["burn_in"],
-                                         n_steps=config["length"])
+                                         n_steps=config["length"],
+                                         orbit=measure.orbit)
             est = pesin_entropy(spectrum)
         elif method == LEDRAPPIER_STRELCYN:
             est = ls_entropy(system, measure, ns.nmax,
@@ -265,7 +264,7 @@ def load_sweep_config(path, workers=None) -> tuple:
             dim_f=s.getint("dim_f", fallback=None),
             tolerance=s.getfloat("tolerance", 0.02),
             workers=workers if workers is not None
-            else s.getint("workers", 0) or _default_workers(),
+            else s.getint("workers", 0) or _env_workers() or os.cpu_count() or 1,
         )
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad sweep config: {exc}")
@@ -279,15 +278,9 @@ def load_sweep_config(path, workers=None) -> tuple:
 
 def cmd_sweep(ns) -> int:
     out = _prepare_out(ns)
-    env_workers = os.environ.get("SINAILAB_WORKERS")
-    workers = ns.workers
-    if env_workers:
-        try:
-            workers = max(1, int(env_workers))  # env overrides the flag
-        except ValueError:
-            pass
     try:
-        config, checks = load_sweep_config(ns.config, workers=workers)
+        # SINAILAB_WORKERS overrides the flag, which overrides the config
+        config, checks = load_sweep_config(ns.config, workers=_env_workers() or ns.workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

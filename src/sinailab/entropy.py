@@ -34,6 +34,11 @@ JACOBIAN_F = "jacobian_F"
 #: orbit-failure fraction above which cloud estimators refuse to answer
 MAX_FAILURE_FRACTION = 0.01
 
+#: early stopping cuts the LS table once STOP_WINDOW consecutive n have
+#: lowered it by less than STOP_DELTA in all
+STOP_WINDOW = 5
+STOP_DELTA = 1e-4
+
 
 @dataclass
 class EntropyEstimate:
@@ -92,28 +97,27 @@ def pesin_entropy(spectrum: LyapunovSpectrum) -> EntropyEstimate:
 
 
 def _advance_wedge_table(system: DynamicalSystem, pts: np.ndarray,
-                         weights: np.ndarray, n_max: int, orders,
-                         early_stop: bool, stop_window: int,
-                         stop_delta: float, seed: int = 0):
+                         weights: np.ndarray, n_max: int, early_stop: bool,
+                         seed: int = 0):
     """Shared driver: per-n weighted averages of log wedge norms.
 
-    Returns (table, per-point rows at each n, alive mask, skipped count).
-    table[k] is a dict {j: weighted avg of log wedge_j at n = k+1} plus the
-    aggregate total when all orders are tracked. Cloud advancement uses the
-    dithered stepper so binary-shift bases do not degenerate mid-table.
+    Returns (totals, orders, best_row, alive, skipped). totals[k] is the
+    weighted average of the aggregate log(1 + sum_j ||wedge_j||) / n at
+    n = k+1 and orders[k][j-1] that of log ||wedge_j|| / n; best_row holds
+    the per-point aggregates / n at the running argmin. Cloud advancement
+    uses the dithered stepper so binary-shift bases do not degenerate
+    mid-table.
     """
     m, d = pts.shape
     dither = np.random.default_rng([seed, 0xD17A]) if system.dither_scale else None
-    acc = WedgeAccumulatorBatch(d, m, orders=orders)
+    acc = WedgeAccumulatorBatch(d, m)
     alive = np.ones(m, dtype=bool)
     cur = pts.copy()
-    rows_total = []      # averaged log_wedge_total / n when full orders
-    rows_orders = []     # averaged log_wedge_j / n per tracked order
-    best_row = None      # per-point totals at the running argmin
-    full = tuple(orders) == tuple(range(1, d + 1))
+    totals = []
+    orders = []
+    best_row = None
     for n in range(1, n_max + 1):
-        bad = system.hits_singular_set(cur) | ~np.all(np.isfinite(cur), axis=1)
-        alive &= ~bad
+        alive &= ~system.unusable(cur)
         if (~alive).sum() > MAX_FAILURE_FRACTION * m:
             raise SamplingFailureError(
                 f"{system.name}: {int((~alive).sum())}/{m} orbit failures in the wedge table"
@@ -125,46 +129,36 @@ def _advance_wedge_table(system: DynamicalSystem, pts: np.ndarray,
         acc.step(dfs)
         w = weights * alive
         w = w / w.sum()
-        lw = acc.log_wedge_all()  # (m, len(orders))
-        per_order = {j: float(w @ lw[:, idx]) / n for idx, j in enumerate(acc.orders)}
-        rows_orders.append(per_order)
-        if full:
-            totals = log_wedge_total_from_rows(lw)
-            rows_total.append(float(w @ totals) / n)
-            if len(rows_total) == 1 or rows_total[-1] <= min(rows_total[:-1]):
-                best_row = totals / n
+        lw = acc.log_wedge_all()
+        orders.append([float(w @ col) / n for col in np.ascontiguousarray(lw.T)])
+        row = log_wedge_total_from_rows(lw)
+        totals.append(float(w @ row) / n)
+        if totals[-1] <= min(totals):
+            best_row = row / n
         cur[alive] = system.step_batch(cur[alive], dither)
-        if early_stop and full and len(rows_total) > stop_window:
-            if rows_total[-1 - stop_window] - rows_total[-1] < stop_delta:
-                break
-        if early_stop and not full and len(rows_orders) > stop_window:
-            j0 = acc.orders[0]
-            if rows_orders[-1 - stop_window][j0] - rows_orders[-1][j0] < stop_delta:
+        if early_stop and len(totals) > STOP_WINDOW:
+            if totals[-1 - STOP_WINDOW] - totals[-1] < STOP_DELTA:
                 break
     skipped = int((~alive).sum())
-    return rows_total, rows_orders, best_row, alive, skipped
+    return totals, orders, best_row, alive, skipped
 
 
 def ls_sequence(system: DynamicalSystem, measure, n_max: int = 40,
-                early_stop: bool = True, stop_window: int = 5,
-                stop_delta: float = 1e-4, seed: int = 0) -> LSSequence:
+                early_stop: bool = True, seed: int = 0) -> LSSequence:
     """Table a_n = (1/n) <log ||Df^n(x)^wedge||>_mu and its minimum.
 
     The minimum over the table is an upper bound for the limit value, so
     the reported number is one-sided. Points whose orbit fails are skipped
     and the weights renormalized (more than 1% failures aborts). Early
-    stopping cuts the table when five consecutive n gain less than
-    stop_delta; pass early_stop=False for the full table.
+    stopping cuts the table when STOP_WINDOW consecutive n gain less than
+    STOP_DELTA; pass early_stop=False for the full table.
     """
     if not 1 <= n_max <= 60:
         raise ValueError("n_max must be in [1, 60]")
     pts, weights = measure_cloud(measure)
-    d = system.space.dim
-    rows_total, _, best_row, alive, skipped = _advance_wedge_table(
-        system, pts, weights, n_max, tuple(range(1, d + 1)),
-        early_stop, stop_window, stop_delta, seed,
-    )
-    a = np.asarray(rows_total)
+    totals, _, best_row, alive, skipped = _advance_wedge_table(
+        system, pts, weights, n_max, early_stop, seed)
+    a = np.asarray(totals)
     k = int(np.argmin(a))
     return LSSequence(
         a_n=a,
@@ -208,10 +202,8 @@ def exponent_function(system: DynamicalSystem, measure, i: int,
     if not 1 <= i <= d:
         raise ValueError(f"i must be in [1, {d}]")
     pts, weights = measure_cloud(measure)
-    _, rows_orders, _, _, _ = _advance_wedge_table(
-        system, pts, weights, n_max, (i,), False, 5, 1e-4, seed,
-    )
-    return float(min(r[i] for r in rows_orders))
+    _, orders, _, _, _ = _advance_wedge_table(system, pts, weights, n_max, False, seed)
+    return float(min(row[i - 1] for row in orders))
 
 
 def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
@@ -236,15 +228,13 @@ def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
         dither = np.random.default_rng([seed, 0xF1]) if system.dither_scale else None
         frames = _random_frames(rng, m, d, dim_f)
         for _ in range(n_transient):
-            bad = system.hits_singular_set(cur) | ~np.all(np.isfinite(cur), axis=1)
-            alive &= ~bad
+            alive &= ~system.unusable(cur)
             dfs = system.differential_batch(cur)
             if not np.all(alive):
                 dfs[~alive] = np.eye(d)
             frames = _orthonormalize_batch(np.matmul(dfs, frames))
             cur = system.step_batch(np.where(alive[:, None], cur, pts), dither)
-    bad = system.hits_singular_set(cur) | ~np.all(np.isfinite(cur), axis=1)
-    alive &= ~bad
+    alive &= ~system.unusable(cur)
     if (~alive).sum() > MAX_FAILURE_FRACTION * m:
         raise SamplingFailureError(
             f"{system.name}: {int((~alive).sum())}/{m} bundle estimation failures"
@@ -322,24 +312,25 @@ def combine_estimates(pesin: EntropyEstimate, ls: EntropyEstimate,
 def cross_validate(system: DynamicalSystem, measure, dim_f: Optional[int] = None,
                    n_max: int = 40, tolerance: float = 0.02,
                    spectrum: Optional[LyapunovSpectrum] = None,
-                   seed: Optional[int] = None,
-                   spectrum_steps: Optional[int] = None,
-                   burn_in: Optional[int] = None) -> CrossValidationReport:
+                   spectrum_steps: Optional[int] = None) -> CrossValidationReport:
     """Run all three estimators on one system/measure pair and compare.
 
-    The Benettin spectrum reuses the measure's Birkhoff provenance (seed,
-    burn-in, length) unless overridden, so all estimators see statistically
-    matched data. When dim_f is not given it defaults to the number of
-    positive exponents in the computed spectrum (the expanding dimension).
+    The Benettin spectrum runs along the measure's own Birkhoff orbit
+    (seed, burn-in, length from its provenance), so all estimators see
+    statistically matched data; spectrum_steps != length draws a longer or
+    shorter orbit from the same seed. When dim_f is not given it defaults
+    to the number of positive exponents in the computed spectrum (the
+    expanding dimension).
     """
     prov = getattr(measure, "provenance", {}) or {}
-    seed = seed if seed is not None else int(prov.get("seed", 0))
-    burn = burn_in if burn_in is not None else int(prov.get("burn_in", 10_000))
-    steps = spectrum_steps if spectrum_steps is not None else int(
-        prov.get("length", 100_000))
+    seed = int(prov.get("seed", 0))
     if spectrum is None:
-        spectrum = benettin_spectrum(system, seed=seed, burn_in=burn,
-                                     n_steps=steps)
+        steps = int(prov.get("length", 100_000))
+        orbit = getattr(measure, "orbit", None)
+        if spectrum_steps is not None and spectrum_steps != steps:
+            steps, orbit = spectrum_steps, None
+        spectrum = benettin_spectrum(system, seed, int(prov.get("burn_in", 10_000)),
+                                     steps, orbit=orbit)
     if dim_f is None:
         dim_f = max(1, int((spectrum.exponents > 0.0).sum()))
     p = pesin_entropy(spectrum)

@@ -85,25 +85,16 @@ def singular_values(a) -> np.ndarray:
     return _jacobi_column_singular_values(as_square_matrix(a))
 
 
-def log_sum_exp(values) -> float:
-    """log(sum(exp(v))) computed without overflow; ignores LOG_ZERO terms."""
-    vals = [v for v in values if v > LOG_ZERO]
-    if not vals:
-        return LOG_ZERO
-    m = max(vals)
-    return m + math.log(sum(math.exp(v - m) for v in vals))
+def gram_singular_values(mats: np.ndarray) -> np.ndarray:
+    """Ascending singular values of each matrix in an (m, c, c) stack.
 
-
-def _saturating_cumsum(values) -> list:
-    """Cumulative sums clamped at LOG_ZERO (so -inf never appears)."""
-    out = []
-    s = 0.0
-    for v in values:
-        s = s + v
-        if not s > LOG_ZERO:  # catches -inf from summed sentinels
-            s = LOG_ZERO
-        out.append(s)
-    return out
+    They are the square roots of the eigenvalues of the Gram matrices
+    M^T M, clipped at zero; a 1x1 stack needs only the absolute value.
+    """
+    if mats.shape[1] == 1:
+        return np.abs(mats[:, :, 0])
+    gram = np.matmul(np.transpose(mats, (0, 2, 1)), mats)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
 
 
 @dataclass(frozen=True)
@@ -130,13 +121,13 @@ class WedgeProfile:
     @staticmethod
     def from_log_singular_values(log_sv) -> "WedgeProfile":
         lsv = sorted((float(v) for v in log_sv), reverse=True)
-        lw = _saturating_cumsum(lsv)
-        total = log_sum_exp([0.0] + lw)
+        with np.errstate(over="ignore"):  # summed LOG_ZERO sentinels give -inf
+            lw = np.maximum(np.cumsum(lsv), LOG_ZERO)
         return WedgeProfile(
             dim=len(lsv),
             log_singular_values=tuple(lsv),
-            log_wedge_j=tuple(lw),
-            log_wedge_total=total,
+            log_wedge_j=tuple(float(v) for v in lw),
+            log_wedge_total=float(log_wedge_total_from_rows(lw[None, :])[0]),
         )
 
 
@@ -226,10 +217,10 @@ class WedgeAccumulatorBatch:
     step without overflow and with full round-off accuracy.
     """
 
-    def __init__(self, dim: int, n_points: int, orders=None):
+    def __init__(self, dim: int, n_points: int):
         self.dim = dim
         self.n_points = n_points
-        self.orders = tuple(orders) if orders is not None else tuple(range(1, dim + 1))
+        self.orders = tuple(range(1, dim + 1))
         self._mats = {}
         self._logs = {}
         for j in self.orders:
@@ -256,12 +247,7 @@ class WedgeAccumulatorBatch:
 
     def log_wedge(self, j: int) -> np.ndarray:
         """log ||P^(wedge j)|| per point for the current product P."""
-        mats = self._mats[j]
-        if mats.shape[1] == 1:
-            top = np.abs(mats[:, 0, 0])
-        else:
-            gram = np.matmul(np.transpose(mats, (0, 2, 1)), mats)
-            top = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+        top = gram_singular_values(self._mats[j])[:, -1]
         with np.errstate(divide="ignore"):
             lw = np.where(top > 0.0, np.log(np.maximum(top, 1e-320)), LOG_ZERO)
         lw = lw + self._logs[j]

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
+
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import SamplingFailureError, UlamConvergenceError
+from .matrixcore import gram_singular_values
 from .systems import SINGULAR_HIT_DISTANCE, DynamicalSystem, FamilyHandle, PhaseSpace
 
 MAX_ULAM_CELLS = 10_000_000
@@ -26,12 +29,17 @@ MAX_ULAM_CELLS = 10_000_000
 
 @dataclass
 class EmpiricalMeasure:
-    """Weighted point cloud approximating an invariant measure."""
+    """Weighted point cloud approximating an invariant measure.
+
+    A Birkhoff cloud keeps its whole sampled orbit, burn-in included;
+    points is a view of its tail.
+    """
 
     space: PhaseSpace
     points: np.ndarray      # (n, d)
     weights: np.ndarray     # (n,), non-negative, sums to 1
     provenance: dict = field(default_factory=dict)
+    orbit: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -146,8 +154,7 @@ def _sample_orbit(system: DynamicalSystem, seed: int, burn_in: int,
         x0 = system.space.uniform(rng, 1)[0]
         dither = np.random.default_rng([seed, restart, 0xD17])
         orbit = system.orbit(x0, burn_in + length - 1, dither)
-        points = orbit[burn_in:]
-        if np.all(np.isfinite(points)) and not np.any(system.hits_singular_set(points)):
+        if not system.unusable(orbit[burn_in:]).any():
             return orbit, restart
     raise SamplingFailureError(
         f"{system.name}: orbit hit the singular set on {MAX_RESTARTS} restarts"
@@ -160,7 +167,8 @@ def birkhoff_sample(system: DynamicalSystem, seed: int, burn_in: int,
 
     Orbits that hit the singular set exactly are restarted with an
     incremented sub-seed (at most MAX_RESTARTS times). Deterministic given
-    (system, seed, burn_in, length).
+    (system, seed, burn_in, length). The measure keeps the whole orbit, so
+    benettin_spectrum(..., orbit=measure.orbit) need not draw it again.
     """
     orbit, restart = _sample_orbit(system, seed, burn_in, length)
     return EmpiricalMeasure(
@@ -174,6 +182,7 @@ def birkhoff_sample(system: DynamicalSystem, seed: int, burn_in: int,
             "length": int(length),
             "restarts": restart,
         },
+        orbit=orbit,
     )
 
 
@@ -391,18 +400,26 @@ def ls1_fit(system: DynamicalSystem, measure, eps_grid) -> dict:
             "mass": masses.tolist()}
 
 
-def _top_singular_batch(dfs: np.ndarray) -> np.ndarray:
-    if dfs.shape[1] == 1:
-        return np.abs(dfs[:, 0, 0])
-    gram = np.matmul(np.transpose(dfs, (0, 2, 1)), dfs)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+def usable_points(system: DynamicalSystem, measure, observable, what: str):
+    """An observable over the cloud points where it is defined.
 
-
-def _bottom_singular_batch(dfs: np.ndarray) -> np.ndarray:
-    if dfs.shape[1] == 1:
-        return np.abs(dfs[:, 0, 0])
-    gram = np.matmul(np.transpose(dfs, (0, 2, 1)), dfs)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, 0], 0.0))
+    Points on the singular set are skipped, and so are those where
+    observable(points) is not finite. Returns (values, weights, dist,
+    skipped): the kept values, their weights renormalized to sum 1, their
+    distances to the singular set, and the number of points skipped.
+    Raises SamplingFailureError, naming `what`, when no point is left.
+    """
+    pts, w = measure_cloud(measure)
+    dist = system.singular_distance(pts)
+    ok = dist >= SINGULAR_HIT_DISTANCE
+    values = observable(pts[ok])
+    finite = np.all(np.isfinite(values), axis=tuple(range(1, values.ndim)))
+    kept = np.flatnonzero(ok)[finite]
+    weights = w[kept]
+    total = weights.sum()
+    if total <= 0.0:
+        raise SamplingFailureError(f"no usable points for the {what}")
+    return values[finite], weights / total, dist[kept], int(pts.shape[0] - kept.shape[0])
 
 
 def ls2_integral(system: DynamicalSystem, measure) -> dict:
@@ -411,23 +428,13 @@ def ls2_integral(system: DynamicalSystem, measure) -> dict:
     Points where the differential is undefined (singular set) are skipped
     and the remaining weights renormalized; the skip count is reported.
     """
-    pts, w = measure_cloud(measure)
-    dist = system.singular_distance(pts)
-    ok = dist >= SINGULAR_HIT_DISTANCE
-    dfs = system.differential_batch(pts[ok])
-    finite = np.all(np.isfinite(dfs), axis=(1, 2))
-    ok_idx = np.where(ok)[0][finite]
-    skipped = pts.shape[0] - ok_idx.shape[0]
-    weights = w[ok_idx]
-    total = weights.sum()
-    if total <= 0.0:
-        raise SamplingFailureError("no usable points for the log-norm integral")
-    weights = weights / total
-    dfs = dfs[finite]
-    forward = float(weights @ np.maximum(np.log(_top_singular_batch(dfs)), 0.0))
-    out = {"forward": forward, "backward": None, "skipped": int(skipped)}
+    dfs, weights, _, skipped = usable_points(
+        system, measure, system.differential_batch, "log-norm integral")
+    sv = gram_singular_values(dfs)
+    forward = float(weights @ np.maximum(np.log(sv[:, -1]), 0.0))
+    out = {"forward": forward, "backward": None, "skipped": skipped}
     if system.invertible:
-        smin = _bottom_singular_batch(dfs)
+        smin = sv[:, 0]
         inv_norm = np.where(smin > 0.0, 1.0 / np.maximum(smin, 1e-300), np.inf)
         out["backward"] = float(weights @ np.maximum(np.log(inv_norm), 0.0))
     return out
@@ -452,15 +459,7 @@ def holder_parameter_check(family: FamilyHandle, t_grid, sample_points,
     for sys_t in systems:
         if np.any(sys_t.singular_distance(pts) <= margin):
             raise ValueError("sample point on the singular set")
-    logs = []
-    for sys_t in systems:
-        dfs = sys_t.differential_batch(pts)
-        if dfs.shape[1] == 1:
-            logs.append(np.log(np.abs(dfs[:, 0, 0])))
-        else:
-            sign, logdet = np.linalg.slogdet(dfs)
-            logs.append(logdet)
-    logs = np.array(logs)
+    logs = np.array([log_det_batch(sys_t, pts) for sys_t in systems])
     n_t = t_grid.shape[0]
     gaps, diffs = [], []
     for a in range(n_t - 1):
@@ -492,15 +491,8 @@ def log_det_batch(system: DynamicalSystem, pts: np.ndarray) -> np.ndarray:
 
 def bounded_jacobian_check(system: DynamicalSystem, measure, bound: float) -> dict:
     """|integral of log |det Df|| compared against an a-priori bound."""
-    pts, w = measure_cloud(measure)
-    dist = system.singular_distance(pts)
-    ok = dist >= SINGULAR_HIT_DISTANCE
-    logdet = log_det_batch(system, pts[ok])
-    finite = np.isfinite(logdet)
-    weights = w[ok][finite]
-    total = weights.sum()
-    if total <= 0.0:
-        raise SamplingFailureError("no usable points for the Jacobian integral")
-    value = float(abs((weights / total) @ logdet[finite]))
+    logdet, weights, _, skipped = usable_points(
+        system, measure, lambda pts: log_det_batch(system, pts), "Jacobian integral")
+    value = float(abs(weights @ logdet))
     return {"value": value, "bound": float(bound), "passed": value <= bound,
-            "skipped": int(pts.shape[0] - int(finite.sum()))}
+            "skipped": skipped}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -89,24 +90,30 @@ def _lockstep_logs(dfs: np.ndarray, burn_in: int) -> np.ndarray:
 
 
 def benettin_spectrum(system: DynamicalSystem, seed: int, burn_in: int,
-                      n_steps: int, blocks: int = 20) -> LyapunovSpectrum:
+                      n_steps: int, blocks: int = 20,
+                      orbit: Optional[np.ndarray] = None) -> LyapunovSpectrum:
     """QR-cocycle Lyapunov spectrum along a Birkhoff orbit.
 
     The orbit is the one birkhoff_sample draws for (seed, burn_in,
-    n_steps). Standard errors are the batch standard errors over `blocks`
-    contiguous orbit segments. Exponents are sorted descending with stable
-    tie order.
+    n_steps); a caller that holds that cloud passes orbit=measure.orbit
+    instead of having it drawn again. Standard errors are the batch
+    standard errors over `blocks` contiguous orbit segments. Exponents are
+    sorted descending with stable tie order.
     """
     d = system.space.dim
     if n_steps < 10 * d:
         raise ValueError(f"n_steps must be >= {10 * d}")
-    orbit, _ = _sample_orbit(system, seed, burn_in, n_steps)
+    if orbit is None:
+        orbit, _ = _sample_orbit(system, seed, burn_in, n_steps)
+    elif orbit.shape[0] != burn_in + n_steps:
+        raise ValueError(f"orbit has {orbit.shape[0]} points, "
+                         f"expected burn_in + n_steps = {burn_in + n_steps}")
+    first = burn_in if d == 1 else max(0, burn_in - WARM)
+    dfs = system.differential_batch(orbit[first:])
     if d == 1:
-        dfs = system.differential_batch(orbit)[:, 0, 0]
-        logs = np.log(np.abs(dfs[burn_in:burn_in + n_steps]))[:, None]
-        return _spectrum_from_logs(logs, n_steps, blocks)
-    first = max(0, burn_in - WARM)
-    logs = _lockstep_logs(system.differential_batch(orbit[first:]), burn_in - first)
+        logs = np.log(np.abs(dfs[:, 0, 0]))[:, None]
+    else:
+        logs = _lockstep_logs(dfs, burn_in - first)
     return _spectrum_from_logs(logs, n_steps, blocks)
 
 

@@ -91,29 +91,6 @@ def sweep_csv_rows(result):
     return header, rows
 
 
-def measure_csv_rows(measure):
-    from .measures import EmpiricalMeasure, GridMeasure
-
-    if isinstance(measure, EmpiricalMeasure):
-        d = measure.points.shape[1]
-        header = [f"x{i}" for i in range(d)] + ["weight"]
-        rows = [
-            [_fmt(float(v)) for v in pt] + [_fmt(float(w))]
-            for pt, w in zip(measure.points, measure.weights)
-        ]
-        return header, rows
-    if isinstance(measure, GridMeasure):
-        centers = measure.cell_centers()
-        d = centers.shape[1]
-        header = ["cell"] + [f"center{i}" for i in range(d)] + ["density"]
-        rows = [
-            [i] + [_fmt(float(v)) for v in centers[i]] + [_fmt(float(measure.density[i]))]
-            for i in range(measure.n_cells)
-        ]
-        return header, rows
-    raise TypeError(f"not a measure: {type(measure)!r}")
-
-
 # ---------------------------------------------------------------------------
 # Minimal static SVG line chart (hand-rolled for byte determinism)
 # ---------------------------------------------------------------------------

@@ -24,23 +24,26 @@ from .entropy import (
     ls_entropy,
     pesin_entropy,
 )
-from .errors import SamplingFailureError, SinaiLabError, SweepAbortError
+from .errors import SinaiLabError, SweepAbortError
 from .measures import (
     birkhoff_sample,
     dictionary_moments,
     log_det_batch,
-    measure_cloud,
     ulam_matrix,
     ulam_stationary,
+    usable_points,
 )
 from .oseledets import benettin_spectrum
-from .systems import SINGULAR_HIT_DISTANCE, FamilyHandle, get_family
+from .systems import FamilyHandle, get_family
 
 ESTIMATOR_NAMES = (PESIN, LEDRAPPIER_STRELCYN, JACOBIAN_F)
 
 #: intermittent Manneville-Pomeau points mix polynomially; quadruple orbits
 MP_SLOW_ALPHA = 0.7
 MP_SLOW_FACTOR = 4
+
+#: mode cutoff of the test dictionary behind the weak* column
+WEAK_STAR_CUTOFF = 4
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ class SweepConfig:
     dim_f: Optional[int] = None
     tolerance: float = 0.02
     workers: int = 1
-    weak_star_cutoff: int = 4
 
     def __post_init__(self):
         grid = tuple(float(t) for t in self.grid)
@@ -90,7 +92,7 @@ class SweepConfig:
             "dim_f": self.dim_f,
             "tolerance": self.tolerance,
             "workers": self.workers,
-            "weak_star_cutoff": self.weak_star_cutoff,
+            "weak_star_cutoff": WEAK_STAR_CUTOFF,
         }
 
 
@@ -165,15 +167,17 @@ def _sweep_point(config: SweepConfig, index: int) -> SweepRow:
             transfer = ulam_matrix(system, config.ulam_resolution,
                                    samples_per_cell=256, seed=seed)
             measure = ulam_stationary(transfer, tol=1e-10)
+            orbit = None
         else:
             measure = birkhoff_sample(system, seed=seed,
                                       burn_in=config.burn_in, length=length)
-        row.moments = dictionary_moments(measure, config.weak_star_cutoff)
+            orbit = measure.orbit
+        row.moments = dictionary_moments(measure, WEAK_STAR_CUTOFF)
         spectrum = None
         if PESIN in config.estimators:
             spectrum = benettin_spectrum(system, seed=seed,
                                          burn_in=config.burn_in,
-                                         n_steps=length)
+                                         n_steps=length, orbit=orbit)
             row.spectrum_exponents = spectrum.exponents.tolist()
             row.spectrum_std_error = spectrum.std_error.tolist()
             row.estimates[PESIN] = pesin_entropy(spectrum)
@@ -244,12 +248,12 @@ def usc_check(result: SweepResult, window: int = 1, slack: float = 0.05) -> USCR
     For t at grid index k and a neighbor at index j = k - m or k + m
     (1 <= m <= window), the excess is h(j) - h(t). The trend step is the
     step over the next m grid steps in the same direction: from index
-    b = j + (j - k) to j, i.e. h(b) - h(j). When b lies off the grid the
-    step from t onward, h(t) - h(k - (j - k)), stands in for it; when
-    neither point exists there is no trend step. A trend step that
-    continues the descent toward t (positive) is subtracted from the
-    excess; one that turns the other way counts as zero, and so does a
-    missing one, which leaves the plain level comparison. The error is
+    b = j + (j - k) to j, i.e. h(b) - h(j). When b lies off the grid, or
+    that step turns the other way (<= 0, as past a dip at b), the step
+    from t onward, h(t) - h(k - (j - k)), stands in for it. A trend step
+    that continues the descent toward t (positive) is subtracted from the
+    excess; when neither step exists or continues the descent there is
+    none, which leaves the plain level comparison. The error is
     se(t) + se(j), plus the standard errors of the trend step's two
     points when it is subtracted (linear propagation, so the neighbor
     counts twice in the second difference h(b) - 2 h(j) + h(t)).
@@ -281,15 +285,13 @@ def usc_check(result: SweepResult, window: int = 1, slack: float = 0.05) -> USCR
                     excess = h[j] - h[k]
                     err = se[k] + se[j]
                     b, f = j + (j - k), k - (j - k)
-                    if 0 <= b < n:
-                        step, step_err = h[b] - h[j], se[b] + se[j]
-                    elif 0 <= f < n:
-                        step, step_err = h[k] - h[f], se[k] + se[f]
-                    else:
-                        step, step_err = 0.0, 0.0
-                    if step > 0.0:
-                        excess -= step
-                        err += step_err
+                    trend = [(h[b] - h[j], se[b] + se[j])] if 0 <= b < n else []
+                    if 0 <= f < n:
+                        trend.append((h[k] - h[f], se[k] + se[f]))
+                    step, step_err = next(((s, e) for s, e in trend if s > 0.0),
+                                          (0.0, 0.0))
+                    excess -= step
+                    err += step_err
                     margin = excess - slack - err
                     if worst is None or margin > worst[0]:
                         worst = (margin, j, excess, slack + err)
@@ -364,26 +366,18 @@ def split_log_det_integral(system, measure, delta: float) -> dict:
     """
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
-    pts, w = measure_cloud(measure)
-    dist = system.singular_distance(pts)
-    usable = dist >= SINGULAR_HIT_DISTANCE
-    logdet = log_det_batch(system, pts[usable])
-    finite = np.isfinite(logdet)
-    weights = w[usable][finite]
-    total = weights.sum()
-    if total <= 0.0:
-        raise SamplingFailureError("no usable points for the split Jacobian integral")
-    weights = weights / total
-    dist_ok = dist[usable][finite]
-    inside_mask = dist_ok < delta
-    inside = float(weights[inside_mask] @ logdet[finite][inside_mask]) if inside_mask.any() else 0.0
-    outside = float(weights[~inside_mask] @ logdet[finite][~inside_mask]) if (~inside_mask).any() else 0.0
+    logdet, weights, dist, skipped = usable_points(
+        system, measure, lambda pts: log_det_batch(system, pts),
+        "split Jacobian integral")
+    inside_mask = dist < delta
+    inside = float(weights[inside_mask] @ logdet[inside_mask]) if inside_mask.any() else 0.0
+    outside = float(weights[~inside_mask] @ logdet[~inside_mask]) if (~inside_mask).any() else 0.0
     return {
         "delta": float(delta),
         "inside": inside,
         "outside": outside,
         "inside_mass": float(weights[inside_mask].sum()),
-        "skipped": int(pts.shape[0] - int(finite.sum())),
+        "skipped": skipped,
     }
 
 

@@ -69,6 +69,13 @@ class TestEntropyCommand:
         est = read_json(out / "entropy.json")
         assert est["value"] == pytest.approx(math.log(2.0 + LAM), abs=1e-9)
 
+    def test_pesin_draws_one_orbit(self, tmp_path, orbit_calls):
+        code = main(["entropy", "--system", "cat", "--method", "pesin",
+                     "--length", "5000", "--burn-in", "100",
+                     "--out", str(tmp_path / "p")])
+        assert code == 0
+        assert orbit_calls == [5_099]
+
     def test_invalid_method_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["entropy", "--system", "cat", "--method", "bogus"])

@@ -243,6 +243,14 @@ class TestCrossValidate:
                              spectrum_steps=200_000)
         assert rep.sinai_consistent, rep.gaps
 
+    def test_spectrum_runs_along_the_cloud_orbit(self, orbit_calls):
+        sys = make_standard_skew(0.5, 2)
+        mu = birkhoff_sample(sys, seed=3, burn_in=500, length=2_000)
+        rep = cross_validate(sys, mu, dim_f=2, n_max=5)
+        assert orbit_calls == [2_499]
+        spec = benettin_spectrum(sys, 3, 500, 2_000)
+        assert rep.estimates["pesin"].value == pesin_entropy(spec).value
+
     def test_forced_inconsistency_flags_ruelle(self):
         zero_spec = pesin_entropy(spectrum_of(0.0, 0.0))
         ls = EntropyEstimate(value=1.53, method="ledrappier_strelcyn")

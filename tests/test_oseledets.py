@@ -102,6 +102,29 @@ class TestBenettinSpectrum:
         assert spec.exponents[0] == pytest.approx(math.log(16.0), abs=1e-8)
         assert spec.exponents[1] > 0.1  # non-uniformly expanding fiber
 
+    @pytest.mark.parametrize("make", [
+        make_cat_map,
+        lambda: make_standard_skew(0.5, 2),
+        lambda: make_manneville_pomeau(0.0),
+        lambda: make_manneville_pomeau(0.5),
+    ], ids=["cat", "skew", "mp0", "mp0.5"])
+    def test_orbit_of_the_cloud_gives_the_same_spectrum(self, make, orbit_calls):
+        sys = make()
+        mu = birkhoff_sample(sys, seed=6, burn_in=300, length=3_000)
+        got = benettin_spectrum(sys, 6, 300, 3_000, orbit=mu.orbit)
+        assert len(orbit_calls) == 1
+        ref = benettin_spectrum(sys, 6, 300, 3_000)
+        assert np.array_equal(got.exponents, ref.exponents)
+        assert np.array_equal(got.std_error, ref.std_error)
+
+    def test_orbit_of_the_wrong_length_rejected(self):
+        sys = make_cat_map()
+        mu = birkhoff_sample(sys, seed=6, burn_in=300, length=3_000)
+        with pytest.raises(ValueError):
+            benettin_spectrum(sys, 6, 200, 3_000, orbit=mu.orbit)
+        with pytest.raises(ValueError):
+            benettin_spectrum(sys, 6, 300, 2_000, orbit=mu.orbit)
+
     def test_cat_standard_error_zero(self):
         spec = benettin_spectrum(make_cat_map(), seed=1, burn_in=10,
                                  n_steps=10_000)

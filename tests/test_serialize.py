@@ -4,16 +4,13 @@ import json
 
 import numpy as np
 
-from sinailab.measures import EmpiricalMeasure, GridMeasure
 from sinailab.oseledets import LyapunovSpectrum
 from sinailab.serialize import (
-    measure_csv_rows,
     spectrum_csv_rows,
     svg_line_chart,
     write_csv,
     write_json,
 )
-from sinailab.systems import PhaseSpace
 
 
 def test_json_stable_bytes(tmp_path):
@@ -36,16 +33,6 @@ def test_spectrum_csv_shape():
     header, rows = spectrum_csv_rows(spec)
     assert header == ["index", "exponent", "std_error"]
     assert len(rows) == 2 and rows[0][0] == 0
-
-
-def test_measure_csv_both_kinds():
-    emp = EmpiricalMeasure(PhaseSpace.torus(2), np.array([[0.1, 0.2]]),
-                           np.array([1.0]))
-    header, rows = measure_csv_rows(emp)
-    assert header == ["x0", "x1", "weight"]
-    grid = GridMeasure(PhaseSpace.unit_interval(), (2,), np.array([0.25, 0.75]))
-    header, rows = measure_csv_rows(grid)
-    assert header[0] == "cell" and len(rows) == 2
 
 
 def test_svg_deterministic(tmp_path):

@@ -13,6 +13,7 @@ from sinailab.sweep import (
     SweepConfig,
     SweepResult,
     SweepRow,
+    _sweep_point,
     continuity_modulus,
     neighborhood_split_entropy,
     run_sweep,
@@ -157,6 +158,13 @@ class TestRunSweep:
             assert a.estimates[PESIN].value == b.estimates[PESIN].value
             assert a.weak_star_prev == b.weak_star_prev
 
+    def test_pesin_point_draws_one_orbit(self, orbit_calls):
+        cfg = SweepConfig(family="mp", grid=(0.0, 0.3), estimators=(PESIN,),
+                          seed=1, burn_in=100, length=2_000)
+        row = _sweep_point(cfg, 1)
+        assert row.ok
+        assert orbit_calls == [2_099]
+
     def test_weak_star_column_filled(self):
         cfg = SweepConfig(family="mp", grid=(0.0, 0.2, 0.4), estimators=(PESIN,),
                           seed=2, burn_in=100, length=5_000)
@@ -201,6 +209,18 @@ class TestUSCCheck:
         assert rep.witnesses[0]["t"] == 4.0
         assert rep.witnesses[0]["neighbor_t"] == 3.0
         assert rep.witnesses[0]["excess"] == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("dip", [1, 2, 3, 4])
+    def test_dip_on_steep_ramp_witnesses(self, dip):
+        # A 0.2 dip below a 0.15-step ramp spoils the trend step of the
+        # point two grid steps past it; the step from that point onward
+        # stands in. Past the last grid point there is none, so a dip two
+        # steps before the end is still witnessed twice.
+        ramp = [1.0 - 0.15 * i for i in range(7)]
+        ramp[dip] -= 0.2
+        rep = usc_check(staircase_result(ramp), slack=0.1)
+        expected = [dip] if dip + 2 < len(ramp) - 1 else [dip, dip + 2]
+        assert [w["t"] for w in rep.witnesses] == [float(t) for t in expected]
 
 
 class TestContinuityModulus:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sinailab.errors import EscapeError
+from sinailab.errors import EscapeError, UnsupportedSystemError
 from sinailab.systems import (
     CAT_MATRIX,
     FAMILIES,
@@ -54,11 +54,6 @@ def _assert_differential_matches_fd(system, seed=123, n=100, tol=1e-6):
 
 
 class TestPhaseSpace:
-    def test_torus_wrap(self):
-        sp = PhaseSpace.torus(2)
-        w = sp.wrap(np.array([[1.25, -0.25]]))
-        assert np.allclose(w, [[0.25, 0.75]])
-
     def test_displacement_wraps_shortest(self):
         sp = PhaseSpace.torus(1)
         d = sp.displacement(np.array([[0.95]]), np.array([[0.05]]))
@@ -249,6 +244,29 @@ class TestStandardSkew:
             assert np.allclose(orb[k + 1], cur[0], atol=1e-12)
 
 
+class TestDitherRule:
+    # orbits and cloud steps dither the same coordinate by the same rule
+    @pytest.mark.parametrize("make, starts", [
+        (lambda: make_manneville_pomeau(0.0), [[0.37], [1.0], [0.5], [0.999]]),
+        (make_viana, [[0.37, 0.5], [0.99, -1.2], [0.0, 0.0], [0.6, 1.7]]),
+    ], ids=["mp0", "viana"])
+    def test_orbit_step_matches_step_batch(self, make, starts):
+        sys = make()
+        for seed, x0 in enumerate(starts):
+            x0 = np.array(x0)
+            orbit_step = sys.orbit(x0, 1, np.random.default_rng(seed))[1]
+            batch_step = sys.step_batch(x0[None, :], np.random.default_rng(seed))[0]
+            assert np.max(np.abs(orbit_step - batch_step)) <= 1e-15
+            undithered = sys.eval_batch(x0[None, :])[0]
+            assert np.array_equal(batch_step[1:], undithered[1:])
+
+    def test_dither_needs_an_orbit_loop(self):
+        sys = make_manneville_pomeau(0.0)
+        sys.orbit_fn = None
+        with pytest.raises(UnsupportedSystemError):
+            sys.orbit(np.array([0.3]), 5, np.random.default_rng(0))
+
+
 class TestViana:
     def test_eps_zero_decouples(self):
         sys = make_viana(1.7808, 0.0, 16)
@@ -305,9 +323,7 @@ class TestFamilies:
         for fid, t in (("da", 0.3), ("viana", 0.02)):
             s1 = get_family(fid).build(t)
             s2 = get_family(fid).build(t)
-            p = pts2 if s1.space.dim == 2 else rng.random((50, s1.space.dim))
-            if fid == "viana":
-                p = s1.space.wrap(p * 2.0 - 0.5)
+            p = s1.space.uniform(rng, 50) if fid == "viana" else pts2
             assert np.array_equal(s1.eval_batch(p), s2.eval_batch(p))
             assert np.array_equal(s1.differential_batch(p), s2.differential_batch(p))
 
