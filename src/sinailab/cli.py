@@ -169,6 +169,9 @@ def cmd_entropy(ns) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if ns.no_early_stop and method != LEDRAPPIER_STRELCYN:
+        print("error: --no-early-stop applies only to --method ls", file=sys.stderr)
+        return EXIT_USAGE
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "method": method, "length": _steps(ns.length),
               "burn_in": _steps(ns.burn_in), "n_max": ns.nmax,
@@ -194,7 +197,7 @@ def cmd_entropy(ns) -> int:
             est = pesin_entropy(spectrum)
         elif method == LEDRAPPIER_STRELCYN:
             est = ls_entropy(system, measure, ns.nmax,
-                             early_stop=not ns.no_early_stop)
+                             early_stop=not ns.no_early_stop, seed=ns.seed)
         else:
             dim_f = ns.dimf if ns.dimf is not None else system.space.dim
             est = jacobian_formula_entropy(system, measure, dim_f, seed=ns.seed)
@@ -278,19 +281,11 @@ def load_sweep_config(path, workers=None) -> tuple:
 
 def cmd_sweep(ns) -> int:
     out = _prepare_out(ns)
-    try:
-        # SINAILAB_WORKERS overrides the flag, which overrides the config
-        config, checks = load_sweep_config(ns.config, workers=_env_workers() or ns.workers)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # SINAILAB_WORKERS overrides the flag, which overrides the config
+    config, checks = load_sweep_config(ns.config, workers=_env_workers() or ns.workers)
     manifest = _Manifest("sweep", {"config_file": str(ns.config),
                                    **config.to_json_dict()}, out)
-    try:
-        result = run_sweep(config)
-    except SweepAbortError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SWEEP_FAILURES
+    result = run_sweep(config)
     payload = result.to_json_dict()
     n_ok = sum(1 for r in result.rows if r.ok)
     if n_ok >= 3:

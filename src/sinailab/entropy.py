@@ -110,7 +110,7 @@ def _advance_wedge_table(system: DynamicalSystem, pts: np.ndarray,
     """
     m, d = pts.shape
     dither = np.random.default_rng([seed, 0xD17A]) if system.dither_scale else None
-    acc = WedgeAccumulatorBatch(d, m)
+    acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d), (m, d, d)))
     alive = np.ones(m, dtype=bool)
     cur = pts.copy()
     totals = []

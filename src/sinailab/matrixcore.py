@@ -8,6 +8,7 @@ stacks of frames (Benettin spectra and bundle frames both run on it).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -20,9 +21,6 @@ MAX_DIM = 8
 
 #: log-scale stand-in for log(0); kept finite so sums and comparisons work.
 LOG_ZERO = -1.0e308
-
-_JACOBI_TOL = 1e-15
-_JACOBI_MAX_SWEEPS = 60
 
 
 def as_square_matrix(a) -> np.ndarray:
@@ -37,59 +35,17 @@ def as_square_matrix(a) -> np.ndarray:
     return m
 
 
-def _jacobi_column_singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of an (n, k) matrix, k <= n, by one-sided Jacobi.
-
-    Cyclic sweeps rotate column pairs until all pairs are numerically
-    orthogonal; the singular values are the final column norms. For the
-    tiny dimensions used here this is robust and gives good relative
-    accuracy on graded spectra.
-    """
-    a = np.array(m, dtype=float)
-    k = a.shape[1]
-    if k == 1:
-        return np.array([math.sqrt(float(a[:, 0] @ a[:, 0]))])
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                cp = a[:, p]
-                cq = a[:, q]
-                app = float(cp @ cp)
-                aqq = float(cq @ cq)
-                apq = float(cp @ cq)
-                if app == 0.0 or aqq == 0.0 or apq == 0.0:
-                    continue
-                scale = math.sqrt(app * aqq)
-                if abs(apq) <= _JACOBI_TOL * scale:
-                    continue
-                off = max(off, abs(apq) / scale)
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                a[:, p], a[:, q] = c * cp - s * cq, s * cp + c * cq
-        if off == 0.0:
-            break
-    sv = np.sqrt(np.sum(a * a, axis=0))
-    sv.sort()
-    return sv[::-1].copy()
-
-
 def singular_values(a) -> np.ndarray:
-    """Sorted (descending) singular values of a square matrix.
-
-    The squared values are the eigenvalues of A^T A; degenerate input
-    simply yields zeros.
-    """
-    return _jacobi_column_singular_values(as_square_matrix(a))
+    """Sorted (descending) singular values of a square matrix."""
+    return np.linalg.svd(as_square_matrix(a), compute_uv=False)
 
 
 def gram_singular_values(mats: np.ndarray) -> np.ndarray:
-    """Ascending singular values of each matrix in an (m, c, c) stack.
+    """Ascending singular values of each matrix in an (m, r, c) stack, r >= c.
 
     They are the square roots of the eigenvalues of the Gram matrices
-    M^T M, clipped at zero; a 1x1 stack needs only the absolute value.
+    M^T M, clipped at zero; a stack of 1x1 matrices needs only the
+    absolute value.
     """
     if mats.shape[1] == 1:
         return np.abs(mats[:, :, 0])
@@ -176,87 +132,111 @@ def _gram_schmidt(m: np.ndarray):
 # Multiplying compounds of the well-conditioned one-step matrices keeps
 # every wedge norm accurate; forming sigma_j from the accumulated full
 # product instead loses all singular values below eps * sigma_1 to
-# round-off once the product is strongly graded.
+# round-off once the product is strongly graded. The same holds for a
+# product restricted to a frame, Df^n F: the round-off happens when Df^n F
+# is formed, before any singular value solver sees it.
 # ---------------------------------------------------------------------------
 
 
-def _index_subsets(dim: int, j: int):
-    return list(combinations(range(dim), j))
+@functools.lru_cache(maxsize=None)
+def _laplace_tables(r: int, c: int, j: int):
+    """Index tables that expand order-j minors of an (r, c) matrix along
+    the first row of each row subset.
 
-
-def compound_batch(dfs: np.ndarray, j: int) -> np.ndarray:
-    """j-th exterior power of a stack of (m, d, d) matrices.
-
-    Entry (I, J) of the compound is the minor det(A[I, J]) over the
-    lexicographically ordered j-subsets.
+    Subsets are in lexicographic order. For row subset I = rows[a] and
+    column subset J = cols[b], det A[I, J] = sum_t (-1)^t A[lead[a], pick[b, t]]
+    * minor(rest[a], drop[b, t]), where rest and drop index the order-(j-1)
+    subsets I without its first row and J without its t-th column.
     """
-    m, d, _ = dfs.shape
-    if j == 1:
-        return dfs
-    if j == d:
-        return np.linalg.det(dfs).reshape(m, 1, 1)
-    subs = _index_subsets(d, j)
-    c = len(subs)
-    out = np.empty((m, c, c))
-    for a, rows in enumerate(subs):
-        block = dfs[:, rows, :]
-        for b, cols in enumerate(subs):
-            sub = block[:, :, cols]
-            if j == 2:
-                out[:, a, b] = sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+    prev_rows = {s: i for i, s in enumerate(combinations(range(r), j - 1))}
+    prev_cols = {s: i for i, s in enumerate(combinations(range(c), j - 1))}
+    rows = list(combinations(range(r), j))
+    cols = list(combinations(range(c), j))
+    lead = np.array([s[0] for s in rows])
+    rest = np.array([prev_rows[s[1:]] for s in rows])
+    pick = np.array(cols)
+    drop = np.array([[prev_cols[s[:t] + s[t + 1:]] for t in range(j)] for s in cols])
+    return lead, rest, pick, drop
+
+
+def compounds(mats: np.ndarray) -> list:
+    """Every exterior power of an (m, r, c) stack, orders 1..min(r, c).
+
+    Entry (I, J) of the order-j compound is the minor det(A[I, J]) over the
+    lexicographically ordered row and column j-subsets. Each order is
+    built from the one before by Laplace expansion.
+    """
+    _, r, c = mats.shape
+    out = [mats]
+    for j in range(2, min(r, c) + 1):
+        lead, rest, pick, drop = _laplace_tables(r, c, j)
+        first = mats[:, lead]
+        minors = out[-1][:, rest]
+        cj = first[:, :, pick[:, 0]] * minors[:, :, drop[:, 0]]
+        for t in range(1, j):
+            term = first[:, :, pick[:, t]] * minors[:, :, drop[:, t]]
+            if t % 2:
+                cj -= term
             else:
-                out[:, a, b] = np.linalg.det(sub)
+                cj += term
+        out.append(cj)
     return out
 
 
 class WedgeAccumulatorBatch:
-    """Running exterior-power products for a batch of base points.
+    """Running exterior-power products Df^n(x) F for a batch of base points.
 
-    For each order j, keeps the rescaled compound product and the log of
-    the accumulated scale, so log ||Df^n(x)^(wedge j)|| is available at any
-    step without overflow and with full round-off accuracy.
+    F is an (m, d, k) stack of frames the products start from: the
+    identity for full wedge norms, an orthonormal frame for a product
+    restricted to a subspace. For each order j = 1..k, keeps the rescaled
+    compound product and the log of the accumulated scale, so
+    log ||(Df^n F)^(wedge j)|| is available at any step without overflow
+    and with full round-off accuracy.
     """
 
-    def __init__(self, dim: int, n_points: int):
-        self.dim = dim
-        self.n_points = n_points
-        self.orders = tuple(range(1, dim + 1))
-        self._mats = {}
-        self._logs = {}
-        for j in self.orders:
-            c = math.comb(dim, j)
-            eye = np.broadcast_to(np.eye(c), (n_points, c, c)).copy()
-            self._mats[j] = eye
-            self._logs[j] = np.zeros(n_points)
-        self.steps = 0
+    def __init__(self, frames: np.ndarray):
+        m, self.dim, k = frames.shape
+        self.orders = tuple(range(1, k + 1))
+        self._mats = compounds(frames)
+        self._logs = [np.zeros(m) for _ in self.orders]
 
     def step(self, dfs: np.ndarray) -> None:
         """Multiply the compounds of a (m, d, d) stack onto the products."""
-        for j in self.orders:
-            cj = compound_batch(dfs, j)
-            prod = np.matmul(cj, self._mats[j])
+        for i, cj in enumerate(compounds(dfs)[:len(self.orders)]):
+            prod = np.matmul(cj, self._mats[i])
             scale = np.max(np.abs(prod), axis=(1, 2))
             dead = scale == 0.0
             safe = np.where(dead, 1.0, scale)
             prod /= safe[:, None, None]
             with np.errstate(divide="ignore"):
-                self._logs[j] += np.where(dead, LOG_ZERO, np.log(safe))
-            self._logs[j][self._logs[j] < LOG_ZERO] = LOG_ZERO
-            self._mats[j] = prod
-        self.steps += 1
+                self._logs[i] += np.where(dead, LOG_ZERO, np.log(safe))
+            self._logs[i][self._logs[i] < LOG_ZERO] = LOG_ZERO
+            self._mats[i] = prod
 
     def log_wedge(self, j: int) -> np.ndarray:
         """log ||P^(wedge j)|| per point for the current product P."""
-        top = gram_singular_values(self._mats[j])[:, -1]
+        top = gram_singular_values(self._mats[j - 1])[:, -1]
         with np.errstate(divide="ignore"):
             lw = np.where(top > 0.0, np.log(np.maximum(top, 1e-320)), LOG_ZERO)
-        lw = lw + self._logs[j]
+        lw = lw + self._logs[j - 1]
         lw[lw < LOG_ZERO] = LOG_ZERO
         return lw
 
     def log_wedge_all(self) -> np.ndarray:
-        """(m, dim) array of log wedge norms for every order."""
+        """(m, k) array of log wedge norms for every order."""
         return np.column_stack([self.log_wedge(j) for j in self.orders])
+
+
+def log_singular_values_from_wedges(log_wedges: np.ndarray) -> np.ndarray:
+    """Log singular values from an (m, k) array of log wedge norms.
+
+    log sigma_j = log ||wedge_j|| - log ||wedge_(j-1)||, so column j-1 is
+    the j-th largest up to round-off; a LOG_ZERO wedge makes its own value
+    and the next one LOG_ZERO.
+    """
+    prev = np.concatenate([np.zeros((log_wedges.shape[0], 1)), log_wedges[:, :-1]], axis=1)
+    alive = (log_wedges > LOG_ZERO) & (prev > LOG_ZERO)
+    return np.where(alive, log_wedges - np.where(alive, prev, 0.0), LOG_ZERO)
 
 
 def log_wedge_total_from_rows(log_wedges: np.ndarray) -> np.ndarray:
@@ -280,7 +260,7 @@ def exact_cocycle_wedge(system, x, n: int) -> WedgeProfile:
         raise ValueError("n must be >= 1")
     pt = np.atleast_1d(np.asarray(x, dtype=float))
     d = system.space.dim
-    acc = WedgeAccumulatorBatch(d, 1)
+    acc = WedgeAccumulatorBatch(np.eye(d)[None])
     cur = pt[None, :]
     for step in range(n):
         if system.hits_singular_set(cur)[0]:
@@ -290,16 +270,5 @@ def exact_cocycle_wedge(system, x, n: int) -> WedgeProfile:
             raise OrbitFailureError(step, point=cur[0].copy())
         acc.step(dfs)
         cur = system.eval_batch(cur)
-    lw = acc.log_wedge_all()[0]
-    log_sv = []
-    prev = 0.0
-    for j in range(d):
-        if lw[j] <= LOG_ZERO:
-            log_sv.append(LOG_ZERO)
-            prev = LOG_ZERO
-        else:
-            log_sv.append(lw[j] - prev if prev > LOG_ZERO else LOG_ZERO)
-            prev = lw[j]
-    # Guard: tiny round-off can break monotonicity of the diffs.
-    log_sv.sort(reverse=True)
-    return WedgeProfile.from_log_singular_values(log_sv)
+    return WedgeProfile.from_log_singular_values(
+        log_singular_values_from_wedges(acc.log_wedge_all())[0])

@@ -183,7 +183,7 @@ def _sweep_point(config: SweepConfig, index: int) -> SweepRow:
             row.estimates[PESIN] = pesin_entropy(spectrum)
         if LEDRAPPIER_STRELCYN in config.estimators:
             row.estimates[LEDRAPPIER_STRELCYN] = ls_entropy(
-                system, measure, config.n_max)
+                system, measure, config.n_max, seed=seed)
         if JACOBIAN_F in config.estimators:
             dim_f = config.dim_f
             if dim_f is None:

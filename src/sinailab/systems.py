@@ -124,22 +124,19 @@ def distance_to_singular_set(space: PhaseSpace, descriptors, pts: np.ndarray) ->
     Empty singular set yields +inf everywhere.
     """
     pts = np.atleast_2d(pts)
-    if not descriptors:
-        return np.full(pts.shape[0], np.inf)
-    dists = []
+    out = np.full(pts.shape[0], np.inf)
     for desc in descriptors:
         if isinstance(desc, SingularHyperplane):
-            dists.append(space.coord_distance(pts[:, desc.axis], desc.value, desc.axis))
+            dist = space.coord_distance(pts[:, desc.axis], desc.value, desc.axis)
         elif isinstance(desc, SingularPoint):
             loc = np.asarray(desc.location, dtype=float)
-            per_axis = np.stack(
-                [space.coord_distance(pts[:, i], loc[i], i) for i in range(space.dim)],
-                axis=1,
-            )
-            dists.append(np.max(per_axis, axis=1))
+            dist = space.coord_distance(pts[:, 0], loc[0], 0)
+            for i in range(1, space.dim):
+                dist = np.maximum(dist, space.coord_distance(pts[:, i], loc[i], i))
         else:
             raise TypeError(f"unknown singular descriptor {type(desc)!r}")
-    return np.min(np.stack(dists, axis=1), axis=1)
+        out = np.minimum(out, dist)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from sinailab.cli import main
+from sinailab.entropy import LEDRAPPIER_STRELCYN
 from sinailab.measures import birkhoff_sample
 from sinailab.serialize import sha256_file
 from sinailab.sweep import split_log_det_integral
@@ -80,6 +81,22 @@ class TestEntropyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["entropy", "--system", "cat", "--method", "bogus"])
         assert exc.value.code == 2
+
+    def test_ls_method_matches_cross_validation(self, tmp_path):
+        # both runs dither the LS cloud steps of viana with the run's seed
+        args = ["entropy", "--system", "viana", "--length", "3000",
+                "--burn-in", "1000", "--nmax", "20", "--seed", "5"]
+        assert main(args + ["--method", "ls", "--out", str(tmp_path / "ls")]) == 0
+        assert main(args + ["--method", "all", "--out", str(tmp_path / "all")]) == 0
+        alone = read_json(tmp_path / "ls" / "entropy.json")
+        crossed = read_json(tmp_path / "all" / "entropy.json")["estimates"][LEDRAPPIER_STRELCYN]
+        assert alone == crossed
+
+    def test_no_early_stop_needs_ls_exit_two(self, tmp_path, capsys):
+        code = main(["entropy", "--system", "cat", "--method", "pesin",
+                     "--no-early-stop", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "--no-early-stop" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -8,8 +8,9 @@ import pytest
 from sinailab.errors import OrbitFailureError
 from sinailab.matrixcore import (
     LOG_ZERO,
+    MAX_DIM,
     _gram_schmidt,
-    compound_batch,
+    compounds,
     exact_cocycle_wedge,
     singular_values,
     wedge_profile,
@@ -189,22 +190,26 @@ class TestGramSchmidt:
 
 class TestCompoundBatch:
     def test_functorial_on_products(self):
+        # Cauchy-Binet: C_j(AB) = C_j(A) C_j(B), also for rectangular factors
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            d = rng.integers(2, 6)
-            j = rng.integers(1, d + 1)
-            a = rng.standard_normal((1, d, d))
-            b = rng.standard_normal((1, d, d))
-            ca = compound_batch(a, j)[0]
-            cb = compound_batch(b, j)[0]
-            cab = compound_batch(np.matmul(a, b), j)[0]
-            assert np.allclose(cab, ca @ cb, rtol=1e-9, atol=1e-9)
+        for _ in range(60):
+            r, s, c = rng.integers(1, MAX_DIM + 1, size=3)
+            a = rng.standard_normal((3, r, s))
+            b = rng.standard_normal((3, s, c))
+            ca, cb, cab = compounds(a), compounds(b), compounds(np.matmul(a, b))
+            assert len(cab) == min(r, c)
+            for j in range(1, min(r, s, c) + 1):
+                assert cab[j - 1].shape == (3, math.comb(r, j), math.comb(c, j))
+                assert np.allclose(cab[j - 1], np.matmul(ca[j - 1], cb[j - 1]),
+                                   rtol=1e-9, atol=1e-9)
 
     def test_top_compound_is_det(self):
         rng = np.random.default_rng(6)
-        a = rng.standard_normal((20, 3, 3))
-        c = compound_batch(a, 3)
-        assert np.allclose(c[:, 0, 0], np.linalg.det(a))
+        for d in range(1, MAX_DIM + 1):
+            a = rng.standard_normal((20, d, d))
+            c = compounds(a)[-1]
+            assert c.shape == (20, 1, 1)
+            assert np.allclose(c[:, 0, 0], np.linalg.det(a), rtol=1e-10, atol=1e-12)
 
 
 class TestExactCocycleWedge:

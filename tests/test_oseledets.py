@@ -11,6 +11,7 @@ from sinailab.oseledets import (
     WARM,
     SplittingEstimate,
     _lockstep_logs,
+    _restricted_log_extremes,
     benettin_spectrum,
     domination_report,
     estimate_bundles,
@@ -217,6 +218,19 @@ class TestEstimateBundles:
             estimate_bundles(make_viana(1.7808, 0.02, 16), [0.3, 0.5], dim_f=1)
 
 
+class _ConstantCocycle:
+    """A fixed point whose derivative is the constant matrix a."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def differential_batch(self, pts):
+        return np.broadcast_to(self.a, (pts.shape[0],) + self.a.shape).copy()
+
+    def eval_batch(self, pts):
+        return pts
+
+
 class TestDominationReport:
     def _cat_splitting(self, swapped=False):
         pts = np.array([[0.13, 0.57], [0.71, 0.22], [0.4, 0.9]])
@@ -247,6 +261,25 @@ class TestDominationReport:
         rep = domination_report(sys, est, n_grid=[1, 2, 3])
         assert rep.verdict == "dominated"
         assert rep.rho == 0.0
+
+    def test_graded_restricted_extremes(self):
+        # A = Q diag(e^4, e^0.5, e^-0.5, e^-4) Q^T and F a rotated basis of
+        # its top-2 eigenspace: Df^n F has singular values e^4n and e^0.5n.
+        # Formed directly, Df^n F loses e^0.5n to round-off within a few
+        # steps (its condition number grows like e^3.5n).
+        rng = np.random.default_rng(8)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        a = q @ np.diag(np.exp([4.0, 0.5, -0.5, -4.0])) @ q.T
+        theta = 0.7
+        rot = np.array([[math.cos(theta), -math.sin(theta)],
+                        [math.sin(theta), math.cos(theta)]])
+        frames = (q[:, :2] @ rot)[None]
+        n = np.arange(1, 13)
+        system, pts = _ConstantCocycle(a), np.zeros((1, 4))
+        lo = _restricted_log_extremes(system, pts, frames, 12, want_min=True)[0]
+        hi = _restricted_log_extremes(system, pts, frames, 12, want_min=False)[0]
+        assert np.allclose(lo, 0.5 * n, rtol=0.0, atol=1e-12)
+        assert np.allclose(hi, 4.0 * n, rtol=0.0, atol=1e-12)
 
     def test_json_has_full_table(self):
         rep = domination_report(make_cat_map(), self._cat_splitting(),
