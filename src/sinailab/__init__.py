@@ -15,7 +15,6 @@ from .entropy import (
     LSSequence,
     combine_estimates,
     cross_validate,
-    exponent_function,
     jacobian_formula_entropy,
     ls_entropy,
     ls_sequence,
@@ -56,9 +55,7 @@ from .oseledets import (
     SplittingEstimate,
     benettin_spectrum,
     domination_report,
-    estimate_bundles,
     estimate_bundles_many,
-    jacobian_along_F,
 )
 from .sweep import (
     SweepConfig,

@@ -26,6 +26,7 @@ from .entropy import (
     LEDRAPPIER_STRELCYN,
     PESIN,
     cross_validate,
+    expanding_dim,
     jacobian_formula_entropy,
     ls_entropy,
     pesin_entropy,
@@ -94,6 +95,16 @@ def _parse_params(pairs) -> dict:
     return out
 
 
+def _system_from_args(ns) -> tuple:
+    """(system, params) named by --system and --param; ConfigError when
+    the name or a parameter is invalid."""
+    params = _parse_params(ns.param)
+    try:
+        return build_system(ns.system, params), params
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(str(exc))
+
+
 def _steps(text) -> int:
     return int(float(text))
 
@@ -131,13 +142,8 @@ def _prepare_out(ns) -> Path:
 
 
 def cmd_lyapunov(ns) -> int:
+    system, params = _system_from_args(ns)
     out = _prepare_out(ns)
-    params = _parse_params(ns.param)
-    try:
-        system = build_system(ns.system, params)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "steps": _steps(ns.steps), "burn_in": _steps(ns.burn_in),
               "blocks": ns.blocks}
@@ -161,17 +167,11 @@ def cmd_lyapunov(ns) -> int:
 
 
 def cmd_entropy(ns) -> int:
-    out = _prepare_out(ns)
-    params = _parse_params(ns.param)
-    try:
-        system = build_system(ns.system, params)
-        method = _METHOD_ALIASES[ns.method]
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    system, params = _system_from_args(ns)
+    method = _METHOD_ALIASES[ns.method]
     if ns.no_early_stop and method != LEDRAPPIER_STRELCYN:
-        print("error: --no-early-stop applies only to --method ls", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--no-early-stop applies only to --method ls")
+    out = _prepare_out(ns)
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "method": method, "length": _steps(ns.length),
               "burn_in": _steps(ns.burn_in), "n_max": ns.nmax,
@@ -189,17 +189,18 @@ def cmd_entropy(ns) -> int:
         print(f"cross-validation: {verdict}; gaps "
               + " ".join(f"{k}={v:.4f}" for k, v in report.gaps.items()))
     else:
-        if method == PESIN:
+        if method == PESIN or (method == JACOBIAN_F and ns.dimf is None):
             spectrum = benettin_spectrum(system, seed=ns.seed,
                                          burn_in=config["burn_in"],
                                          n_steps=config["length"],
                                          orbit=measure.orbit)
+        if method == PESIN:
             est = pesin_entropy(spectrum)
         elif method == LEDRAPPIER_STRELCYN:
             est = ls_entropy(system, measure, ns.nmax,
                              early_stop=not ns.no_early_stop, seed=ns.seed)
         else:
-            dim_f = ns.dimf if ns.dimf is not None else system.space.dim
+            dim_f = ns.dimf if ns.dimf is not None else expanding_dim(spectrum)
             est = jacobian_formula_entropy(system, measure, dim_f, seed=ns.seed)
         write_json(out / "entropy.json", est.to_json_dict())
         header, rows = entropy_csv_rows([est])
@@ -232,7 +233,11 @@ def _parse_grid(text: str):
 
 
 def load_sweep_config(path, workers=None) -> tuple:
-    """Parse the INI-style sweep config; returns (SweepConfig, checks dict)."""
+    """Parse the INI-style sweep config; returns (SweepConfig, checks dict).
+
+    The worker count is SINAILAB_WORKERS when set, else `workers` (the
+    --workers flag), else the config's, else the machine's CPU count.
+    """
     parser = configparser.ConfigParser()
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -255,6 +260,8 @@ def load_sweep_config(path, workers=None) -> tuple:
     if "all" in estimators:
         estimators = (PESIN, LEDRAPPIER_STRELCYN, JACOBIAN_F)
     try:
+        if workers is None:
+            workers = s.getint("workers", fallback=os.cpu_count() or 1)
         config = SweepConfig(
             family=s.get("family", "mp"),
             grid=_parse_grid(s.get("grid", "0.0:0.9:10")),
@@ -266,8 +273,7 @@ def load_sweep_config(path, workers=None) -> tuple:
             n_max=s.getint("n_max", 40),
             dim_f=s.getint("dim_f", fallback=None),
             tolerance=s.getfloat("tolerance", 0.02),
-            workers=workers if workers is not None
-            else s.getint("workers", 0) or _env_workers() or os.cpu_count() or 1,
+            workers=_env_workers() or workers,
         )
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad sweep config: {exc}")
@@ -280,9 +286,8 @@ def load_sweep_config(path, workers=None) -> tuple:
 
 
 def cmd_sweep(ns) -> int:
+    config, checks = load_sweep_config(ns.config, workers=ns.workers)
     out = _prepare_out(ns)
-    # SINAILAB_WORKERS overrides the flag, which overrides the config
-    config, checks = load_sweep_config(ns.config, workers=_env_workers() or ns.workers)
     manifest = _Manifest("sweep", {"config_file": str(ns.config),
                                    **config.to_json_dict()}, out)
     result = run_sweep(config)
@@ -326,16 +331,10 @@ def cmd_sweep(ns) -> int:
 
 
 def cmd_diagnose(ns) -> int:
-    out = _prepare_out(ns)
-    params = _parse_params(ns.param)
-    try:
-        system = build_system(ns.system, params)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    system, params = _system_from_args(ns)
     if ns.delta < 0.0:
-        print("error: --delta must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--delta must be >= 0")
+    out = _prepare_out(ns)
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "length": _steps(ns.length), "burn_in": _steps(ns.burn_in),
               "dim_f": ns.dimf, "bound": ns.bound, "delta": ns.delta}

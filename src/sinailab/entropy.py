@@ -5,6 +5,10 @@ measure: the Pesin formula (sum of positive Lyapunov exponents), the
 Ledrappier-Strelcyn exterior-power characterization (infimum over n of
 averaged log aggregate wedge norms), and the expected log Jacobian along
 the expanding subbundle. A cross-validation report compares all three.
+
+The LS table and the Jacobian-along-F estimator share one cloud walk
+(_cloud_walk), so dead points, dither and the failure limit follow one
+rule.
 """
 
 from __future__ import annotations
@@ -72,8 +76,7 @@ class LSSequence:
     argmin_index: int          # minimizing n (1-based)
     value: float
     skipped_points: int = 0
-    point_values_at_min: Optional[np.ndarray] = None
-    alive_mask: Optional[np.ndarray] = None
+    std_error: float = 0.0
 
     def __post_init__(self):
         self.a_n = np.asarray(self.a_n, dtype=float)
@@ -96,51 +99,32 @@ def pesin_entropy(spectrum: LyapunovSpectrum) -> EntropyEstimate:
     )
 
 
-def _advance_wedge_table(system: DynamicalSystem, pts: np.ndarray,
-                         weights: np.ndarray, n_max: int, early_stop: bool,
-                         seed: int = 0):
-    """Shared driver: per-n weighted averages of log wedge norms.
+def _cloud_walk(system: DynamicalSystem, pts: np.ndarray, dither_key):
+    """Walk the cloud along its orbits, yielding (dfs, alive) per map step.
 
-    Returns (totals, orders, best_row, alive, skipped). totals[k] is the
-    weighted average of the aggregate log(1 + sum_j ||wedge_j||) / n at
-    n = k+1 and orders[k][j-1] that of log ||wedge_j|| / n; best_row holds
-    the per-point aggregates / n at the running argmin. Cloud advancement
-    uses the dithered stepper so binary-shift bases do not degenerate
-    mid-table.
+    dfs holds the one-step differentials at the current points. A point
+    that hits the singular set or leaves the reals dies: it feeds the
+    identity from then on and stops moving. Only live points are stepped,
+    with the dithered stepper seeded by dither_key, so binary-shift clouds
+    do not degenerate. More than MAX_FAILURE_FRACTION dead points raise
+    SamplingFailureError. The cloud moves only when the next step is asked
+    for.
     """
     m, d = pts.shape
-    dither = np.random.default_rng([seed, 0xD17A]) if system.dither_scale else None
-    acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d), (m, d, d)))
+    dither = np.random.default_rng(dither_key) if system.dither_scale else None
     alive = np.ones(m, dtype=bool)
     cur = pts.copy()
-    totals = []
-    orders = []
-    best_row = None
-    for n in range(1, n_max + 1):
+    while True:
         alive &= ~system.unusable(cur)
         if (~alive).sum() > MAX_FAILURE_FRACTION * m:
             raise SamplingFailureError(
-                f"{system.name}: {int((~alive).sum())}/{m} orbit failures in the wedge table"
+                f"{system.name}: {int((~alive).sum())}/{m} orbit failures in the cloud walk"
             )
         dfs = system.differential_batch(np.where(alive[:, None], cur, pts))
-        # frozen points feed identity so dead rows stay harmless
         if not np.all(alive):
             dfs[~alive] = np.eye(d)
-        acc.step(dfs)
-        w = weights * alive
-        w = w / w.sum()
-        lw = acc.log_wedge_all()
-        orders.append([float(w @ col) / n for col in np.ascontiguousarray(lw.T)])
-        row = log_wedge_total_from_rows(lw)
-        totals.append(float(w @ row) / n)
-        if totals[-1] <= min(totals):
-            best_row = row / n
+        yield dfs, alive
         cur[alive] = system.step_batch(cur[alive], dither)
-        if early_stop and len(totals) > STOP_WINDOW:
-            if totals[-1 - STOP_WINDOW] - totals[-1] < STOP_DELTA:
-                break
-    skipped = int((~alive).sum())
-    return totals, orders, best_row, alive, skipped
 
 
 def ls_sequence(system: DynamicalSystem, measure, n_max: int = 40,
@@ -151,22 +135,37 @@ def ls_sequence(system: DynamicalSystem, measure, n_max: int = 40,
     the reported number is one-sided. Points whose orbit fails are skipped
     and the weights renormalized (more than 1% failures aborts). Early
     stopping cuts the table when STOP_WINDOW consecutive n gain less than
-    STOP_DELTA; pass early_stop=False for the full table.
+    STOP_DELTA; pass early_stop=False for the full table. std_error is the
+    weighted spread of the per-point values at the minimizing n over the
+    surviving points.
     """
     if not 1 <= n_max <= 60:
         raise ValueError("n_max must be in [1, 60]")
     pts, weights = measure_cloud(measure)
-    totals, _, best_row, alive, skipped = _advance_wedge_table(
-        system, pts, weights, n_max, early_stop, seed)
+    m, d = pts.shape
+    acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d), (m, d, d)))
+    totals = []
+    for n, (dfs, alive) in zip(range(1, n_max + 1),
+                               _cloud_walk(system, pts, [seed, 0xD17A])):
+        acc.step(dfs)
+        w = weights * alive
+        w = w / w.sum()
+        row = log_wedge_total_from_rows(acc.log_wedge_all())
+        totals.append(float(w @ row) / n)
+        if totals[-1] <= min(totals):
+            best_row = row / n
+        if early_stop and n > STOP_WINDOW:
+            if totals[-1 - STOP_WINDOW] - totals[-1] < STOP_DELTA:
+                break
+    var = float(w @ (best_row - float(w @ best_row)) ** 2)
     a = np.asarray(totals)
     k = int(np.argmin(a))
     return LSSequence(
         a_n=a,
         argmin_index=k + 1,
         value=float(a[k]),
-        skipped_points=skipped,
-        point_values_at_min=best_row,
-        alive_mask=alive,
+        skipped_points=int((~alive).sum()),
+        std_error=math.sqrt(max(var, 0.0) / max(int(alive.sum()), 1)),
     )
 
 
@@ -174,16 +173,10 @@ def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
                **kwargs) -> EntropyEstimate:
     """EntropyEstimate wrapper around ls_sequence."""
     seq = ls_sequence(system, measure, n_max, **kwargs)
-    _, weights = measure_cloud(measure)
-    vals = seq.point_values_at_min
-    w = weights * seq.alive_mask
-    w = w / w.sum()
-    var = float(w @ (vals - float(w @ vals)) ** 2)
-    se = math.sqrt(max(var, 0.0) / max(int(seq.alive_mask.sum()), 1))
     return EntropyEstimate(
         value=max(seq.value, 0.0),
         method=LEDRAPPIER_STRELCYN,
-        std_error=se,
+        std_error=seq.std_error,
         diagnostics={
             "a_n": seq.a_n.tolist(),
             "argmin_n": seq.argmin_index,
@@ -192,54 +185,35 @@ def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
     )
 
 
-def exponent_function(system: DynamicalSystem, measure, i: int,
-                      n_max: int = 40, seed: int = 0) -> float:
-    """min over n <= n_max of (1/n) <log ||Df^n(x)^(wedge i)||>_mu.
-
-    Approximates the sum of the top-i Lyapunov exponents from above.
-    """
-    d = system.space.dim
-    if not 1 <= i <= d:
-        raise ValueError(f"i must be in [1, {d}]")
-    pts, weights = measure_cloud(measure)
-    _, orders, _, _, _ = _advance_wedge_table(system, pts, weights, n_max, False, seed)
-    return float(min(row[i - 1] for row in orders))
+def expanding_dim(spectrum: LyapunovSpectrum) -> int:
+    """The default dim_f: the number of positive exponents (at least one)
+    of the spectrum along the cloud's own orbit."""
+    return max(1, int((spectrum.exponents > 0.0).sum()))
 
 
 def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
                              n_transient: int = 60, seed: int = 0) -> EntropyEstimate:
     """Expected log volume expansion along the estimated F bundle.
 
-    The cloud is advanced n_transient steps while random frames are pushed
+    The cloud walks n_transient steps while random frames are pushed
     forward and re-orthonormalized; by invariance of the sampled measure
     the advanced cloud integrates the same observable, so no backward
-    orbits are needed. dim_f = dim shortcuts to <log |det Df|>.
+    orbits are needed. dim_f = dim takes no steps: it is <log |det Df|>.
     """
     pts, weights = measure_cloud(measure)
     m, d = pts.shape
     if not 1 <= dim_f <= d:
         raise ValueError(f"dim_f must be in [1, {d}]")
-    alive = np.ones(m, dtype=bool)
-    cur = pts.copy()
+    walk = _cloud_walk(system, pts, [seed, 0xF1])
     if dim_f == d:
-        frames = np.broadcast_to(np.eye(d), (m, d, d)).copy()
+        frames = np.broadcast_to(np.eye(d), (m, d, d))
     else:
-        rng = np.random.default_rng([seed, 0xF0])
-        dither = np.random.default_rng([seed, 0xF1]) if system.dither_scale else None
-        frames = _random_frames(rng, m, d, dim_f)
+        frames = _random_frames(np.random.default_rng([seed, 0xF0]), m, d, dim_f)
         for _ in range(n_transient):
-            alive &= ~system.unusable(cur)
-            dfs = system.differential_batch(cur)
-            if not np.all(alive):
-                dfs[~alive] = np.eye(d)
+            dfs, _ = next(walk)
             frames = _orthonormalize_batch(np.matmul(dfs, frames))
-            cur = system.step_batch(np.where(alive[:, None], cur, pts), dither)
-    alive &= ~system.unusable(cur)
-    if (~alive).sum() > MAX_FAILURE_FRACTION * m:
-        raise SamplingFailureError(
-            f"{system.name}: {int((~alive).sum())}/{m} bundle estimation failures"
-        )
-    jac = jacobian_along_frames(system, cur, frames)
+    dfs, alive = next(walk)
+    jac = jacobian_along_frames(dfs, frames)
     good = alive & (jac > 0.0) & np.isfinite(jac)
     w = weights * good
     total = w.sum()
@@ -332,7 +306,7 @@ def cross_validate(system: DynamicalSystem, measure, dim_f: Optional[int] = None
         spectrum = benettin_spectrum(system, seed, int(prov.get("burn_in", 10_000)),
                                      steps, orbit=orbit)
     if dim_f is None:
-        dim_f = max(1, int((spectrum.exponents > 0.0).sum()))
+        dim_f = expanding_dim(spectrum)
     p = pesin_entropy(spectrum)
     ls = ls_entropy(system, measure, n_max, seed=seed)
     jac = jacobian_formula_entropy(system, measure, dim_f, seed=seed)

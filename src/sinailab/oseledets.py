@@ -228,13 +228,6 @@ def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
     return SplittingEstimate(pts, e_frames, f_frames)
 
 
-def estimate_bundles(system: DynamicalSystem, x, dim_f: int,
-                     n_transient: int = 60, seed: int = 0) -> SplittingEstimate:
-    """SplittingEstimate anchored at a single point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return estimate_bundles_many(system, x[None, :], dim_f, n_transient, seed)
-
-
 # ---------------------------------------------------------------------------
 # Domination reports
 # ---------------------------------------------------------------------------
@@ -333,23 +326,10 @@ def domination_report(system: DynamicalSystem, splitting: SplittingEstimate,
 # ---------------------------------------------------------------------------
 
 
-def jacobian_along_frames(system: DynamicalSystem, pts: np.ndarray,
-                          frames: np.ndarray) -> np.ndarray:
-    """Volume expansion sqrt(det(G^T G)), G = Df(x) F, for a frame stack."""
-    dfs = system.differential_batch(pts)
+def jacobian_along_frames(dfs: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Volume expansion sqrt(det(G^T G)), G = Df(x) F, for stacks of
+    one-step differentials and frames."""
     g = np.matmul(dfs, frames)
     gram = np.matmul(np.transpose(g, (0, 2, 1)), g)
-    det = np.linalg.det(gram) if gram.shape[1] > 0 else np.ones(pts.shape[0])
+    det = np.linalg.det(gram) if gram.shape[1] > 0 else np.ones(dfs.shape[0])
     return np.sqrt(np.maximum(det, 0.0))
-
-
-def jacobian_along_F(system: DynamicalSystem, x, f_frame) -> float:
-    """|det Df(x) restricted to span(F)| for one orthonormal frame."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    f = np.asarray(f_frame, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    gram = f.T @ f
-    if not np.allclose(gram, np.eye(f.shape[1]), atol=1e-8):
-        raise ValueError("F frame must be orthonormal")
-    return float(jacobian_along_frames(system, x[None, :], f[None, :, :])[0])

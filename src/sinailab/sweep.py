@@ -19,7 +19,7 @@ from .entropy import (
     JACOBIAN_F,
     LEDRAPPIER_STRELCYN,
     PESIN,
-    EntropyEstimate,
+    expanding_dim,
     jacobian_formula_entropy,
     ls_entropy,
     pesin_entropy,
@@ -69,6 +69,8 @@ class SweepConfig:
             raise ValueError("grid must be strictly increasing")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         ests = tuple(self.estimators)
         for e in ests:
             if e not in ESTIMATOR_NAMES:
@@ -173,11 +175,12 @@ def _sweep_point(config: SweepConfig, index: int) -> SweepRow:
                                       burn_in=config.burn_in, length=length)
             orbit = measure.orbit
         row.moments = dictionary_moments(measure, WEAK_STAR_CUTOFF)
-        spectrum = None
-        if PESIN in config.estimators:
+        default_dim_f = JACOBIAN_F in config.estimators and config.dim_f is None
+        if PESIN in config.estimators or default_dim_f:
             spectrum = benettin_spectrum(system, seed=seed,
                                          burn_in=config.burn_in,
                                          n_steps=length, orbit=orbit)
+        if PESIN in config.estimators:
             row.spectrum_exponents = spectrum.exponents.tolist()
             row.spectrum_std_error = spectrum.std_error.tolist()
             row.estimates[PESIN] = pesin_entropy(spectrum)
@@ -185,12 +188,7 @@ def _sweep_point(config: SweepConfig, index: int) -> SweepRow:
             row.estimates[LEDRAPPIER_STRELCYN] = ls_entropy(
                 system, measure, config.n_max, seed=seed)
         if JACOBIAN_F in config.estimators:
-            dim_f = config.dim_f
-            if dim_f is None:
-                if spectrum is not None:
-                    dim_f = max(1, int((spectrum.exponents > 0.0).sum()))
-                else:
-                    dim_f = system.space.dim
+            dim_f = expanding_dim(spectrum) if default_dim_f else config.dim_f
             row.estimates[JACOBIAN_F] = jacobian_formula_entropy(
                 system, measure, dim_f, seed=seed)
     except (SinaiLabError, ValueError, KeyError) as exc:

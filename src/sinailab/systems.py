@@ -744,21 +744,3 @@ def build_system(name: str, params: Optional[dict] = None) -> DynamicalSystem:
     raise ValueError(
         f"unknown system {name!r}; available: cat, cat4, mp, da, skew, viana"
     )
-
-
-def finite_difference_jacobian(system: DynamicalSystem, x, h: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian with wrap-aware displacements.
-
-    Independent check of the analytic differential; only meaningful at
-    points whose h-neighborhood avoids the singular set and branch lines.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = system.space.dim
-    jac = np.empty((d, d))
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        fp = system.eval_batch((x + e)[None, :])
-        fm = system.eval_batch((x - e)[None, :])
-        jac[:, j] = system.space.displacement(fm, fp)[0] / (2.0 * h)
-    return jac

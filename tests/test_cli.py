@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sinailab.cli import main
+from sinailab.cli import load_sweep_config, main
 from sinailab.entropy import LEDRAPPIER_STRELCYN
 from sinailab.measures import birkhoff_sample
 from sinailab.serialize import sha256_file
@@ -47,9 +47,11 @@ class TestLyapunovCommand:
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
 
-    def test_unknown_system_exit_two(self, tmp_path):
+    def test_unknown_system_exit_two(self, tmp_path, capsys):
         code = main(["lyapunov", "--system", "lorenz", "--out", str(tmp_path / "x")])
         assert code == 2
+        assert "error: unknown system 'lorenz'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestEntropyCommand:
@@ -76,6 +78,17 @@ class TestEntropyCommand:
                      "--out", str(tmp_path / "p")])
         assert code == 0
         assert orbit_calls == [5_099]
+
+    def test_jacobian_default_dim_f_is_expanding(self, tmp_path):
+        # without --dimf, dim_f counts the positive exponents of the
+        # cloud's own spectrum: 1 for cat, so h = log lambda, not log |det|
+        out = tmp_path / "run"
+        code = main(["entropy", "--system", "cat", "--method", "jacobian",
+                     "--length", "5000", "--burn-in", "500", "--out", str(out)])
+        assert code == 0
+        est = read_json(out / "entropy.json")
+        assert est["diagnostics"]["dim_f"] == 1
+        assert est["value"] == pytest.approx(math.log(LAM), abs=0.02)
 
     def test_invalid_method_exit_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -228,6 +241,27 @@ class TestDeterminism:
         assert main(args + ["--out", str(out2)]) == 0
         for name in ("spectrum.json", "spectrum.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_env_workers_beat_the_config(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[sweep]\nfamily = mp\ngrid = 0.0,0.2\nworkers = 2\n",
+                       encoding="utf-8")
+        monkeypatch.setenv("SINAILAB_WORKERS", "3")
+        assert load_sweep_config(cfg)[0].workers == 3
+        assert load_sweep_config(cfg, workers=1)[0].workers == 3
+        monkeypatch.delenv("SINAILAB_WORKERS")
+        assert load_sweep_config(cfg, workers=1)[0].workers == 1
+        assert load_sweep_config(cfg)[0].workers == 2
+
+    def test_negative_workers_exit_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SINAILAB_WORKERS", raising=False)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[sweep]\nfamily = mp\ngrid = 0.0,0.2\n", encoding="utf-8")
+        code = main(["sweep", "--config", str(cfg), "--workers", "-4",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_env_workers_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SINAILAB_WORKERS", "1")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sinailab.entropy import PESIN, EntropyEstimate
+from sinailab.entropy import JACOBIAN_F, PESIN, EntropyEstimate
 from sinailab.errors import SamplingFailureError, SweepAbortError
 from sinailab.measures import EmpiricalMeasure, birkhoff_sample
 from sinailab.serialize import write_json
@@ -23,6 +23,7 @@ from sinailab.sweep import (
 from sinailab.systems import FamilyHandle, make_manneville_pomeau
 
 LOG2 = math.log(2.0)
+LOG_LAM = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
 
 def staircase_result(values, slack_se=0.0):
@@ -44,6 +45,10 @@ class TestSweepConfig:
     def test_tolerance_positive(self):
         with pytest.raises(ValueError):
             SweepConfig(family="mp", grid=(0.0, 0.1), tolerance=0.0)
+
+    def test_workers_positive(self):
+        with pytest.raises(ValueError):
+            SweepConfig(family="mp", grid=(0.0, 0.1), workers=0)
 
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
@@ -144,6 +149,17 @@ class TestRunSweep:
         # steps exactly and loses the one dyadic center
         row1 = result.rows[1].estimates[LEDRAPPIER_STRELCYN]
         assert row1.diagnostics["skipped_points"] == 1
+
+    def test_jacobian_alone_takes_dim_f_from_the_spectrum(self):
+        # the DA bump changes only the stable rate, so h = log lambda along
+        # the one-dimensional unstable bundle; dim_f = 2 would give 0
+        cfg = SweepConfig(family="da", grid=(0.0, 0.1, 0.2),
+                          estimators=(JACOBIAN_F,), seed=5, burn_in=500,
+                          length=5_000)
+        for row in run_sweep(cfg).rows:
+            est = row.estimates[JACOBIAN_F]
+            assert est.diagnostics["dim_f"] == 1
+            assert est.value == pytest.approx(LOG_LAM, abs=0.02)
 
     def test_worker_count_independence(self):
         cfg1 = SweepConfig(family="mp", grid=(0.0, 0.2, 0.4, 0.6),

@@ -11,7 +11,6 @@ from sinailab.systems import (
     FAMILIES,
     PhaseSpace,
     build_system,
-    finite_difference_jacobian,
     get_family,
     make_cat_block,
     make_cat_map,
@@ -23,6 +22,24 @@ from sinailab.systems import (
 )
 
 LAM = (3.0 + math.sqrt(5.0)) / 2.0
+
+
+def finite_difference_jacobian(system, x, h=1e-5):
+    """Central-difference Jacobian with wrap-aware displacements.
+
+    Independent check of the analytic differential; only meaningful at
+    points whose h-neighborhood avoids the singular set and branch lines.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = system.space.dim
+    jac = np.empty((d, d))
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = h
+        fp = system.eval_batch((x + e)[None, :])
+        fm = system.eval_batch((x - e)[None, :])
+        jac[:, j] = system.space.displacement(fm, fp)[0] / (2.0 * h)
+    return jac
 
 
 def _sample_points_off_singular(system, n, seed, margin=2e-2):
