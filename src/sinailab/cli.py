@@ -5,8 +5,9 @@ config, seed, version, wall clock, output digests) into the --out
 directory and nowhere else. Reruns with identical flags and seed produce
 byte-identical data files; only the manifest's wall-clock field varies.
 
-Exit codes: 0 success, 2 usage/config error, 3 runtime/orbit error,
-4 sweep failure threshold exceeded.
+A run that fails leaves no --out directory. Exit codes: 0 success, 2
+usage/config error (a flag value the library rejects with ValueError
+included), 3 runtime/orbit error, 4 sweep failure threshold exceeded.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ import numpy as np
 
 from . import __version__
 from .entropy import (
+    ESTIMATORS,
     JACOBIAN_F,
     LEDRAPPIER_STRELCYN,
     PESIN,
-    cross_validate,
-    expanding_dim,
-    jacobian_formula_entropy,
-    ls_entropy,
-    pesin_entropy,
+    combine_estimates,
+    run_estimators,
 )
 from .errors import ConfigError, SinaiLabError, SweepAbortError
 from .measures import (
@@ -72,11 +71,12 @@ _METHOD_ALIASES = {
 
 
 def _env_workers():
-    """SINAILAB_WORKERS as a worker count, or None when unset or invalid."""
-    try:
-        return max(1, int(os.environ["SINAILAB_WORKERS"]))
-    except (KeyError, ValueError):
-        return None
+    """SINAILAB_WORKERS as a worker count, or None when unset; ConfigError
+    when it is set to anything but a positive integer."""
+    text = os.environ.get("SINAILAB_WORKERS")
+    if text is not None and not (text.strip().isdigit() and int(text) >= 1):
+        raise ConfigError(f"SINAILAB_WORKERS must be a positive integer, got {text!r}")
+    return None if text is None else int(text)
 
 
 def _parse_params(pairs) -> dict:
@@ -110,12 +110,17 @@ def _steps(text) -> int:
 
 
 class _Manifest:
-    def __init__(self, command: str, config: dict, out_dir: Path):
+    def __init__(self, command: str, config: dict, out_dir):
         self.command = command
         self.config = config
-        self.out_dir = out_dir
+        self.out_dir = Path(out_dir)
         self.outputs = {}
         self.t0 = time.perf_counter()
+
+    def open(self) -> Path:
+        """Create the output directory, once the results are ready."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir
 
     def add(self, name: str) -> None:
         self.outputs[name] = sha256_file(self.out_dir / name)
@@ -130,12 +135,6 @@ class _Manifest:
         })
 
 
-def _prepare_out(ns) -> Path:
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # lyapunov
 # ---------------------------------------------------------------------------
@@ -143,14 +142,14 @@ def _prepare_out(ns) -> Path:
 
 def cmd_lyapunov(ns) -> int:
     system, params = _system_from_args(ns)
-    out = _prepare_out(ns)
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "steps": _steps(ns.steps), "burn_in": _steps(ns.burn_in),
               "blocks": ns.blocks}
-    manifest = _Manifest("lyapunov", config, out)
+    manifest = _Manifest("lyapunov", config, ns.out)
     spectrum = benettin_spectrum(system, seed=ns.seed,
                                  burn_in=config["burn_in"],
                                  n_steps=config["steps"], blocks=ns.blocks)
+    out = manifest.open()
     write_json(out / "spectrum.json", spectrum.to_json_dict())
     header, rows = spectrum_csv_rows(spectrum)
     write_csv(out / "spectrum.csv", header, rows)
@@ -171,41 +170,31 @@ def cmd_entropy(ns) -> int:
     method = _METHOD_ALIASES[ns.method]
     if ns.no_early_stop and method != LEDRAPPIER_STRELCYN:
         raise ConfigError("--no-early-stop applies only to --method ls")
-    out = _prepare_out(ns)
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "method": method, "length": _steps(ns.length),
               "burn_in": _steps(ns.burn_in), "n_max": ns.nmax,
               "dim_f": ns.dimf, "tolerance": ns.tol}
-    manifest = _Manifest("entropy", config, out)
+    manifest = _Manifest("entropy", config, ns.out)
     measure = birkhoff_sample(system, seed=ns.seed,
                               burn_in=config["burn_in"],
                               length=config["length"])
+    estimates, _ = run_estimators(
+        system, measure, ESTIMATORS if method == "all" else (method,), ns.seed,
+        config["burn_in"], config["length"], n_max=ns.nmax, dim_f=ns.dimf,
+        early_stop=not ns.no_early_stop)
     if method == "all":
-        report = cross_validate(system, measure, dim_f=ns.dimf, n_max=ns.nmax,
-                                tolerance=ns.tol)
-        write_json(out / "entropy.json", report.to_json_dict())
-        header, rows = entropy_csv_rows(list(report.estimates.values()))
+        report = combine_estimates(*estimates.values(), ns.tol)
+        payload = report.to_json_dict()
         verdict = "Sinai-consistent" if report.sinai_consistent else "inconsistent"
         print(f"cross-validation: {verdict}; gaps "
               + " ".join(f"{k}={v:.4f}" for k, v in report.gaps.items()))
     else:
-        if method == PESIN or (method == JACOBIAN_F and ns.dimf is None):
-            spectrum = benettin_spectrum(system, seed=ns.seed,
-                                         burn_in=config["burn_in"],
-                                         n_steps=config["length"],
-                                         orbit=measure.orbit)
-        if method == PESIN:
-            est = pesin_entropy(spectrum)
-        elif method == LEDRAPPIER_STRELCYN:
-            est = ls_entropy(system, measure, ns.nmax,
-                             early_stop=not ns.no_early_stop, seed=ns.seed)
-        else:
-            dim_f = ns.dimf if ns.dimf is not None else expanding_dim(spectrum)
-            est = jacobian_formula_entropy(system, measure, dim_f, seed=ns.seed)
-        write_json(out / "entropy.json", est.to_json_dict())
-        header, rows = entropy_csv_rows([est])
+        est = estimates[method]
+        payload = est.to_json_dict()
         print(f"{est.method}: {est.value:.6f} (se {est.std_error:.2e})")
-    write_csv(out / "entropy.csv", header, rows)
+    out = manifest.open()
+    write_json(out / "entropy.json", payload)
+    write_csv(out / "entropy.csv", *entropy_csv_rows(list(estimates.values())))
     manifest.add("entropy.json")
     manifest.add("entropy.csv")
     manifest.write()
@@ -258,7 +247,8 @@ def load_sweep_config(path, workers=None) -> tuple:
     except KeyError as exc:
         raise ConfigError(f"unknown estimator {exc}")
     if "all" in estimators:
-        estimators = (PESIN, LEDRAPPIER_STRELCYN, JACOBIAN_F)
+        estimators = ESTIMATORS
+    env_workers = _env_workers()
     try:
         if workers is None:
             workers = s.getint("workers", fallback=os.cpu_count() or 1)
@@ -272,8 +262,7 @@ def load_sweep_config(path, workers=None) -> tuple:
             ulam_resolution=s.getint("ulam_resolution", fallback=None),
             n_max=s.getint("n_max", 40),
             dim_f=s.getint("dim_f", fallback=None),
-            tolerance=s.getfloat("tolerance", 0.02),
-            workers=_env_workers() or workers,
+            workers=env_workers or workers,
         )
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad sweep config: {exc}")
@@ -287,9 +276,8 @@ def load_sweep_config(path, workers=None) -> tuple:
 
 def cmd_sweep(ns) -> int:
     config, checks = load_sweep_config(ns.config, workers=ns.workers)
-    out = _prepare_out(ns)
     manifest = _Manifest("sweep", {"config_file": str(ns.config),
-                                   **config.to_json_dict()}, out)
+                                   **config.to_json_dict()}, ns.out)
     result = run_sweep(config)
     payload = result.to_json_dict()
     n_ok = sum(1 for r in result.rows if r.ok)
@@ -305,6 +293,7 @@ def cmd_sweep(ns) -> int:
         for method, info in modulus.per_method.items():
             print(f"max adjacent gap [{method}]: {info['max_gap']:.6f} "
                   f"at t in {info['at']}")
+    out = manifest.open()
     write_json(out / "sweep.json", payload)
     header, rows = sweep_csv_rows(result)
     write_csv(out / "sweep.csv", header, rows)
@@ -334,11 +323,10 @@ def cmd_diagnose(ns) -> int:
     system, params = _system_from_args(ns)
     if ns.delta < 0.0:
         raise ConfigError("--delta must be >= 0")
-    out = _prepare_out(ns)
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "length": _steps(ns.length), "burn_in": _steps(ns.burn_in),
               "dim_f": ns.dimf, "bound": ns.bound, "delta": ns.delta}
-    manifest = _Manifest("diagnose", config, out)
+    manifest = _Manifest("diagnose", config, ns.out)
     measure = birkhoff_sample(system, seed=ns.seed,
                               burn_in=config["burn_in"],
                               length=config["length"])
@@ -373,6 +361,7 @@ def cmd_diagnose(ns) -> int:
         dom = domination_report(system, splitting, n_grid=range(1, 13))
         report["domination"] = dom.to_json_dict()
         print(f"domination: {dom.verdict} (rho {dom.rho:.6f}, C {dom.C:.3f})")
+    out = manifest.open()
     write_json(out / "diagnose.json", report)
     manifest.add("diagnose.json")
     manifest.write()
@@ -449,7 +438,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SweepAbortError as exc:

@@ -6,15 +6,18 @@ Ledrappier-Strelcyn exterior-power characterization (infimum over n of
 averaged log aggregate wedge norms), and the expected log Jacobian along
 the expanding subbundle. A cross-validation report compares all three.
 
-The LS table and the Jacobian-along-F estimator share one cloud walk
-(_cloud_walk), so dead points, dither and the failure limit follow one
-rule.
+run_estimators, the one pipeline behind cross_validate, `sinailab entropy`
+and sweep points, decides which spectrum, default dim_f and seed each
+estimator gets. The LS table and Jacobian-along-F share one cloud walk
+(_cloud_walk: one rule for dead points, dither and the failure limit) and
+one masked, weighted mean and standard error (_masked_mean_se).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -34,6 +37,8 @@ from .systems import DynamicalSystem
 PESIN = "pesin"
 LEDRAPPIER_STRELCYN = "ledrappier_strelcyn"
 JACOBIAN_F = "jacobian_F"
+#: every estimator, in the order reports and tables list them
+ESTIMATORS = (PESIN, LEDRAPPIER_STRELCYN, JACOBIAN_F)
 
 #: orbit-failure fraction above which cloud estimators refuse to answer
 MAX_FAILURE_FRACTION = 0.01
@@ -42,6 +47,9 @@ MAX_FAILURE_FRACTION = 0.01
 #: lowered it by less than STOP_DELTA in all
 STOP_WINDOW = 5
 STOP_DELTA = 1e-4
+
+#: steps Jacobian-along-F pushes its random frames before integrating
+JACOBIAN_TRANSIENT = 60
 
 
 @dataclass
@@ -127,6 +135,19 @@ def _cloud_walk(system: DynamicalSystem, pts: np.ndarray, dither_key):
         cur[alive] = system.step_batch(cur[alive], dither)
 
 
+def _masked_mean_se(values: np.ndarray, weights: np.ndarray, keep: np.ndarray):
+    """(mean, std_error) of values under the weights renormalized over the
+    kept points; std_error = sqrt(weighted variance / number kept)."""
+    w = weights * keep
+    total = w.sum()
+    if total <= 0.0:
+        raise SamplingFailureError("no usable points in the cloud")
+    w = w / total
+    mean = float(w @ values)
+    var = float(w @ (values - mean) ** 2)
+    return mean, math.sqrt(max(var, 0.0) / max(int(keep.sum()), 1))
+
+
 def ls_sequence(system: DynamicalSystem, measure, n_max: int = 40,
                 early_stop: bool = True, seed: int = 0) -> LSSequence:
     """Table a_n = (1/n) <log ||Df^n(x)^wedge||>_mu and its minimum.
@@ -148,16 +169,13 @@ def ls_sequence(system: DynamicalSystem, measure, n_max: int = 40,
     for n, (dfs, alive) in zip(range(1, n_max + 1),
                                _cloud_walk(system, pts, [seed, 0xD17A])):
         acc.step(dfs)
-        w = weights * alive
-        w = w / w.sum()
         row = log_wedge_total_from_rows(acc.log_wedge_all())
-        totals.append(float(w @ row) / n)
+        totals.append(_masked_mean_se(row, weights, alive)[0] / n)
         if totals[-1] <= min(totals):
             best_row = row / n
         if early_stop and n > STOP_WINDOW:
             if totals[-1 - STOP_WINDOW] - totals[-1] < STOP_DELTA:
                 break
-    var = float(w @ (best_row - float(w @ best_row)) ** 2)
     a = np.asarray(totals)
     k = int(np.argmin(a))
     return LSSequence(
@@ -165,7 +183,7 @@ def ls_sequence(system: DynamicalSystem, measure, n_max: int = 40,
         argmin_index=k + 1,
         value=float(a[k]),
         skipped_points=int((~alive).sum()),
-        std_error=math.sqrt(max(var, 0.0) / max(int(alive.sum()), 1)),
+        std_error=_masked_mean_se(best_row, weights, alive)[1],
     )
 
 
@@ -192,10 +210,10 @@ def expanding_dim(spectrum: LyapunovSpectrum) -> int:
 
 
 def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
-                             n_transient: int = 60, seed: int = 0) -> EntropyEstimate:
+                             seed: int = 0) -> EntropyEstimate:
     """Expected log volume expansion along the estimated F bundle.
 
-    The cloud walks n_transient steps while random frames are pushed
+    The cloud walks JACOBIAN_TRANSIENT steps while random frames are pushed
     forward and re-orthonormalized; by invariance of the sampled measure
     the advanced cloud integrates the same observable, so no backward
     orbits are needed. dim_f = dim takes no steps: it is <log |det Df|>.
@@ -209,28 +227,21 @@ def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
         frames = np.broadcast_to(np.eye(d), (m, d, d))
     else:
         frames = _random_frames(np.random.default_rng([seed, 0xF0]), m, d, dim_f)
-        for _ in range(n_transient):
+        for _ in range(JACOBIAN_TRANSIENT):
             dfs, _ = next(walk)
             frames = _orthonormalize_batch(np.matmul(dfs, frames))
     dfs, alive = next(walk)
     jac = jacobian_along_frames(dfs, frames)
     good = alive & (jac > 0.0) & np.isfinite(jac)
-    w = weights * good
-    total = w.sum()
-    if total <= 0.0:
-        raise SamplingFailureError("no usable points for the Jacobian integral")
-    w = w / total
     logs = np.where(good, np.log(np.maximum(jac, 1e-300)), 0.0)
-    mean = float(w @ logs)
-    var = float(w @ (logs - mean) ** 2)
-    se = math.sqrt(max(var, 0.0) / max(int(good.sum()), 1))
+    mean, se = _masked_mean_se(logs, weights, good)
     return EntropyEstimate(
         value=max(mean, 0.0),
         method=JACOBIAN_F,
         std_error=se,
         diagnostics={
             "dim_f": dim_f,
-            "n_transient": n_transient,
+            "n_transient": JACOBIAN_TRANSIENT,
             "skipped_points": int(m - int(good.sum())),
             "raw_mean": mean,
         },
@@ -238,7 +249,7 @@ def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
 
 
 # ---------------------------------------------------------------------------
-# Cross-validation of the three estimators
+# The estimator pipeline and cross-validation
 # ---------------------------------------------------------------------------
 
 
@@ -265,12 +276,9 @@ def combine_estimates(pesin: EntropyEstimate, ls: EntropyEstimate,
     """Flag agreement (all pairwise gaps <= tolerance) and the numerical
     Ruelle signal (LS value above the Pesin value beyond tolerance plus
     twice the combined standard errors)."""
-    ests = {PESIN: pesin, LEDRAPPIER_STRELCYN: ls, JACOBIAN_F: jac}
-    keys = list(ests)
-    gaps = {}
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            gaps[f"{keys[a]}|{keys[b]}"] = abs(ests[keys[a]].value - ests[keys[b]].value)
+    ests = dict(zip(ESTIMATORS, (pesin, ls, jac)))
+    gaps = {f"{a}|{b}": abs(ests[a].value - ests[b].value)
+            for a, b in combinations(ESTIMATORS, 2)}
     consistent = max(gaps.values()) <= tolerance
     margin = tolerance + 2.0 * (ls.std_error + pesin.std_error)
     ruelle = (ls.value - pesin.value) > margin
@@ -283,31 +291,50 @@ def combine_estimates(pesin: EntropyEstimate, ls: EntropyEstimate,
     )
 
 
+def run_estimators(system: DynamicalSystem, measure, methods, seed: int,
+                   burn_in: int, n_steps: int, n_max: int = 40,
+                   dim_f: Optional[int] = None, early_stop: bool = True,
+                   spectrum: Optional[LyapunovSpectrum] = None) -> tuple:
+    """(estimates, spectrum): method -> EntropyEstimate in ESTIMATORS order
+    for the named methods, and the spectrum used (None when none was).
+
+    The Benettin spectrum, unless given, runs once and only for Pesin or a
+    Jacobian-F without dim_f: along the measure's own orbit when it has
+    burn_in + n_steps points, else (Ulam clouds, another length) along a
+    fresh orbit from seed. dim_f defaults to its expanding dimension.
+    """
+    if spectrum is None and (PESIN in methods or (JACOBIAN_F in methods and dim_f is None)):
+        orbit = getattr(measure, "orbit", None)
+        if orbit is not None and orbit.shape[0] != burn_in + n_steps:
+            orbit = None
+        spectrum = benettin_spectrum(system, seed, burn_in, n_steps, orbit=orbit)
+    estimates = {}
+    if PESIN in methods:
+        estimates[PESIN] = pesin_entropy(spectrum)
+    if LEDRAPPIER_STRELCYN in methods:
+        estimates[LEDRAPPIER_STRELCYN] = ls_entropy(system, measure, n_max,
+                                                    early_stop=early_stop, seed=seed)
+    if JACOBIAN_F in methods:
+        estimates[JACOBIAN_F] = jacobian_formula_entropy(
+            system, measure, expanding_dim(spectrum) if dim_f is None else dim_f,
+            seed=seed)
+    return estimates, spectrum
+
+
 def cross_validate(system: DynamicalSystem, measure, dim_f: Optional[int] = None,
                    n_max: int = 40, tolerance: float = 0.02,
                    spectrum: Optional[LyapunovSpectrum] = None,
                    spectrum_steps: Optional[int] = None) -> CrossValidationReport:
     """Run all three estimators on one system/measure pair and compare.
 
-    The Benettin spectrum runs along the measure's own Birkhoff orbit
-    (seed, burn-in, length from its provenance), so all estimators see
-    statistically matched data; spectrum_steps != length draws a longer or
-    shorter orbit from the same seed. When dim_f is not given it defaults
-    to the number of positive exponents in the computed spectrum (the
-    expanding dimension).
+    Seed, burn-in and orbit length come from the measure's provenance, so
+    the spectrum runs along the measure's own Birkhoff orbit;
+    spectrum_steps != length draws a longer or shorter orbit from the same
+    seed. See run_estimators for the rest.
     """
     prov = getattr(measure, "provenance", {}) or {}
-    seed = int(prov.get("seed", 0))
-    if spectrum is None:
-        steps = int(prov.get("length", 100_000))
-        orbit = getattr(measure, "orbit", None)
-        if spectrum_steps is not None and spectrum_steps != steps:
-            steps, orbit = spectrum_steps, None
-        spectrum = benettin_spectrum(system, seed, int(prov.get("burn_in", 10_000)),
-                                     steps, orbit=orbit)
-    if dim_f is None:
-        dim_f = expanding_dim(spectrum)
-    p = pesin_entropy(spectrum)
-    ls = ls_entropy(system, measure, n_max, seed=seed)
-    jac = jacobian_formula_entropy(system, measure, dim_f, seed=seed)
-    return combine_estimates(p, ls, jac, tolerance)
+    steps = int(prov.get("length", 100_000)) if spectrum_steps is None else spectrum_steps
+    estimates, _ = run_estimators(system, measure, ESTIMATORS, int(prov.get("seed", 0)),
+                                  int(prov.get("burn_in", 10_000)), steps,
+                                  n_max=n_max, dim_f=dim_f, spectrum=spectrum)
+    return combine_estimates(*estimates.values(), tolerance)

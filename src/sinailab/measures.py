@@ -440,8 +440,7 @@ def ls2_integral(system: DynamicalSystem, measure) -> dict:
     return out
 
 
-def holder_parameter_check(family: FamilyHandle, t_grid, sample_points,
-                           margin: float = 0.0) -> dict:
+def holder_parameter_check(family: FamilyHandle, t_grid, sample_points) -> dict:
     """Hölder regularity of t -> log |det Df_t(x)| over sample points.
 
     The exponent beta is the least-squares slope of the log max-difference
@@ -457,7 +456,7 @@ def holder_parameter_check(family: FamilyHandle, t_grid, sample_points,
     systems = [family.build(t) for t in t_grid]
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     for sys_t in systems:
-        if np.any(sys_t.singular_distance(pts) <= margin):
+        if np.any(sys_t.singular_distance(pts) <= 0.0):
             raise ValueError("sample point on the singular set")
     logs = np.array([log_det_batch(sys_t, pts) for sys_t in systems])
     n_t = t_grid.shape[0]

@@ -200,7 +200,7 @@ def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
     if dim_f == d:
         eye = np.broadcast_to(np.eye(d), (m, d, d)).copy()
         return SplittingEstimate(pts, np.empty((m, d, 0)), eye)
-    if not system.invertible or system.inverse_eval_batch is None:
+    if not system.invertible:
         raise UnsupportedSystemError(
             f"{system.name}: estimating a splitting with dim E = {dim_e} > 0 "
             "requires an invertible system (backward iteration)"
@@ -233,6 +233,11 @@ def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+#: "dominated" needs a fitted rho and an RMS log-residual at most these
+DOMINATION_RHO = 0.99
+DOMINATION_RESIDUAL = 0.1
+
+
 @dataclass
 class DominationReport:
     """Growth-ratio table r_n = ||Df^n|E|| * ||(Df^n|F)^-1|| with a
@@ -244,8 +249,6 @@ class DominationReport:
     rho: float
     fit_residual: float
     verdict: str
-    rho_threshold: float = 0.99
-    residual_threshold: float = 0.1
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,8 +258,8 @@ class DominationReport:
             "rho": self.rho,
             "fit_residual": self.fit_residual,
             "verdict": self.verdict,
-            "rho_threshold": self.rho_threshold,
-            "residual_threshold": self.residual_threshold,
+            "rho_threshold": DOMINATION_RHO,
+            "residual_threshold": DOMINATION_RESIDUAL,
         }
 
 
@@ -283,8 +286,8 @@ def domination_report(system: DynamicalSystem, splitting: SplittingEstimate,
 
     Ratios are exact restricted norms, read from the wedge products of the
     restricted derivatives. The fit is pooled least squares of
-    log r_n against n; verdict "dominated" requires rho <= 0.99 and RMS
-    log-residual <= 0.1. dim E = 0 is vacuously dominated (rho = 0).
+    log r_n against n; "dominated" requires rho <= DOMINATION_RHO and RMS
+    log-residual <= DOMINATION_RESIDUAL. dim E = 0 is vacuously dominated.
     """
     n_grid = tuple(int(n) for n in n_grid)
     if any(n < 1 for n in n_grid) or list(n_grid) != sorted(set(n_grid)):
@@ -314,7 +317,8 @@ def domination_report(system: DynamicalSystem, splitting: SplittingEstimate,
         slope, intercept, residual = ys[0] / ns[0], 0.0, 0.0
     rho = float(np.exp(slope))
     c = float(np.exp(intercept))
-    verdict = "dominated" if (rho <= 0.99 and residual <= 0.1) else "undetermined"
+    dominated = rho <= DOMINATION_RHO and residual <= DOMINATION_RESIDUAL
+    verdict = "dominated" if dominated else "undetermined"
     return DominationReport(
         n_grid=n_grid, ratios=np.exp(log_r), C=c, rho=rho,
         fit_residual=residual, verdict=verdict,

@@ -1,8 +1,8 @@
 """Parameter sweeps over system families with semicontinuity checks.
 
 Each grid point builds its system, approximates the invariant measure, and
-runs the configured entropy estimators with a point-specific seed derived
-from the config seed and the grid index (so neighboring points share no
+runs entropy.run_estimators with a point-specific seed derived from the
+config seed and the grid index (so neighboring points share no
 randomness). Discrete upper-semicontinuity and continuity-modulus checks
 operate on the resulting entropy curves with explicit slack and error bars.
 """
@@ -15,15 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import (
-    JACOBIAN_F,
-    LEDRAPPIER_STRELCYN,
-    PESIN,
-    expanding_dim,
-    jacobian_formula_entropy,
-    ls_entropy,
-    pesin_entropy,
-)
+from .entropy import ESTIMATORS, PESIN, run_estimators
 from .errors import SinaiLabError, SweepAbortError
 from .measures import (
     birkhoff_sample,
@@ -33,10 +25,7 @@ from .measures import (
     ulam_stationary,
     usable_points,
 )
-from .oseledets import benettin_spectrum
 from .systems import FamilyHandle, get_family
-
-ESTIMATOR_NAMES = (PESIN, LEDRAPPIER_STRELCYN, JACOBIAN_F)
 
 #: intermittent Manneville-Pomeau points mix polynomially; quadruple orbits
 MP_SLOW_ALPHA = 0.7
@@ -57,7 +46,6 @@ class SweepConfig:
     ulam_resolution: Optional[int] = None
     n_max: int = 40
     dim_f: Optional[int] = None
-    tolerance: float = 0.02
     workers: int = 1
 
     def __post_init__(self):
@@ -67,14 +55,12 @@ class SweepConfig:
             raise ValueError("empty parameter grid")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         ests = tuple(self.estimators)
         for e in ests:
-            if e not in ESTIMATOR_NAMES:
-                raise ValueError(f"unknown estimator {e!r}; valid: {ESTIMATOR_NAMES}")
+            if e not in ESTIMATORS:
+                raise ValueError(f"unknown estimator {e!r}; valid: {ESTIMATORS}")
         object.__setattr__(self, "estimators", ests)
 
     def point_seed(self, index: int) -> int:
@@ -92,7 +78,6 @@ class SweepConfig:
             "ulam_resolution": self.ulam_resolution,
             "n_max": self.n_max,
             "dim_f": self.dim_f,
-            "tolerance": self.tolerance,
             "workers": self.workers,
             "weak_star_cutoff": WEAK_STAR_CUTOFF,
         }
@@ -169,28 +154,16 @@ def _sweep_point(config: SweepConfig, index: int) -> SweepRow:
             transfer = ulam_matrix(system, config.ulam_resolution,
                                    samples_per_cell=256, seed=seed)
             measure = ulam_stationary(transfer, tol=1e-10)
-            orbit = None
         else:
             measure = birkhoff_sample(system, seed=seed,
                                       burn_in=config.burn_in, length=length)
-            orbit = measure.orbit
         row.moments = dictionary_moments(measure, WEAK_STAR_CUTOFF)
-        default_dim_f = JACOBIAN_F in config.estimators and config.dim_f is None
-        if PESIN in config.estimators or default_dim_f:
-            spectrum = benettin_spectrum(system, seed=seed,
-                                         burn_in=config.burn_in,
-                                         n_steps=length, orbit=orbit)
-        if PESIN in config.estimators:
+        row.estimates, spectrum = run_estimators(
+            system, measure, config.estimators, seed, config.burn_in, length,
+            n_max=config.n_max, dim_f=config.dim_f)
+        if PESIN in row.estimates:
             row.spectrum_exponents = spectrum.exponents.tolist()
             row.spectrum_std_error = spectrum.std_error.tolist()
-            row.estimates[PESIN] = pesin_entropy(spectrum)
-        if LEDRAPPIER_STRELCYN in config.estimators:
-            row.estimates[LEDRAPPIER_STRELCYN] = ls_entropy(
-                system, measure, config.n_max, seed=seed)
-        if JACOBIAN_F in config.estimators:
-            dim_f = expanding_dim(spectrum) if default_dim_f else config.dim_f
-            row.estimates[JACOBIAN_F] = jacobian_formula_entropy(
-                system, measure, dim_f, seed=seed)
     except (SinaiLabError, ValueError, KeyError) as exc:
         row.error = f"{type(exc).__name__}: {exc}"
         row.estimates = {}

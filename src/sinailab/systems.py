@@ -159,10 +159,13 @@ class DynamicalSystem:
     eval_batch: Callable[[np.ndarray], np.ndarray]
     differential_batch: Callable[[np.ndarray], np.ndarray]
     singular_set: list = field(default_factory=list)
-    invertible: bool = False
     inverse_eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     orbit_fn: Optional[Callable] = None
     dither_scale: float = 0.0
+
+    @property
+    def invertible(self) -> bool:
+        return self.inverse_eval_batch is not None
 
     # -- pointwise conveniences -------------------------------------------
     def eval(self, x) -> np.ndarray:
@@ -300,7 +303,6 @@ def make_torus_automorphism(matrix) -> DynamicalSystem:
         eval_batch=ev,
         differential_batch=dfb,
         singular_set=[],
-        invertible=True,
         inverse_eval_batch=inv_ev,
         orbit_fn=orbit_fn,
     )
@@ -376,7 +378,6 @@ def make_manneville_pomeau(alpha: float) -> DynamicalSystem:
         eval_batch=ev,
         differential_batch=dfb,
         singular_set=singular,
-        invertible=False,
         orbit_fn=orbit_fn,
         dither_scale=DITHER_SCALE if alpha == 0.0 else 0.0,
     )
@@ -486,7 +487,6 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
         eval_batch=ev,
         differential_batch=dfb,
         singular_set=[],
-        invertible=True,
         inverse_eval_batch=inv_ev,
         orbit_fn=orbit_fn,
     )
@@ -585,7 +585,6 @@ def make_standard_skew(K: float, N: int) -> DynamicalSystem:
         eval_batch=ev,
         differential_batch=dfb,
         singular_set=[],
-        invertible=True,
         inverse_eval_batch=inv_ev,
         orbit_fn=orbit_fn,
     )
@@ -672,7 +671,6 @@ def make_viana(a0: float = VIANA_A0, eps: float = 0.02, d: int = 16) -> Dynamica
         eval_batch=ev,
         differential_batch=dfb,
         singular_set=[SingularHyperplane(1, 0.0, "critical")],
-        invertible=False,
         orbit_fn=orbit_fn,
         dither_scale=DITHER_SCALE,
     )

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from sinailab.cli import load_sweep_config, main
-from sinailab.entropy import LEDRAPPIER_STRELCYN
+from sinailab.entropy import ESTIMATORS
 from sinailab.measures import birkhoff_sample
 from sinailab.serialize import sha256_file
 from sinailab.sweep import split_log_det_integral
@@ -96,14 +96,16 @@ class TestEntropyCommand:
         assert exc.value.code == 2
 
     def test_ls_method_matches_cross_validation(self, tmp_path):
-        # both runs dither the LS cloud steps of viana with the run's seed
+        # one pipeline: each --method m file is the m entry of --method all
+        # (same seed for the dithered viana cloud steps, same spectrum and
+        # default dim_f)
         args = ["entropy", "--system", "viana", "--length", "3000",
                 "--burn-in", "1000", "--nmax", "20", "--seed", "5"]
-        assert main(args + ["--method", "ls", "--out", str(tmp_path / "ls")]) == 0
         assert main(args + ["--method", "all", "--out", str(tmp_path / "all")]) == 0
-        alone = read_json(tmp_path / "ls" / "entropy.json")
-        crossed = read_json(tmp_path / "all" / "entropy.json")["estimates"][LEDRAPPIER_STRELCYN]
-        assert alone == crossed
+        crossed = read_json(tmp_path / "all" / "entropy.json")["estimates"]
+        for flag, method in zip(("pesin", "ls", "jacobian"), ESTIMATORS):
+            assert main(args + ["--method", flag, "--out", str(tmp_path / flag)]) == 0
+            assert read_json(tmp_path / flag / "entropy.json") == crossed[method], flag
 
     def test_no_early_stop_needs_ls_exit_two(self, tmp_path, capsys):
         code = main(["entropy", "--system", "cat", "--method", "pesin",
@@ -262,6 +264,13 @@ class TestDeterminism:
         assert code == 2
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+        # a set but invalid SINAILAB_WORKERS is named, not ignored
+        for value in ("0", "-4", "abc"):
+            monkeypatch.setenv("SINAILAB_WORKERS", value)
+            code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")])
+            assert code == 2, value
+            assert "SINAILAB_WORKERS" in capsys.readouterr().err, value
+            assert not (tmp_path / "x").exists(), value
 
     def test_env_workers_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SINAILAB_WORKERS", "1")
@@ -271,3 +280,22 @@ class TestDeterminism:
                        encoding="utf-8")
         code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 0
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--system", "cat", "--nmax", "100", "--length", "2e3"],
+        ["entropy", "--system", "cat", "--method", "jacobian", "--dimf", "5",
+         "--length", "2e3"],
+        ["entropy", "--system", "cat", "--length", "0"],
+        ["lyapunov", "--system", "cat", "--steps", "5"],
+        ["diagnose", "--system", "skew", "--dimf", "7", "--length", "2e3"],
+    ], ids=["nmax", "dimf", "length", "steps", "diagnose-dimf"])
+    def test_out_of_range_number_exit_two(self, tmp_path, capsys, argv):
+        # the library's argument checks raise ValueError, a usage error:
+        # one error line, exit 2 and no output directory
+        code = main(argv + ["--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()

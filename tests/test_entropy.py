@@ -51,7 +51,6 @@ def make_torus_identity(d=2):
         params={},
         eval_batch=ev,
         differential_batch=dfb,
-        invertible=True,
         inverse_eval_batch=ev,
     )
 

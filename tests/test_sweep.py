@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sinailab.entropy import JACOBIAN_F, PESIN, EntropyEstimate
+from sinailab.entropy import ESTIMATORS, JACOBIAN_F, PESIN, EntropyEstimate, cross_validate
 from sinailab.errors import SamplingFailureError, SweepAbortError
 from sinailab.measures import EmpiricalMeasure, birkhoff_sample
 from sinailab.serialize import write_json
@@ -20,7 +20,7 @@ from sinailab.sweep import (
     split_log_det_integral,
     usc_check,
 )
-from sinailab.systems import FamilyHandle, make_manneville_pomeau
+from sinailab.systems import FamilyHandle, get_family, make_manneville_pomeau
 
 LOG2 = math.log(2.0)
 LOG_LAM = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -41,10 +41,6 @@ class TestSweepConfig:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             SweepConfig(family="mp", grid=(0.1, 0.1))
-
-    def test_tolerance_positive(self):
-        with pytest.raises(ValueError):
-            SweepConfig(family="mp", grid=(0.0, 0.1), tolerance=0.0)
 
     def test_workers_positive(self):
         with pytest.raises(ValueError):
@@ -180,6 +176,18 @@ class TestRunSweep:
         row = _sweep_point(cfg, 1)
         assert row.ok
         assert orbit_calls == [2_099]
+
+    def test_point_matches_cross_validation(self):
+        # one pipeline: a Birkhoff point (alpha < MP_SLOW_ALPHA, so its own
+        # length) gets the estimates cross_validate gives on the same cloud
+        cfg = SweepConfig(family="mp", grid=(0.0, 0.4), estimators=ESTIMATORS,
+                          seed=6, burn_in=300, length=3_000, n_max=20)
+        row = _sweep_point(cfg, 1)
+        assert row.ok and row.length_used == 3_000
+        system = get_family("mp").build(0.4)
+        mu = birkhoff_sample(system, seed=cfg.point_seed(1), burn_in=300,
+                             length=3_000)
+        assert row.estimates == cross_validate(system, mu, n_max=20).estimates
 
     def test_weak_star_column_filled(self):
         cfg = SweepConfig(family="mp", grid=(0.0, 0.2, 0.4), estimators=(PESIN,),
