@@ -27,6 +27,7 @@ from .entropy import (
     JACOBIAN_F,
     LEDRAPPIER_STRELCYN,
     PESIN,
+    check_estimator_args,
     combine_estimates,
     run_estimators,
 )
@@ -170,6 +171,8 @@ def cmd_entropy(ns) -> int:
     method = _METHOD_ALIASES[ns.method]
     if ns.no_early_stop and method != LEDRAPPIER_STRELCYN:
         raise ConfigError("--no-early-stop applies only to --method ls")
+    methods = ESTIMATORS if method == "all" else (method,)
+    check_estimator_args(methods, ns.nmax, ns.dimf, system.space.dim)
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "method": method, "length": _steps(ns.length),
               "burn_in": _steps(ns.burn_in), "n_max": ns.nmax,
@@ -179,9 +182,8 @@ def cmd_entropy(ns) -> int:
                               burn_in=config["burn_in"],
                               length=config["length"])
     estimates, _ = run_estimators(
-        system, measure, ESTIMATORS if method == "all" else (method,), ns.seed,
-        config["burn_in"], config["length"], n_max=ns.nmax, dim_f=ns.dimf,
-        early_stop=not ns.no_early_stop)
+        system, measure, methods, ns.seed, config["burn_in"], config["length"],
+        n_max=ns.nmax, dim_f=ns.dimf, early_stop=not ns.no_early_stop)
     if method == "all":
         report = combine_estimates(*estimates.values(), ns.tol)
         payload = report.to_json_dict()

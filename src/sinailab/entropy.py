@@ -43,6 +43,9 @@ ESTIMATORS = (PESIN, LEDRAPPIER_STRELCYN, JACOBIAN_F)
 #: orbit-failure fraction above which cloud estimators refuse to answer
 MAX_FAILURE_FRACTION = 0.01
 
+#: longest LS table: n_max runs from 1 to LS_N_MAX
+LS_N_MAX = 60
+
 #: early stopping cuts the LS table once STOP_WINDOW consecutive n have
 #: lowered it by less than STOP_DELTA in all
 STOP_WINDOW = 5
@@ -92,6 +95,19 @@ class LSSequence:
             raise ValueError("empty sequence")
         if abs(self.value - float(self.a_n.min())) > 1e-12:
             raise ValueError("reported value must equal the table minimum")
+
+
+def check_estimator_args(methods, n_max: int, dim_f: Optional[int], dim: int) -> None:
+    """ValueError when LS is among the methods and n_max lies outside
+    [1, LS_N_MAX], or Jacobian-F is and a given dim_f outside [1, dim].
+
+    It needs no orbit, so commands and sweep configs run it before they
+    sample anything; the two estimators run it on their own arguments.
+    """
+    if LEDRAPPIER_STRELCYN in methods and not 1 <= n_max <= LS_N_MAX:
+        raise ValueError(f"n_max must be in [1, {LS_N_MAX}]")
+    if JACOBIAN_F in methods and dim_f is not None and not 1 <= dim_f <= dim:
+        raise ValueError(f"dim_f must be in [1, {dim}]")
 
 
 def pesin_entropy(spectrum: LyapunovSpectrum) -> EntropyEstimate:
@@ -160,8 +176,7 @@ def ls_sequence(system: DynamicalSystem, measure, n_max: int = 40,
     weighted spread of the per-point values at the minimizing n over the
     surviving points.
     """
-    if not 1 <= n_max <= 60:
-        raise ValueError("n_max must be in [1, 60]")
+    check_estimator_args((LEDRAPPIER_STRELCYN,), n_max, None, system.space.dim)
     pts, weights = measure_cloud(measure)
     m, d = pts.shape
     acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d), (m, d, d)))
@@ -220,8 +235,7 @@ def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
     """
     pts, weights = measure_cloud(measure)
     m, d = pts.shape
-    if not 1 <= dim_f <= d:
-        raise ValueError(f"dim_f must be in [1, {d}]")
+    check_estimator_args((JACOBIAN_F,), None, dim_f, d)
     walk = _cloud_walk(system, pts, [seed, 0xF1])
     if dim_f == d:
         frames = np.broadcast_to(np.eye(d), (m, d, d))

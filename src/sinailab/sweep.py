@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import ESTIMATORS, PESIN, run_estimators
+from .entropy import ESTIMATORS, JACOBIAN_F, PESIN, check_estimator_args, run_estimators
 from .errors import SinaiLabError, SweepAbortError
 from .measures import (
     birkhoff_sample,
@@ -62,6 +62,14 @@ class SweepConfig:
             if e not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {e!r}; valid: {ESTIMATORS}")
         object.__setattr__(self, "estimators", ests)
+        dim = None
+        if JACOBIAN_F in ests and self.dim_f is not None:
+            try:
+                family = get_family(self.family)
+            except KeyError as exc:
+                raise ValueError(exc.args[0]) from None
+            dim = family.build(family.lo).space.dim
+        check_estimator_args(ests, self.n_max, self.dim_f, dim)
 
     def point_seed(self, index: int) -> int:
         ss = np.random.SeedSequence([int(self.seed), int(index)])

@@ -299,3 +299,32 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--system", "skew", "--nmax", "100"],
+        ["entropy", "--system", "skew", "--method", "jacobian", "--dimf", "5"],
+    ], ids=["nmax", "dimf"])
+    def test_entropy_range_checked_before_sampling(self, tmp_path, capsys,
+                                                   orbit_calls, argv):
+        # n_max and dim_f are checked against the system before any orbit
+        code = main(argv + ["--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert orbit_calls == []
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("body", [
+        "family = mp\ngrid = 0.1,0.2,0.3\nestimators = ls\nn_max = 100\n",
+        "family = da\ngrid = 0.1,0.2,0.3\nestimators = jacobian\ndim_f = 3\n",
+    ], ids=["nmax", "dimf"])
+    def test_sweep_range_checked_before_sampling(self, tmp_path, capsys,
+                                                 orbit_calls, body):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[sweep]\n" + body + "burn_in = 100\nlength = 2000\n",
+                       encoding="utf-8")
+        code = main(["sweep", "--config", str(cfg), "--workers", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "bad sweep config" in capsys.readouterr().err
+        assert orbit_calls == []
+        assert not (tmp_path / "x").exists()

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import sinailab.matrixcore as matrixcore
+from sinailab.entropy import ls_sequence
 from sinailab.errors import OrbitFailureError
 from sinailab.matrixcore import (
     LOG_ZERO,
@@ -12,10 +14,19 @@ from sinailab.matrixcore import (
     _gram_schmidt,
     compounds,
     exact_cocycle_wedge,
+    gram_singular_values,
+    log_wedge_total_from_rows,
     singular_values,
+    top_singular_values,
     wedge_profile,
 )
-from sinailab.systems import make_cat_map, make_manneville_pomeau
+from sinailab.measures import birkhoff_sample
+from sinailab.systems import (
+    make_cat_block,
+    make_cat_map,
+    make_manneville_pomeau,
+    make_standard_skew,
+)
 
 # Analytic eigen-decomposition of the symmetric integer matrix [[2,1],[1,1]]:
 # eigenvalues (3 +- sqrt 5)/2, which are also its singular values.
@@ -246,3 +257,121 @@ class TestExactCocycleWedge:
         sys = make_cat_map()
         with pytest.raises(ValueError):
             exact_cocycle_wedge(sys, np.array([0.1, 0.1]), 0)
+
+
+def _svd_top(mats):
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+def _with_singular_values(rng, m, r, c, sv):
+    """(m, r, c) stack U diag(sv) V^T with random orthogonal U and V."""
+    u = np.linalg.qr(rng.standard_normal((m, r, r)))[0][:, :, :c]
+    v = np.linalg.qr(rng.standard_normal((m, c, c)))[0]
+    return np.matmul(u * np.asarray(sv)[None, None, :], np.transpose(v, (0, 2, 1)))
+
+
+class TestTopSingularValues:
+    """The certified power iteration against np.linalg.svd."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (6, 6), (8, 8),
+                                       (4, 2), (6, 1), (6, 4), (28, 8)])
+    def test_random_stacks(self, shape):
+        rng = np.random.default_rng(21)
+        mats = rng.standard_normal((500,) + shape)
+        top, v = top_singular_values(mats)
+        assert np.allclose(top, _svd_top(mats), rtol=1e-13, atol=0.0)
+        # the returned vectors are unit and, where certified, top singular
+        assert np.allclose((v * v).sum(axis=0), 1.0, atol=1e-12)
+
+    def test_graded_stacks(self):
+        rng = np.random.default_rng(22)
+        for c in (2, 4, 6):
+            mats = _with_singular_values(rng, 300, c, c, np.logspace(0, -12, c))
+            top, _ = top_singular_values(mats * 1e5)
+            assert np.allclose(top, _svd_top(mats * 1e5), rtol=1e-13, atol=0.0)
+
+    def test_exactly_degenerate_stacks(self):
+        rng = np.random.default_rng(23)
+        for sv in ([2.0, 2.0], [3.0, 3.0, 1.0, 0.5], [1.0] * 6,
+                   [2.0, 2.0 * (1.0 - 1e-9), 1.0]):
+            mats = _with_singular_values(rng, 200, len(sv), len(sv), sv)
+            top, _ = top_singular_values(mats)
+            assert np.allclose(top, _svd_top(mats), rtol=1e-13, atol=0.0), sv
+        # integer powers of cat + cat: sigma_1 = sigma_2 = LAM^n exactly
+        block = np.kron(np.eye(2), CAT)
+        mats = np.stack([np.linalg.matrix_power(block, n) for n in range(1, 12)])
+        top, _ = top_singular_values(mats)
+        assert np.allclose(top, LAM ** np.arange(1, 12), rtol=1e-13, atol=0.0)
+
+    def test_zero_and_rank_deficient_stacks(self):
+        rng = np.random.default_rng(24)
+        top, _ = top_singular_values(np.zeros((5, 4, 4)))
+        assert np.array_equal(top, np.zeros(5))
+        a = rng.standard_normal((100, 5, 1))
+        b = rng.standard_normal((100, 1, 3))
+        rank_one = np.matmul(a, b)
+        top, _ = top_singular_values(rank_one)
+        expected = np.linalg.norm(a[:, :, 0], axis=1) * np.linalg.norm(b[:, 0], axis=1)
+        assert np.allclose(top, expected, rtol=1e-13, atol=0.0)
+        rank_two = _with_singular_values(rng, 100, 6, 6, [4.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        top, _ = top_singular_values(rank_two)
+        assert np.allclose(top, 4.0, rtol=1e-13, atol=0.0)
+        # a start vector in the null space is an eigenvector too, of 0
+        top, _ = top_singular_values(np.array([[[2.0, 0.0], [0.0, 0.0]]]),
+                                     np.array([[0.0], [1.0]]))
+        assert top.tolist() == [2.0]
+
+    def test_one_by_one_stacks_take_the_absolute_value(self):
+        mats = np.array([-3.0, 0.0, 2.5]).reshape(3, 1, 1)
+        top, v = top_singular_values(mats)
+        assert top.tolist() == [3.0, 0.0, 2.5]
+        assert v is None
+
+    def test_start_on_the_second_eigenvector(self):
+        rng = np.random.default_rng(25)
+        for c in (2, 3, 6):
+            mats = _with_singular_values(rng, 50, c, c, np.linspace(3.0, 1.0, c))
+            gram = np.matmul(np.transpose(mats, (0, 2, 1)), mats)
+            second = np.linalg.eigh(gram)[1][:, :, -2]
+            top, _ = top_singular_values(mats, second.T)
+            assert np.allclose(top, 3.0, rtol=1e-13, atol=0.0), c
+
+    def test_warm_start_needs_no_eigvalsh(self, monkeypatch):
+        # started on the top right singular vector, a stack whose top
+        # eigenvalue of P^T P outweighs the rest of its trace is certified
+        # without the fallback
+        rng = np.random.default_rng(26)
+        mats = _with_singular_values(rng, 400, 6, 6, [3.0, 1.5, 1.0, 0.5, 0.2, 0.1])
+        start = np.linalg.svd(mats)[2][:, 0, :].T
+
+        def refuse(_):
+            raise AssertionError("eigvalsh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        top, v = top_singular_values(mats, start)
+        assert np.allclose(top, 3.0, rtol=1e-13, atol=0.0)
+        assert np.allclose(np.abs((v * start).sum(axis=0)), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("make", [lambda: make_cat_block(2),
+                                      lambda: make_standard_skew(0.5, 2)],
+                             ids=["cat4", "skew"])
+    def test_ls_table_matches_eigvalsh(self, make, monkeypatch):
+        system = make()
+        measure = birkhoff_sample(system, seed=3, burn_in=500, length=1500)
+        a_n = ls_sequence(system, measure, 20, early_stop=False, seed=3).a_n
+        monkeypatch.setattr(matrixcore, "top_singular_values",
+                            lambda mats, start: (gram_singular_values(mats)[:, -1], None))
+        reference = ls_sequence(system, measure, 20, early_stop=False, seed=3).a_n
+        assert np.allclose(a_n, reference, rtol=0.0, atol=1e-12)
+
+
+def test_log_wedge_total_from_rows_against_direct_sum():
+    rng = np.random.default_rng(27)
+    for k in (1, 2, 4, 8):
+        rows = rng.uniform(-40.0, 40.0, (60, k))
+        rows[rng.random(rows.shape) < 0.2] = LOG_ZERO
+        rows[:10] = rng.uniform(695.0, 705.0, (10, k))
+        rows[10, :] = LOG_ZERO
+        got = log_wedge_total_from_rows(rows)
+        for row, value in zip(rows, got):
+            direct = math.log(1.0 + sum(math.exp(x) for x in row))
+            assert value == pytest.approx(direct, rel=1e-14, abs=1e-15)

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from sinailab.entropy import ESTIMATORS, JACOBIAN_F, PESIN, EntropyEstimate, cross_validate
+from sinailab.entropy import (
+    ESTIMATORS,
+    JACOBIAN_F,
+    LEDRAPPIER_STRELCYN,
+    PESIN,
+    EntropyEstimate,
+    cross_validate,
+)
 from sinailab.errors import SamplingFailureError, SweepAbortError
 from sinailab.measures import EmpiricalMeasure, birkhoff_sample
 from sinailab.serialize import write_json
@@ -49,6 +56,15 @@ class TestSweepConfig:
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
             SweepConfig(family="mp", grid=(0.0,), estimators=("nope",))
+
+    def test_estimator_args_in_range(self):
+        with pytest.raises(ValueError, match="n_max"):
+            SweepConfig(family="mp", grid=(0.0,), estimators=(LEDRAPPIER_STRELCYN,),
+                        n_max=61)
+        with pytest.raises(ValueError, match="dim_f"):
+            SweepConfig(family="skew", grid=(0.5,), estimators=(JACOBIAN_F,), dim_f=5)
+        # each value is checked only for the estimator that reads it
+        SweepConfig(family="skew", grid=(0.5,), estimators=(PESIN,), n_max=61, dim_f=5)
 
     def test_point_seeds_differ(self):
         cfg = SweepConfig(family="mp", grid=(0.0, 0.1, 0.2))
