@@ -23,7 +23,6 @@ from .entropy import (
 from .errors import (
     ConfigError,
     EscapeError,
-    OrbitFailureError,
     SamplingFailureError,
     SinaiLabError,
     SweepAbortError,
@@ -32,7 +31,6 @@ from .errors import (
 )
 from .matrixcore import (
     WedgeProfile,
-    exact_cocycle_wedge,
     singular_values,
     wedge_profile,
 )

@@ -8,9 +8,10 @@ the expanding subbundle. A cross-validation report compares all three.
 
 run_estimators, the one pipeline behind cross_validate, `sinailab entropy`
 and sweep points, decides which spectrum, default dim_f and seed each
-estimator gets. The LS table and Jacobian-along-F share one cloud walk
-(_cloud_walk: one rule for dead points, dither and the failure limit) and
-one masked, weighted mean and standard error (_masked_mean_se).
+estimator gets. The LS table and Jacobian-along-F advance their clouds
+through systems._cloud_walk (one rule for dead points, dither and the
+failure limit) and share one masked, weighted mean and standard error
+(_masked_mean_se).
 """
 
 from __future__ import annotations
@@ -32,16 +33,13 @@ from .oseledets import (
     benettin_spectrum,
     jacobian_along_frames,
 )
-from .systems import DynamicalSystem
+from .systems import DynamicalSystem, _cloud_walk
 
 PESIN = "pesin"
 LEDRAPPIER_STRELCYN = "ledrappier_strelcyn"
 JACOBIAN_F = "jacobian_F"
 #: every estimator, in the order reports and tables list them
 ESTIMATORS = (PESIN, LEDRAPPIER_STRELCYN, JACOBIAN_F)
-
-#: orbit-failure fraction above which cloud estimators refuse to answer
-MAX_FAILURE_FRACTION = 0.01
 
 #: longest LS table: n_max runs from 1 to LS_N_MAX
 LS_N_MAX = 60
@@ -121,34 +119,6 @@ def pesin_entropy(spectrum: LyapunovSpectrum) -> EntropyEstimate:
         std_error=se,
         diagnostics={"n_positive": int(pos.sum()), "n_steps": spectrum.n_steps},
     )
-
-
-def _cloud_walk(system: DynamicalSystem, pts: np.ndarray, dither_key):
-    """Walk the cloud along its orbits, yielding (dfs, alive) per map step.
-
-    dfs holds the one-step differentials at the current points. A point
-    that hits the singular set or leaves the reals dies: it feeds the
-    identity from then on and stops moving. Only live points are stepped,
-    with the dithered stepper seeded by dither_key, so binary-shift clouds
-    do not degenerate. More than MAX_FAILURE_FRACTION dead points raise
-    SamplingFailureError. The cloud moves only when the next step is asked
-    for.
-    """
-    m, d = pts.shape
-    dither = np.random.default_rng(dither_key) if system.dither_scale else None
-    alive = np.ones(m, dtype=bool)
-    cur = pts.copy()
-    while True:
-        alive &= ~system.unusable(cur)
-        if (~alive).sum() > MAX_FAILURE_FRACTION * m:
-            raise SamplingFailureError(
-                f"{system.name}: {int((~alive).sum())}/{m} orbit failures in the cloud walk"
-            )
-        dfs = system.differential_batch(np.where(alive[:, None], cur, pts))
-        if not np.all(alive):
-            dfs[~alive] = np.eye(d)
-        yield dfs, alive
-        cur[alive] = system.step_batch(cur[alive], dither)
 
 
 def _masked_mean_se(values: np.ndarray, weights: np.ndarray, keep: np.ndarray):

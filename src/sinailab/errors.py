@@ -5,18 +5,6 @@ class SinaiLabError(Exception):
     """Base class for all toolkit errors."""
 
 
-class OrbitFailureError(SinaiLabError):
-    """An orbit hit the singular set (or produced non-finite values).
-
-    Carries the step index at which the failure occurred.
-    """
-
-    def __init__(self, step, point=None, message=None):
-        self.step = step
-        self.point = point
-        super().__init__(message or f"orbit failure at step {step}")
-
-
 class SamplingFailureError(SinaiLabError):
     """Measure sampling failed persistently (e.g. repeated singular hits)."""
 

@@ -25,8 +25,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import OrbitFailureError
-
 MAX_DIM = 8
 
 #: log-scale stand-in for log(0); kept finite so sums and comparisons work.
@@ -336,28 +334,3 @@ def log_wedge_total_from_rows(log_wedges: np.ndarray) -> np.ndarray:
         total += np.exp(col - top)
     return top + np.log(total)
 
-
-def exact_cocycle_wedge(system, x, n: int) -> WedgeProfile:
-    """WedgeProfile of Df^n(x) along the orbit of x.
-
-    Maintains one rescaled compound product per exterior order, so all
-    singular values of the n-step derivative are recovered in log scale
-    exactly up to round-off. Raises OrbitFailureError (with the step index)
-    if the orbit hits the singular set.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    d = system.space.dim
-    acc = WedgeAccumulatorBatch(np.eye(d)[None])
-    cur = pt[None, :]
-    for step in range(n):
-        if system.hits_singular_set(cur)[0]:
-            raise OrbitFailureError(step, point=cur[0].copy())
-        dfs = system.differential_batch(cur)
-        if not np.all(np.isfinite(dfs)):
-            raise OrbitFailureError(step, point=cur[0].copy())
-        acc.step(dfs)
-        cur = system.eval_batch(cur)
-    return WedgeProfile.from_log_singular_values(
-        log_singular_values_from_wedges(acc.log_wedge_all())[0])

@@ -25,7 +25,7 @@ from .matrixcore import (
     log_singular_values_from_wedges,
 )
 from .measures import _sample_orbit
-from .systems import DynamicalSystem
+from .systems import DynamicalSystem, _cloud_walk
 
 
 @dataclass
@@ -101,12 +101,14 @@ def benettin_spectrum(system: DynamicalSystem, seed: int, burn_in: int,
     The orbit is the one birkhoff_sample draws for (seed, burn_in,
     n_steps); a caller that holds that cloud passes orbit=measure.orbit
     instead of having it drawn again. Standard errors are the batch
-    standard errors over `blocks` contiguous orbit segments. Exponents are
-    sorted descending with stable tie order.
+    standard errors over `blocks` (2 to n_steps) contiguous orbit segments.
+    Exponents are sorted descending with stable tie order.
     """
     d = system.space.dim
     if n_steps < 10 * d:
         raise ValueError(f"n_steps must be >= {10 * d}")
+    if not 2 <= blocks <= n_steps:
+        raise ValueError(f"blocks = {blocks} must be in [2, n_steps = {n_steps}]")
     if orbit is None:
         orbit, _ = _sample_orbit(system, seed, burn_in, n_steps)
     elif orbit.shape[0] != burn_in + n_steps:
@@ -122,22 +124,12 @@ def benettin_spectrum(system: DynamicalSystem, seed: int, burn_in: int,
 
 
 def _spectrum_from_logs(logs: np.ndarray, n_steps: int, blocks: int) -> LyapunovSpectrum:
-    d = logs.shape[1]
-    totals = logs.sum(axis=0)
-    exponents = totals / n_steps
+    """Exponents and batch standard errors from one log row per step."""
+    exponents = logs.sum(axis=0) / n_steps
     order = np.argsort(-exponents, kind="stable")
-    n_rows = logs.shape[0]
-    blocks = max(1, min(blocks, n_rows))
-    edges = np.linspace(0, n_rows, blocks + 1).astype(int)
-    rates = np.empty((blocks, d))
-    steps_per_row = n_steps / n_rows
-    for b in range(blocks):
-        seg = logs[edges[b]:edges[b + 1]]
-        rates[b] = seg.sum(axis=0) / (seg.shape[0] * steps_per_row)
-    if blocks > 1:
-        se = rates.std(axis=0, ddof=1) / math.sqrt(blocks)
-    else:
-        se = np.zeros(d)
+    edges = np.linspace(0, n_steps, blocks + 1).astype(int)
+    rates = np.array([logs[a:b].sum(axis=0) / (b - a) for a, b in zip(edges, edges[1:])])
+    se = rates.std(axis=0, ddof=1) / math.sqrt(blocks)
     return LyapunovSpectrum(
         exponents=exponents[order],
         n_steps=n_steps,
@@ -215,15 +207,11 @@ def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
     for k in range(n_transient, 0, -1):
         dfs = system.differential_batch(back[k])
         f_frames = _orthonormalize_batch(np.matmul(dfs, f_frames))
-    # forward orbit w_k = f^k(x); pull a complementary frame back through Df^-1
-    fwd = [pts]
-    cur = pts
-    for _ in range(n_transient):
-        cur = system.eval_batch(cur)
-        fwd.append(cur)
+    # pull a complementary frame back through Df^-1 along the forward walk
+    walk = _cloud_walk(system, pts, [seed, 0xE])
+    fwd = [next(walk)[0] for _ in range(n_transient)]
     e_frames = _random_frames(rng, m, d, dim_e)
-    for k in range(n_transient, 0, -1):
-        dfs = system.differential_batch(fwd[k - 1])
+    for dfs in reversed(fwd):
         e_frames = _orthonormalize_batch(np.linalg.solve(dfs, e_frames))
     return SplittingEstimate(pts, e_frames, f_frames)
 
@@ -263,29 +251,14 @@ class DominationReport:
         }
 
 
-def _restricted_log_extremes(system, pts, frames, n_max, want_min):
-    """log sigma_extreme of Df^n restricted to the frames, for n = 1..n_max.
-
-    The wedge products of Df^n F give log sigma_max as order 1 and
-    log sigma_min as order k minus order k - 1.
-    """
-    out = np.empty((pts.shape[0], n_max))
-    acc = WedgeAccumulatorBatch(frames)
-    cur_pts = pts
-    for n in range(n_max):
-        acc.step(system.differential_batch(cur_pts))
-        log_sv = log_singular_values_from_wedges(acc.log_wedge_all())
-        out[:, n] = log_sv[:, -1] if want_min else log_sv[:, 0]
-        cur_pts = system.eval_batch(cur_pts)
-    return out
-
-
 def domination_report(system: DynamicalSystem, splitting: SplittingEstimate,
                       n_grid) -> DominationReport:
     """Measure the domination ratios of a candidate splitting.
 
     Ratios are exact restricted norms, read from the wedge products of the
-    restricted derivatives. The fit is pooled least squares of
+    restricted derivatives: E and F advance off one walk of the anchors,
+    sigma_max(Df^n E) is the order-1 wedge and sigma_min(Df^n F) the last
+    singular value of F's wedge orders. The fit is pooled least squares of
     log r_n against n; "dominated" requires rho <= DOMINATION_RHO and RMS
     log-residual <= DOMINATION_RESIDUAL. dim E = 0 is vacuously dominated.
     """
@@ -303,11 +276,18 @@ def domination_report(system: DynamicalSystem, splitting: SplittingEstimate,
             n_grid=n_grid, ratios=np.zeros((pts.shape[0], len(n_grid))),
             C=0.0, rho=0.0, fit_residual=0.0, verdict="dominated",
         )
-    n_max = max(n_grid)
-    log_e = _restricted_log_extremes(system, pts, splitting.e_frames, n_max, want_min=False)
-    log_f = _restricted_log_extremes(system, pts, splitting.f_frames, n_max, want_min=True)
-    cols = [n - 1 for n in n_grid]
-    log_r = log_e[:, cols] - log_f[:, cols]
+    acc_e = WedgeAccumulatorBatch(splitting.e_frames)
+    acc_f = WedgeAccumulatorBatch(splitting.f_frames)
+    log_r = []
+    for n, (dfs, _) in zip(range(1, max(n_grid) + 1), _cloud_walk(system, pts, 0xD0)):
+        acc_e.step(dfs)
+        acc_f.step(dfs)
+        # read at every n: each order's warm start follows the products
+        log_e = acc_e.log_wedge(1)
+        log_f = log_singular_values_from_wedges(acc_f.log_wedge_all())[:, -1]
+        if n in n_grid:
+            log_r.append(log_e - log_f)
+    log_r = np.column_stack(log_r)
     ns = np.tile(np.asarray(n_grid, dtype=float), pts.shape[0])
     ys = log_r.ravel()
     if ys.shape[0] > 1:

@@ -57,6 +57,16 @@ class SweepConfig:
             raise ValueError("grid must be strictly increasing")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
+        if self.length < 1:
+            raise ValueError("length must be >= 1")
+        if self.ulam_resolution is not None and self.ulam_resolution < 2:
+            raise ValueError("ulam_resolution must be >= 2")
+        try:
+            family = get_family(self.family)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
         ests = tuple(self.estimators)
         for e in ests:
             if e not in ESTIMATORS:
@@ -64,10 +74,6 @@ class SweepConfig:
         object.__setattr__(self, "estimators", ests)
         dim = None
         if JACOBIAN_F in ests and self.dim_f is not None:
-            try:
-                family = get_family(self.family)
-            except KeyError as exc:
-                raise ValueError(exc.args[0]) from None
             dim = family.build(family.lo).space.dim
         check_estimator_args(ests, self.n_max, self.dim_f, dim)
 

@@ -7,7 +7,10 @@ quadratic-fiber skew products of Viana type.
 
 Every system bundles a phase space, a vectorized map, its exact Jacobian,
 a singular-set description, and (when available) an inverse. Long-orbit
-generation goes through fast scalar loops per family.
+generation goes through fast scalar loops per family. Batches of points
+advance through the derivative cocycle along one generator, _cloud_walk,
+which every forward product (LS table, Jacobian-along-F, bundle frames,
+domination ratios) consumes.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EscapeError, UnsupportedSystemError
+from .errors import EscapeError, SamplingFailureError, UnsupportedSystemError
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,6 +33,9 @@ DITHER_SCALE = 2.0 ** -50
 #: a point closer than this to the singular set counts as on it; cloud
 #: integrals skip such points, orbit samplers restart.
 SINGULAR_HIT_DISTANCE = 1e-15
+
+#: orbit-failure fraction above which a cloud walk refuses to go on
+MAX_FAILURE_FRACTION = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +236,34 @@ class DynamicalSystem:
         if noise is not None:
             out[:, 0] = (out[:, 0] + noise) % 1.0
         return out
+
+
+def _cloud_walk(system: DynamicalSystem, pts: np.ndarray, dither_key):
+    """Walk the cloud along its orbits, yielding (dfs, alive) per map step.
+
+    dfs holds the one-step differentials at the current points. A point
+    that hits the singular set or leaves the reals dies: it feeds the
+    identity from then on and stops moving. Only live points are stepped,
+    with the dithered stepper seeded by dither_key, so binary-shift clouds
+    do not degenerate. More than MAX_FAILURE_FRACTION dead points raise
+    SamplingFailureError. The cloud moves only when the next step is asked
+    for.
+    """
+    m, d = pts.shape
+    dither = np.random.default_rng(dither_key) if system.dither_scale else None
+    alive = np.ones(m, dtype=bool)
+    cur = pts.copy()
+    while True:
+        alive &= ~system.unusable(cur)
+        if (~alive).sum() > MAX_FAILURE_FRACTION * m:
+            raise SamplingFailureError(
+                f"{system.name}: {int((~alive).sum())}/{m} orbit failures in the cloud walk"
+            )
+        dfs = system.differential_batch(np.where(alive[:, None], cur, pts))
+        if not np.all(alive):
+            dfs[~alive] = np.eye(d)
+        yield dfs, alive
+        cur[alive] = system.step_batch(cur[alive], dither)
 
 
 # ---------------------------------------------------------------------------

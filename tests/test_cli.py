@@ -290,7 +290,9 @@ class TestUsageErrors:
         ["entropy", "--system", "cat", "--length", "0"],
         ["lyapunov", "--system", "cat", "--steps", "5"],
         ["diagnose", "--system", "skew", "--dimf", "7", "--length", "2e3"],
-    ], ids=["nmax", "dimf", "length", "steps", "diagnose-dimf"])
+        ["lyapunov", "--system", "mp", "--param", "alpha=0.3", "--steps", "2e4",
+         "--blocks", "0"],
+    ], ids=["nmax", "dimf", "length", "steps", "diagnose-dimf", "blocks"])
     def test_out_of_range_number_exit_two(self, tmp_path, capsys, argv):
         # the library's argument checks raise ValueError, a usage error:
         # one error line, exit 2 and no output directory
@@ -316,12 +318,20 @@ class TestUsageErrors:
     @pytest.mark.parametrize("body", [
         "family = mp\ngrid = 0.1,0.2,0.3\nestimators = ls\nn_max = 100\n",
         "family = da\ngrid = 0.1,0.2,0.3\nestimators = jacobian\ndim_f = 3\n",
-    ], ids=["nmax", "dimf"])
+        "family = nope\ngrid = 0.1,0.2,0.3\n",
+        "family = mp\ngrid = 0.1,0.2,0.3\nburn_in = -1\n",
+        "family = mp\ngrid = 0.1,0.2,0.3\nlength = 0\n",
+        "family = da\ngrid = 0.1,0.2,0.3\nulam_resolution = 1\n",
+    ], ids=["nmax", "dimf", "family", "burn_in", "length", "ulam_resolution"])
     def test_sweep_range_checked_before_sampling(self, tmp_path, capsys,
                                                  orbit_calls, body):
+        # burn_in and length are added unless the body sets them: a
+        # duplicate key would fail as a malformed config instead
+        defaults = "".join(f"{key} = {value}\n" for key, value in
+                           (("burn_in", 100), ("length", 2000))
+                           if f"\n{key} =" not in body)
         cfg = tmp_path / "c.ini"
-        cfg.write_text("[sweep]\n" + body + "burn_in = 100\nlength = 2000\n",
-                       encoding="utf-8")
+        cfg.write_text("[sweep]\n" + body + defaults, encoding="utf-8")
         code = main(["sweep", "--config", str(cfg), "--workers", "1",
                      "--out", str(tmp_path / "x")])
         assert code == 2

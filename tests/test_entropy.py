@@ -20,6 +20,7 @@ from sinailab.oseledets import LyapunovSpectrum, benettin_spectrum
 from sinailab.systems import (
     DynamicalSystem,
     PhaseSpace,
+    _cloud_walk,
     make_cat_block,
     make_cat_map,
     make_derived_from_anosov,
@@ -61,16 +62,14 @@ def small_cloud(system, seed=1, length=200):
 
 def wedge_order_minima(system, mu, n_max):
     """min over n <= n_max of (1/n) <log ||Df^n(x)^(wedge i)||>_mu for each
-    order i, from one WedgeAccumulatorBatch driven along the cloud."""
+    order i, from one WedgeAccumulatorBatch driven by the shared cloud walk."""
     pts, w = mu.points, mu.weights / mu.weights.sum()
     m, d = pts.shape
     acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d), (m, d, d)))
-    dither = np.random.default_rng(0)
     best = np.full(d, np.inf)
-    for n in range(1, n_max + 1):
-        acc.step(system.differential_batch(pts))
+    for n, (dfs, _) in zip(range(1, n_max + 1), _cloud_walk(system, pts, 0)):
+        acc.step(dfs)
         best = np.minimum(best, w @ acc.log_wedge_all() / n)
-        pts = system.step_batch(pts, dither)
     return best
 
 

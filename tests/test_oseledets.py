@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 
 from sinailab.errors import UnsupportedSystemError
+from sinailab.matrixcore import WedgeAccumulatorBatch, log_singular_values_from_wedges
 from sinailab.measures import birkhoff_sample, log_det_batch
 from sinailab.oseledets import (
     WARM,
     SplittingEstimate,
     _lockstep_logs,
-    _restricted_log_extremes,
     benettin_spectrum,
     domination_report,
     estimate_bundles_many,
     jacobian_along_frames,
 )
 from sinailab.systems import (
+    DynamicalSystem,
+    PhaseSpace,
+    _cloud_walk,
     make_cat_block,
     make_cat_map,
     make_derived_from_anosov,
@@ -223,17 +226,13 @@ class TestEstimateBundles:
             estimate_bundles_many(make_viana(1.7808, 0.02, 16), [[0.3, 0.5]], dim_f=1)
 
 
-class _ConstantCocycle:
-    """A fixed point whose derivative is the constant matrix a."""
-
-    def __init__(self, a):
-        self.a = a
-
-    def differential_batch(self, pts):
-        return np.broadcast_to(self.a, (pts.shape[0],) + self.a.shape).copy()
-
-    def eval_batch(self, pts):
-        return pts
+def constant_cocycle(a):
+    """The identity map of the torus with the constant derivative a."""
+    return DynamicalSystem(
+        name="constant", space=PhaseSpace.torus(a.shape[0]), params={},
+        eval_batch=lambda pts: pts.copy(),
+        differential_batch=lambda pts: np.broadcast_to(a, (pts.shape[0],) + a.shape).copy(),
+    )
 
 
 class TestDominationReport:
@@ -279,12 +278,31 @@ class TestDominationReport:
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
         frames = (q[:, :2] @ rot)[None]
+        acc = WedgeAccumulatorBatch(frames)
+        lo, hi = [], []
+        walk = _cloud_walk(constant_cocycle(a), np.zeros((1, 4)), 0)
+        for _, (dfs, _) in zip(range(12), walk):
+            acc.step(dfs)
+            log_sv = log_singular_values_from_wedges(acc.log_wedge_all())[0]
+            lo.append(log_sv[-1])
+            hi.append(log_sv[0])
         n = np.arange(1, 13)
-        system, pts = _ConstantCocycle(a), np.zeros((1, 4))
-        lo = _restricted_log_extremes(system, pts, frames, 12, want_min=True)[0]
-        hi = _restricted_log_extremes(system, pts, frames, 12, want_min=False)[0]
         assert np.allclose(lo, 0.5 * n, rtol=0.0, atol=1e-12)
         assert np.allclose(hi, 4.0 * n, rtol=0.0, atol=1e-12)
+
+    def test_one_walk_for_both_bundles(self):
+        # E and F advance off one walk of the anchors: one differential
+        # batch per step up to max(n_grid)
+        system = make_cat_map()
+        calls = []
+
+        def counted(pts):
+            calls.append(pts.shape[0])
+            return make_cat_map().differential_batch(pts)
+
+        system.differential_batch = counted
+        domination_report(system, self._cat_splitting(), n_grid=[2, 5, 9])
+        assert calls == [3] * 9
 
     def test_json_has_full_table(self):
         rep = domination_report(make_cat_map(), self._cat_splitting(),
