@@ -123,14 +123,19 @@ def pesin_entropy(spectrum: LyapunovSpectrum) -> EntropyEstimate:
 
 def _masked_mean_se(values: np.ndarray, weights: np.ndarray, keep: np.ndarray):
     """(mean, std_error) of values under the weights renormalized over the
-    kept points; std_error = sqrt(weighted variance / number kept)."""
+    kept points; std_error = sqrt(weighted variance / number kept).
+
+    The sums are numpy reductions, not BLAS dot products: a threaded BLAS
+    splits a long dot into per-thread partial sums, so its last bits would
+    depend on the host's thread count.
+    """
     w = weights * keep
     total = w.sum()
     if total <= 0.0:
         raise SamplingFailureError("no usable points in the cloud")
     w = w / total
-    mean = float(w @ values)
-    var = float(w @ (values - mean) ** 2)
+    mean = float(np.sum(w * values))
+    var = float(np.sum(w * (values - mean) ** 2))
     return mean, math.sqrt(max(var, 0.0) / max(int(keep.sum()), 1))
 
 

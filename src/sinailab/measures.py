@@ -19,7 +19,13 @@ from .errors import SamplingFailureError, UlamConvergenceError
 from .matrixcore import gram_singular_values
 from .systems import SINGULAR_HIT_DISTANCE, DynamicalSystem, FamilyHandle, PhaseSpace
 
+#: largest Ulam grid. The sample points are mapped in chunks, so it bounds
+#: what is held whole: the density vector, and a CSR matrix of at most
+#: n_cells * samples_per_cell nonzeros (at most one per sample point).
 MAX_ULAM_CELLS = 10_000_000
+
+#: sample points ulam_matrix maps at a time, rounded down to whole cells
+ULAM_CHUNK_POINTS = 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +248,27 @@ def ulam_matrix(system: DynamicalSystem, resolution, samples_per_cell: int,
     rng = np.random.default_rng([seed, 0x0E11])
     offsets = _lattice_offsets(samples_per_cell, d, rng)
 
-    idx = np.arange(n_cells)
-    coords = np.column_stack(np.unravel_index(idx, tuple(res)))
-    corners = lo + coords * cell_w
-    # (n_cells * samples, d) sample points, cell-major
-    pts = (corners[:, None, :] + offsets[None, :, :] * cell_w).reshape(-1, d)
-    images = system.eval_batch(pts)
-    img_coords = np.floor((images - lo) / cell_w).astype(np.int64)
-    img_coords = np.clip(img_coords, 0, res - 1)
-    cols = np.ravel_multi_index(tuple(img_coords.T), tuple(res))
-    rows = np.repeat(idx, samples_per_cell)
-    data = np.full(rows.shape[0], 1.0 / samples_per_cell)
+    # whole cells per chunk, so no (row, col) key spans two chunks and the
+    # concatenated per-chunk keys stay sorted
+    chunk = max(1, ULAM_CHUNK_POINTS // samples_per_cell)
+    keys, counts = [], []
+    for start in range(0, n_cells, chunk):
+        idx = np.arange(start, min(start + chunk, n_cells))
+        coords = np.column_stack(np.unravel_index(idx, tuple(res)))
+        corners = lo + coords * cell_w
+        # (cells * samples, d) sample points, cell-major
+        pts = (corners[:, None, :] + offsets[None, :, :] * cell_w).reshape(-1, d)
+        images = system.eval_batch(pts)
+        img_coords = np.floor((images - lo) / cell_w).astype(np.int64)
+        img_coords = np.clip(img_coords, 0, res - 1)
+        cols = np.ravel_multi_index(tuple(img_coords.T), tuple(res))
+        rows = np.repeat(idx, samples_per_cell)
+        chunk_keys, chunk_counts = np.unique(rows * n_cells + cols, return_counts=True)
+        keys.append(chunk_keys)
+        counts.append(chunk_counts)
+    rows, cols = np.divmod(np.concatenate(keys), n_cells)
+    data = np.concatenate(counts) / samples_per_cell
     mat = sp.coo_matrix((data, (rows, cols)), shape=(n_cells, n_cells)).tocsr()
-    mat.sum_duplicates()
     # kill accumulated float drift so rows sum to 1 exactly
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
     mat = sp.diags(1.0 / row_sums) @ mat
@@ -408,6 +422,8 @@ def usable_points(system: DynamicalSystem, measure, observable, what: str):
     skipped): the kept values, their weights renormalized to sum 1, their
     distances to the singular set, and the number of points skipped.
     Raises SamplingFailureError, naming `what`, when no point is left.
+    Callers integrate with np.sum(weights * values), not a BLAS dot
+    product, whose last bits depend on the BLAS thread count.
     """
     pts, w = measure_cloud(measure)
     dist = system.singular_distance(pts)
@@ -431,12 +447,12 @@ def ls2_integral(system: DynamicalSystem, measure) -> dict:
     dfs, weights, _, skipped = usable_points(
         system, measure, system.differential_batch, "log-norm integral")
     sv = gram_singular_values(dfs)
-    forward = float(weights @ np.maximum(np.log(sv[:, -1]), 0.0))
+    forward = float(np.sum(weights * np.maximum(np.log(sv[:, -1]), 0.0)))
     out = {"forward": forward, "backward": None, "skipped": skipped}
     if system.invertible:
         smin = sv[:, 0]
         inv_norm = np.where(smin > 0.0, 1.0 / np.maximum(smin, 1e-300), np.inf)
-        out["backward"] = float(weights @ np.maximum(np.log(inv_norm), 0.0))
+        out["backward"] = float(np.sum(weights * np.maximum(np.log(inv_norm), 0.0)))
     return out
 
 
@@ -492,6 +508,6 @@ def bounded_jacobian_check(system: DynamicalSystem, measure, bound: float) -> di
     """|integral of log |det Df|| compared against an a-priori bound."""
     logdet, weights, _, skipped = usable_points(
         system, measure, lambda pts: log_det_batch(system, pts), "Jacobian integral")
-    value = float(abs(weights @ logdet))
+    value = float(abs(np.sum(weights * logdet)))
     return {"value": value, "bound": float(bound), "passed": value <= bound,
             "skipped": skipped}

@@ -101,14 +101,16 @@ def benettin_spectrum(system: DynamicalSystem, seed: int, burn_in: int,
     The orbit is the one birkhoff_sample draws for (seed, burn_in,
     n_steps); a caller that holds that cloud passes orbit=measure.orbit
     instead of having it drawn again. Standard errors are the batch
-    standard errors over `blocks` (2 to n_steps) contiguous orbit segments.
+    standard errors over `blocks` (at least 2) contiguous orbit segments.
+    n_steps must be at least 10 per dimension and one per block.
     Exponents are sorted descending with stable tie order.
     """
     d = system.space.dim
-    if n_steps < 10 * d:
-        raise ValueError(f"n_steps must be >= {10 * d}")
-    if not 2 <= blocks <= n_steps:
-        raise ValueError(f"blocks = {blocks} must be in [2, n_steps = {n_steps}]")
+    if blocks < 2:
+        raise ValueError(f"blocks = {blocks} must be >= 2")
+    if n_steps < max(10 * d, blocks):
+        raise ValueError(f"n_steps = {n_steps} must be >= {max(10 * d, blocks)} "
+                         f"(10 per dimension, one per error block)")
     if orbit is None:
         orbit, _ = _sample_orbit(system, seed, burn_in, n_steps)
     elif orbit.shape[0] != burn_in + n_steps:

@@ -185,17 +185,53 @@ def _sweep_point(config: SweepConfig, index: int) -> SweepRow:
     return row
 
 
+#: thread-count setters exported by a stock OpenBLAS and by the
+#: scipy_openblas builds in numpy's and scipy's wheels (64_: the ILP64 one)
+_OPENBLAS_SET_THREADS = tuple(f"{prefix}openblas_set_num_threads{suffix}"
+                              for prefix in ("", "scipy_") for suffix in ("", "64_"))
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: cap every OpenBLAS loaded in the worker at one thread.
+
+    A forked worker otherwise keeps OpenBLAS's default pool, whose helper
+    threads busy-wait after each threaded call on cores the other workers
+    need. The libraries are found in /proc/self/maps; without /proc, or
+    under another BLAS, nothing changes.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            paths = {fields[5].strip() for fields in (line.split(None, 5) for line in maps)
+                     if len(fields) == 6 and "openblas" in fields[5].rsplit("/", 1)[-1]}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate the configured estimators at every grid point.
 
     Deterministic given the config (including worker count: rows are
     assembled in grid order and every point derives its own seed). Raises
     SweepAbortError when more than 20% of the points fail; individual
-    failures are recorded in their rows and the sweep continues.
+    failures are recorded in their rows and the sweep continues. Pool
+    workers run OpenBLAS on one thread each (_one_blas_thread).
     """
     n = len(config.grid)
     if config.workers > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=config.workers,
+                                 initializer=_one_blas_thread) as pool:
             rows = list(pool.map(_sweep_point, [config] * n, range(n)))
     else:
         rows = [_sweep_point(config, i) for i in range(n)]
@@ -355,8 +391,8 @@ def split_log_det_integral(system, measure, delta: float) -> dict:
         system, measure, lambda pts: log_det_batch(system, pts),
         "split Jacobian integral")
     inside_mask = dist < delta
-    inside = float(weights[inside_mask] @ logdet[inside_mask]) if inside_mask.any() else 0.0
-    outside = float(weights[~inside_mask] @ logdet[~inside_mask]) if (~inside_mask).any() else 0.0
+    inside = float(np.sum(weights[inside_mask] * logdet[inside_mask]))
+    outside = float(np.sum(weights[~inside_mask] * logdet[~inside_mask]))
     return {
         "delta": float(delta),
         "inside": inside,

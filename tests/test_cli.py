@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sinailab
 from sinailab.cli import load_sweep_config, main
 from sinailab.entropy import ESTIMATORS
 from sinailab.measures import birkhoff_sample
@@ -244,6 +249,26 @@ class TestDeterminism:
         for name in ("spectrum.json", "spectrum.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("argv, names", [
+        (["entropy", "--system", "mp", "--param", "alpha=0.3", "--length", "20000",
+          "--burn-in", "1000", "--nmax", "20", "--seed", "5"],
+         ("entropy.json", "entropy.csv")),
+        (["diagnose", "--system", "da", "--length", "2e4", "--seed", "7"],
+         ("diagnose.json",)),
+    ], ids=["entropy-mp", "diagnose-da"])
+    def test_data_files_do_not_depend_on_blas_threads(self, tmp_path, argv, names):
+        # OpenBLAS reads its thread count at load time, so each count needs
+        # its own interpreter; a 2e4-point cloud is above the size at which
+        # it splits a dot product between threads
+        src = str(Path(sinailab.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "sinailab.cli", *argv,
+                            "--out", str(tmp_path / threads)],
+                           env=env, check=True, capture_output=True)
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_env_workers_beat_the_config(self, tmp_path, monkeypatch):
         cfg = tmp_path / "c.ini"
         cfg.write_text("[sweep]\nfamily = mp\ngrid = 0.0,0.2\nworkers = 2\n",
@@ -283,24 +308,35 @@ class TestDeterminism:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("argv", [
-        ["entropy", "--system", "cat", "--nmax", "100", "--length", "2e3"],
-        ["entropy", "--system", "cat", "--method", "jacobian", "--dimf", "5",
-         "--length", "2e3"],
-        ["entropy", "--system", "cat", "--length", "0"],
-        ["lyapunov", "--system", "cat", "--steps", "5"],
-        ["diagnose", "--system", "skew", "--dimf", "7", "--length", "2e3"],
-        ["lyapunov", "--system", "mp", "--param", "alpha=0.3", "--steps", "2e4",
-         "--blocks", "0"],
-    ], ids=["nmax", "dimf", "length", "steps", "diagnose-dimf", "blocks"])
-    def test_out_of_range_number_exit_two(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, message", [
+        (["entropy", "--system", "cat", "--nmax", "100", "--length", "2e3"], ""),
+        (["entropy", "--system", "cat", "--method", "jacobian", "--dimf", "5",
+          "--length", "2e3"], ""),
+        (["entropy", "--system", "cat", "--length", "0"], ""),
+        (["lyapunov", "--system", "cat", "--steps", "5"], ""),
+        (["diagnose", "--system", "skew", "--dimf", "7", "--length", "2e3"], ""),
+        (["lyapunov", "--system", "mp", "--param", "alpha=0.3", "--steps", "2e4",
+          "--blocks", "0"], ""),
+        # entropy has no --blocks flag: a short orbit is named by its length
+        (["entropy", "--system", "mp", "--param", "alpha=0.3", "--length", "15",
+          "--burn-in", "10", "--method", "pesin"], "n_steps = 15 must be >= 20"),
+    ], ids=["nmax", "dimf", "length", "steps", "diagnose-dimf", "blocks",
+            "short-1d-orbit"])
+    def test_out_of_range_number_exit_two(self, tmp_path, capsys, argv, message):
         # the library's argument checks raise ValueError, a usage error:
         # one error line, exit 2 and no output directory
         code = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
         assert not (tmp_path / "x").exists()
+
+    def test_short_1d_orbit_with_few_blocks_runs(self, tmp_path):
+        # 10 steps per dimension suffice when there are fewer blocks
+        code = main(["lyapunov", "--system", "mp", "--steps", "15", "--blocks", "5",
+                     "--out", str(tmp_path / "x")])
+        assert code == 0
 
     @pytest.mark.parametrize("argv", [
         ["entropy", "--system", "skew", "--nmax", "100"],

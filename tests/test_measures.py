@@ -1,6 +1,7 @@
 """Birkhoff/Ulam measure construction, weak* proxy, and diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sinailab.measures import (
     EmpiricalMeasure,
     GridMeasure,
     TransferMatrix,
+    _lattice_offsets,
     birkhoff_sample,
     bounded_jacobian_check,
     dictionary_moments,
@@ -27,7 +29,9 @@ from sinailab.systems import (
     FamilyHandle,
     PhaseSpace,
     make_cat_map,
+    make_derived_from_anosov,
     make_manneville_pomeau,
+    make_standard_skew,
     make_viana,
 )
 
@@ -49,6 +53,30 @@ def make_interval_identity():
         eval_batch=ev,
         differential_batch=dfb,
     )
+
+
+def one_shot_ulam(system, resolution, samples_per_cell, seed):
+    """Reference Ulam matrix built in one pass: every sample point mapped at
+    once, each sample adding 1/samples_per_cell to its (cell, image cell)
+    entry, rows rescaled to sum 1."""
+    d = system.space.dim
+    res = np.full(d, resolution)
+    n_cells = int(np.prod(res))
+    lo = np.asarray(system.space.lo)
+    cell_w = system.space.widths() / res
+    offsets = _lattice_offsets(samples_per_cell, d,
+                               np.random.default_rng([seed, 0x0E11]))
+    idx = np.arange(n_cells)
+    corners = lo + np.column_stack(np.unravel_index(idx, tuple(res))) * cell_w
+    pts = (corners[:, None, :] + offsets[None, :, :] * cell_w).reshape(-1, d)
+    img = np.floor((system.eval_batch(pts) - lo) / cell_w).astype(np.int64)
+    cols = np.ravel_multi_index(tuple(np.clip(img, 0, res - 1).T), tuple(res))
+    rows = np.repeat(idx, samples_per_cell)
+    data = np.full(rows.shape[0], 1.0 / samples_per_cell)
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(n_cells, n_cells)).tocsr()
+    mat.sum_duplicates()
+    row_sums = np.asarray(mat.sum(axis=1)).ravel()
+    return (sp.diags(1.0 / row_sums) @ mat).tocsr()
 
 
 def dirac(space, location):
@@ -155,6 +183,48 @@ class TestUlam:
     def test_memory_guard(self):
         with pytest.raises(MemoryError):
             ulam_matrix(make_cat_map(), 4000, samples_per_cell=4, seed=0)
+
+    @pytest.mark.parametrize("system, resolution, samples", [
+        (make_cat_map(), 37, 256),
+        (make_manneville_pomeau(0.3), 256, 256),
+        (make_standard_skew(0.5, 2), 6, 16),
+        (make_derived_from_anosov(0.2), 64, 256),
+    ], ids=["cat", "mp", "skew", "da"])
+    def test_chunked_build_matches_one_shot(self, system, resolution, samples):
+        # a power-of-two sample count makes every count/samples exact, so the
+        # chunked counts give the one-shot sums bit for bit; at 256 samples
+        # cat's 37^2 = 1369 cells fill one 1024-cell chunk and part of another
+        t = ulam_matrix(system, resolution, samples_per_cell=samples, seed=3)
+        ref = one_shot_ulam(system, resolution, samples, seed=3)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(t.matrix, name), getattr(ref, name)), name
+        if system.space.dim == 2:
+            ref_t = TransferMatrix(t.space, t.resolution, ref, samples)
+            assert np.array_equal(ulam_stationary(t, tol=1e-10).density,
+                                  ulam_stationary(ref_t, tol=1e-10).density)
+
+    @pytest.mark.parametrize("system, resolution", [
+        (make_cat_map(), 37), (make_derived_from_anosov(0.2), 64),
+    ], ids=["cat", "da"])
+    def test_chunked_build_within_an_ulp_at_odd_samples(self, system, resolution):
+        # c/25 and the c-fold sum of 1/25 may round apart by an ulp
+        t = ulam_matrix(system, resolution, samples_per_cell=25, seed=3)
+        ref = one_shot_ulam(system, resolution, 25, seed=3)
+        assert np.array_equal(t.matrix.indices, ref.indices)
+        gap = np.abs(t.matrix.data - ref.data)
+        assert np.all(gap <= np.spacing(np.maximum(t.matrix.data, ref.data)))
+        rows = np.asarray(t.matrix.sum(axis=1)).ravel()
+        assert np.max(np.abs(rows - 1.0)) <= 1e-14
+
+    def test_build_memory_stays_chunk_sized(self):
+        # 128^2 cells x 256 samples: the one-shot build peaks near 390 MB
+        tracemalloc.start()
+        try:
+            ulam_matrix(make_derived_from_anosov(0.1), 128, samples_per_cell=256, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_doubling_stationary_is_uniform(self):
         t = ulam_matrix(make_manneville_pomeau(0.0), 64,

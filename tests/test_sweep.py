@@ -1,6 +1,9 @@
 """Parameter sweeps, semicontinuity checks, and the entropy splitting."""
 
+import ctypes
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from sinailab.sweep import (
     SweepConfig,
     SweepResult,
     SweepRow,
+    _one_blas_thread,
     _sweep_point,
     continuity_modulus,
     neighborhood_split_entropy,
@@ -31,6 +35,27 @@ from sinailab.systems import FamilyHandle, get_family, make_manneville_pomeau
 
 LOG2 = math.log(2.0)
 LOG_LAM = math.log((3.0 + math.sqrt(5.0)) / 2.0)
+
+
+def openblas_thread_counts():
+    """Thread count each OpenBLAS loaded in this process reports (empty
+    when none is loaded or none exports a getter)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            fields = [line.split(None, 5) for line in maps]
+    except OSError:
+        return []
+    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                if getter is not None:
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    counts.append(getter())
+    return counts
 
 
 def staircase_result(values, slack_se=0.0):
@@ -185,6 +210,28 @@ class TestRunSweep:
         for a, b in zip(r1.rows, r2.rows):
             assert a.estimates[PESIN].value == b.estimates[PESIN].value
             assert a.weak_star_prev == b.weak_star_prev
+
+    def test_ulam_sweep_rows_independent_of_worker_count(self, tmp_path):
+        # 128^2 cells: the LS and Jacobian-F means run over a 16384-point
+        # grid cloud, long enough for a threaded BLAS to split a dot product;
+        # pool workers run one BLAS thread, this process its default count
+        rows = []
+        for workers in (1, 2):
+            cfg = SweepConfig(family="da", grid=(0.0, 0.2), estimators=ESTIMATORS,
+                              seed=4, burn_in=200, length=2_000,
+                              ulam_resolution=128, n_max=8, workers=workers)
+            path = tmp_path / f"{workers}.json"
+            write_json(path, [r.to_json_dict() for r in run_sweep(cfg).rows])
+            rows.append(path.read_bytes())
+        assert rows[0] == rows[1]
+
+    def test_one_blas_thread_in_a_forked_worker(self):
+        if not openblas_thread_counts():
+            pytest.skip("no OpenBLAS with a thread-count getter is loaded")
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_one_blas_thread) as pool:
+            counts = pool.submit(openblas_thread_counts).result()
+        assert counts and all(c == 1 for c in counts)
 
     def test_pesin_point_draws_one_orbit(self, orbit_calls):
         cfg = SweepConfig(family="mp", grid=(0.0, 0.3), estimators=(PESIN,),
