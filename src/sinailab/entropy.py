@@ -24,14 +24,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import SamplingFailureError
-from .matrixcore import WedgeAccumulatorBatch, log_wedge_total_from_rows
+from .matrixcore import LOG_ZERO, WedgeAccumulatorBatch, log_wedge_total_from_rows
 from .measures import measure_cloud
 from .oseledets import (
+    FRAME_TRANSIENT,
     LyapunovSpectrum,
     _orthonormalize_batch,
     _random_frames,
     benettin_spectrum,
-    jacobian_along_frames,
 )
 from .systems import DynamicalSystem, _cloud_walk
 
@@ -48,9 +48,6 @@ LS_N_MAX = 60
 #: lowered it by less than STOP_DELTA in all
 STOP_WINDOW = 5
 STOP_DELTA = 1e-4
-
-#: steps Jacobian-along-F pushes its random frames before integrating
-JACOBIAN_TRANSIENT = 60
 
 
 @dataclass
@@ -203,26 +200,29 @@ def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
                              seed: int = 0) -> EntropyEstimate:
     """Expected log volume expansion along the estimated F bundle.
 
-    The cloud walks JACOBIAN_TRANSIENT steps while random frames are pushed
+    The cloud walks FRAME_TRANSIENT steps while random frames are pushed
     forward and re-orthonormalized; by invariance of the sampled measure
     the advanced cloud integrates the same observable, so no backward
-    orbits are needed. dim_f = dim takes no steps: it is <log |det Df|>.
+    orbits are needed. The log volume at a point is the sum of log diag(R)
+    of the QR step that pushes its frame over one more step. dim_f = dim
+    takes no transient: it is <log |det Df|>.
     """
     pts, weights = measure_cloud(measure)
     m, d = pts.shape
     check_estimator_args((JACOBIAN_F,), None, dim_f, d)
     walk = _cloud_walk(system, pts, [seed, 0xF1])
     if dim_f == d:
-        frames = np.broadcast_to(np.eye(d), (m, d, d))
+        frames, steps = np.broadcast_to(np.eye(d), (m, d, d)), 1
     else:
         frames = _random_frames(np.random.default_rng([seed, 0xF0]), m, d, dim_f)
-        for _ in range(JACOBIAN_TRANSIENT):
-            dfs, _ = next(walk)
-            frames = _orthonormalize_batch(np.matmul(dfs, frames))
-    dfs, alive = next(walk)
-    jac = jacobian_along_frames(dfs, frames)
-    good = alive & (jac > 0.0) & np.isfinite(jac)
-    logs = np.where(good, np.log(np.maximum(jac, 1e-300)), 0.0)
+        steps = FRAME_TRANSIENT + 1
+    for _ in range(steps):
+        dfs, alive = next(walk)
+        frames, log_r = _orthonormalize_batch(np.matmul(dfs, frames))
+    good = alive & np.all(log_r > LOG_ZERO, axis=0)
+    log_vol = np.where(good, log_r, 0.0).sum(axis=0)
+    good &= np.isfinite(log_vol)
+    logs = np.where(good, log_vol, 0.0)
     mean, se = _masked_mean_se(logs, weights, good)
     return EntropyEstimate(
         value=max(mean, 0.0),
@@ -230,7 +230,7 @@ def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
         std_error=se,
         diagnostics={
             "dim_f": dim_f,
-            "n_transient": JACOBIAN_TRANSIENT,
+            "n_transient": FRAME_TRANSIENT,
             "skipped_points": int(m - int(good.sum())),
             "raw_mean": mean,
         },

@@ -12,8 +12,7 @@ by one factor per step, so that vector settles). Each point is accepted
 only under a Kato-Temple certificate that bounds the relative error of
 sigma_1^2 by 2e-14 and proves it is the top eigenvalue; the few points
 that fail it (a repeated top singular value, a slow start) go to one
-batched eigvalsh. gram_singular_values keeps eigvalsh for callers that
-need every singular value.
+batched eigvalsh.
 """
 
 from __future__ import annotations
@@ -52,19 +51,6 @@ def as_square_matrix(a) -> np.ndarray:
 def singular_values(a) -> np.ndarray:
     """Sorted (descending) singular values of a square matrix."""
     return np.linalg.svd(as_square_matrix(a), compute_uv=False)
-
-
-def gram_singular_values(mats: np.ndarray) -> np.ndarray:
-    """Ascending singular values of each matrix in an (m, r, c) stack, r >= c.
-
-    They are the square roots of the eigenvalues of the Gram matrices
-    M^T M, clipped at zero; a stack of 1x1 matrices needs only the
-    absolute value.
-    """
-    if mats.shape[1] == 1:
-        return np.abs(mats[:, :, 0])
-    gram = np.matmul(np.transpose(mats, (0, 2, 1)), mats)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
 
 
 def top_singular_values(mats: np.ndarray, start=None) -> tuple:

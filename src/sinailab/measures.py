@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SamplingFailureError, UlamConvergenceError
-from .matrixcore import gram_singular_values
 from .systems import SINGULAR_HIT_DISTANCE, DynamicalSystem, FamilyHandle, PhaseSpace
 
 #: largest Ulam grid. The sample points are mapped in chunks, so it bounds
@@ -367,13 +366,17 @@ def dictionary_moments(measure, cutoff: int) -> np.ndarray:
     raise ValueError(f"no dictionary for space kind {space.kind!r}")
 
 
+def moment_gap(m1: np.ndarray, m2: np.ndarray) -> float:
+    """Largest absolute gap between two dictionary-moment vectors."""
+    return float(np.max(np.abs(m1 - m2)))
+
+
 def weak_star_distance(mu, nu, mode_cutoff: int = 4) -> float:
     """Max dictionary-moment gap; a computable weak* proxy metric."""
     if mu.space != nu.space:
         raise ValueError("measures live on different phase spaces")
-    m1 = dictionary_moments(mu, mode_cutoff)
-    m2 = dictionary_moments(nu, mode_cutoff)
-    return float(np.max(np.abs(m1 - m2)))
+    return moment_gap(dictionary_moments(mu, mode_cutoff),
+                      dictionary_moments(nu, mode_cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +444,18 @@ def usable_points(system: DynamicalSystem, measure, observable, what: str):
 def ls2_integral(system: DynamicalSystem, measure) -> dict:
     """Weighted log+ norms of Df (and of Df^-1 when invertible).
 
-    Points where the differential is undefined (singular set) are skipped
-    and the remaining weights renormalized; the skip count is reported.
+    Both norms come from one batched SVD, which keeps sigma_min accurate
+    where the Gram matrix Df^T Df would lose it. Points where the
+    differential is undefined (singular set) are skipped and the remaining
+    weights renormalized; the skip count is reported.
     """
     dfs, weights, _, skipped = usable_points(
         system, measure, system.differential_batch, "log-norm integral")
-    sv = gram_singular_values(dfs)
-    forward = float(np.sum(weights * np.maximum(np.log(sv[:, -1]), 0.0)))
+    sv = np.linalg.svd(dfs, compute_uv=False)
+    forward = float(np.sum(weights * np.maximum(np.log(sv[:, 0]), 0.0)))
     out = {"forward": forward, "backward": None, "skipped": skipped}
     if system.invertible:
-        smin = sv[:, 0]
+        smin = sv[:, -1]
         inv_norm = np.where(smin > 0.0, 1.0 / np.maximum(smin, 1e-300), np.inf)
         out["backward"] = float(np.sum(weights * np.maximum(np.log(inv_norm), 0.0)))
     return out
@@ -461,10 +466,9 @@ def holder_parameter_check(family: FamilyHandle, t_grid, sample_points) -> dict:
 
     The exponent beta is the least-squares slope of the log max-difference
     against log |t - s| over parameter pairs; the constant c is then the
-    smallest envelope making the bound hold on the whole sample, and
-    max_violation reports the largest exceedance of that fitted bound
-    (zero up to round-off by construction). A family whose Jacobian does
-    not depend on t returns c = 0, beta = +inf.
+    smallest envelope making the bound hold on those same pairs, so the
+    check describes the sample and cannot fail on it. A family whose
+    Jacobian does not depend on t returns c = 0, beta = +inf.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.shape[0] < 2:
@@ -485,14 +489,13 @@ def holder_parameter_check(family: FamilyHandle, t_grid, sample_points) -> dict:
     diffs = np.array(diffs)
     positive = diffs > 0.0
     if not np.any(positive):
-        return {"c": 0.0, "beta": math.inf, "max_violation": 0.0}
+        return {"c": 0.0, "beta": math.inf}
     x = np.log(gaps[positive])
     y = np.log(diffs[positive])
     beta = float(np.polyfit(x, y, 1)[0]) if x.shape[0] > 1 else 1.0
     bound = gaps ** beta
     c = float(np.max(diffs / np.maximum(bound, 1e-300)))
-    max_violation = float(np.max(diffs - c * bound))
-    return {"c": c, "beta": beta, "max_violation": max(max_violation, 0.0)}
+    return {"c": c, "beta": beta}
 
 
 def log_det_batch(system: DynamicalSystem, pts: np.ndarray) -> np.ndarray:

@@ -1,5 +1,4 @@
-"""Lyapunov spectra, invariant subbundles, domination, and restricted
-Jacobians.
+"""Lyapunov spectra, invariant subbundles and domination.
 
 The spectrum comes from the discrete QR (Benettin) scheme run along a
 Birkhoff orbit. The orbit is cut into contiguous time blocks whose frames
@@ -166,24 +165,31 @@ class SplittingEstimate:
         return self.f_frames.shape[2]
 
 
-def _orthonormalize_batch(frames: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of an (m, d, k) stack."""
-    return _gram_schmidt(frames.transpose(1, 2, 0))[0].transpose(2, 0, 1)
+#: steps a random frame is pushed along an orbit before it stands for its
+#: Oseledets subspace: both legs of estimate_bundles_many and Jacobian-F
+FRAME_TRANSIENT = 60
+
+
+def _orthonormalize_batch(frames: np.ndarray) -> tuple:
+    """_gram_schmidt of an (m, d, k) stack: (q, log_r), with q of shape
+    (m, d, k) and log diag(R) of shape (k, m)."""
+    q, log_r = _gram_schmidt(frames.transpose(1, 2, 0))
+    return q.transpose(2, 0, 1), log_r
 
 
 def _random_frames(rng: np.random.Generator, m: int, d: int, k: int) -> np.ndarray:
-    return _orthonormalize_batch(rng.standard_normal((m, d, k)))
+    return _orthonormalize_batch(rng.standard_normal((m, d, k)))[0]
 
 
 def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
-                          dim_f: int, n_transient: int = 60,
-                          seed: int = 0) -> SplittingEstimate:
+                          dim_f: int, seed: int = 0) -> SplittingEstimate:
     """Splitting estimates at several anchor points at once.
 
-    F at x is the pushforward of a random dim_f-frame from the n_transient-
-    step backward orbit of x; E at x is the pull of a random complementary
-    frame through the inverse-derivative cocycle along the forward orbit.
-    Non-invertible systems support only the trivial dim_f = dim case.
+    F at x is the pushforward of a random dim_f-frame from the
+    FRAME_TRANSIENT-step backward orbit of x; E at x is the pull of a
+    random complementary frame through the inverse-derivative cocycle
+    along the forward orbit. Non-invertible systems support only the
+    trivial dim_f = dim case.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, d = pts.shape
@@ -202,19 +208,19 @@ def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
     # backward orbit buffer z_k = f^-k(x), k = 0..n
     back = [pts]
     cur = pts
-    for _ in range(n_transient):
+    for _ in range(FRAME_TRANSIENT):
         cur = system.inverse_eval_batch(cur)
         back.append(cur)
     f_frames = _random_frames(rng, m, d, dim_f)
-    for k in range(n_transient, 0, -1):
+    for k in range(FRAME_TRANSIENT, 0, -1):
         dfs = system.differential_batch(back[k])
-        f_frames = _orthonormalize_batch(np.matmul(dfs, f_frames))
+        f_frames = _orthonormalize_batch(np.matmul(dfs, f_frames))[0]
     # pull a complementary frame back through Df^-1 along the forward walk
     walk = _cloud_walk(system, pts, [seed, 0xE])
-    fwd = [next(walk)[0] for _ in range(n_transient)]
+    fwd = [next(walk)[0] for _ in range(FRAME_TRANSIENT)]
     e_frames = _random_frames(rng, m, d, dim_e)
     for dfs in reversed(fwd):
-        e_frames = _orthonormalize_batch(np.linalg.solve(dfs, e_frames))
+        e_frames = _orthonormalize_batch(np.linalg.solve(dfs, e_frames))[0]
     return SplittingEstimate(pts, e_frames, f_frames)
 
 
@@ -306,16 +312,3 @@ def domination_report(system: DynamicalSystem, splitting: SplittingEstimate,
         fit_residual=residual, verdict=verdict,
     )
 
-
-# ---------------------------------------------------------------------------
-# Restricted Jacobians
-# ---------------------------------------------------------------------------
-
-
-def jacobian_along_frames(dfs: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Volume expansion sqrt(det(G^T G)), G = Df(x) F, for stacks of
-    one-step differentials and frames."""
-    g = np.matmul(dfs, frames)
-    gram = np.matmul(np.transpose(g, (0, 2, 1)), g)
-    det = np.linalg.det(gram) if gram.shape[1] > 0 else np.ones(dfs.shape[0])
-    return np.sqrt(np.maximum(det, 0.0))

@@ -21,6 +21,7 @@ from .measures import (
     birkhoff_sample,
     dictionary_moments,
     log_det_batch,
+    moment_gap,
     ulam_matrix,
     ulam_stationary,
     usable_points,
@@ -226,13 +227,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     assembled in grid order and every point derives its own seed). Raises
     SweepAbortError when more than 20% of the points fail; individual
     failures are recorded in their rows and the sweep continues. Pool
-    workers run OpenBLAS on one thread each (_one_blas_thread).
+    workers run OpenBLAS on one thread each (_one_blas_thread) and get the
+    points longest orbit first, grid order among equal lengths, so no long
+    point starts last.
     """
     n = len(config.grid)
     if config.workers > 1 and n > 1:
+        order = sorted(range(n), key=lambda i: -_orbit_length(config, config.grid[i]))
         with ProcessPoolExecutor(max_workers=config.workers,
                                  initializer=_one_blas_thread) as pool:
-            rows = list(pool.map(_sweep_point, [config] * n, range(n)))
+            rows = list(pool.map(_sweep_point, [config] * n, order))
     else:
         rows = [_sweep_point(config, i) for i in range(n)]
     rows.sort(key=lambda r: r.index)
@@ -241,7 +245,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         raise SweepAbortError(failed=failed, total=n)
     for prev, cur in zip(rows, rows[1:]):
         if prev.ok and cur.ok and prev.moments is not None and cur.moments is not None:
-            cur.weak_star_prev = float(np.max(np.abs(cur.moments - prev.moments)))
+            cur.weak_star_prev = moment_gap(cur.moments, prev.moments)
     return SweepResult(config=config, rows=rows)
 
 

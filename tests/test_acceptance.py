@@ -226,7 +226,7 @@ def test_criterion_5_mp_usc_slack(mp_sweeps):
 def test_criterion_6_cat_domination():
     system = make_cat_map()
     anchors = np.array([[0.13, 0.57], [0.71, 0.22], [0.40, 0.90]])
-    splitting = estimate_bundles_many(system, anchors, dim_f=1, n_transient=60)
+    splitting = estimate_bundles_many(system, anchors, dim_f=1)
     rep = domination_report(system, splitting, n_grid=range(1, 13))
     swapped = SplittingEstimate(points=anchors,
                                 e_frames=splitting.f_frames,

@@ -14,7 +14,6 @@ from sinailab.matrixcore import (
     WedgeProfile,
     _gram_schmidt,
     compounds,
-    gram_singular_values,
     log_singular_values_from_wedges,
     log_wedge_total_from_rows,
     singular_values,
@@ -351,6 +350,12 @@ class TestTopSingularValues:
         assert np.allclose(top, 3.0, rtol=1e-13, atol=0.0)
         assert np.allclose(np.abs((v * start).sum(axis=0)), 1.0, atol=1e-12)
 
+    @staticmethod
+    def _eigvalsh_top(mats, start):
+        """Reference top singular values: eigvalsh of the Gram matrices."""
+        gram = np.matmul(np.transpose(mats, (0, 2, 1)), mats)
+        return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), None
+
     @pytest.mark.parametrize("make", [lambda: make_cat_block(2),
                                       lambda: make_standard_skew(0.5, 2)],
                              ids=["cat4", "skew"])
@@ -358,8 +363,7 @@ class TestTopSingularValues:
         system = make()
         measure = birkhoff_sample(system, seed=3, burn_in=500, length=1500)
         a_n = ls_sequence(system, measure, 20, early_stop=False, seed=3).a_n
-        monkeypatch.setattr(matrixcore, "top_singular_values",
-                            lambda mats, start: (gram_singular_values(mats)[:, -1], None))
+        monkeypatch.setattr(matrixcore, "top_singular_values", self._eigvalsh_top)
         reference = ls_sequence(system, measure, 20, early_stop=False, seed=3).a_n
         assert np.allclose(a_n, reference, rtol=0.0, atol=1e-12)
 

@@ -5,17 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from sinailab.entropy import jacobian_formula_entropy
 from sinailab.errors import UnsupportedSystemError
 from sinailab.matrixcore import WedgeAccumulatorBatch, log_singular_values_from_wedges
-from sinailab.measures import birkhoff_sample, log_det_batch
+from sinailab.measures import EmpiricalMeasure, birkhoff_sample, log_det_batch, ls2_integral
 from sinailab.oseledets import (
     WARM,
     SplittingEstimate,
     _lockstep_logs,
+    _orthonormalize_batch,
     benettin_spectrum,
     domination_report,
     estimate_bundles_many,
-    jacobian_along_frames,
 )
 from sinailab.systems import (
     DynamicalSystem,
@@ -40,9 +41,11 @@ _VS /= np.linalg.norm(_VS)
 
 
 def jacobian_at(system, x, frame):
-    """Restricted Jacobian of one orthonormal frame at one point."""
+    """Restricted Jacobian of one orthonormal frame at one point: the
+    product of diag(R) of the QR step that pushes the frame."""
     dfs = system.differential_batch(np.atleast_2d(np.asarray(x, dtype=float)))
-    return float(jacobian_along_frames(dfs, np.asarray(frame, dtype=float)[None])[0])
+    log_r = _orthonormalize_batch(np.matmul(dfs, np.asarray(frame, dtype=float)[None]))[1]
+    return float(np.exp(log_r.sum(axis=0))[0])
 
 
 class TestBenettinSpectrum:
@@ -190,16 +193,14 @@ class TestLockstepLogs:
 
 class TestEstimateBundles:
     def test_cat_unstable_line(self):
-        est = estimate_bundles_many(make_cat_map(), [[0.123, 0.456]], dim_f=1,
-                                    n_transient=60)
+        est = estimate_bundles_many(make_cat_map(), [[0.123, 0.456]], dim_f=1)
         f = est.f_frames[0, :, 0]
         # sine of the angle (acos saturates at sqrt(eps) near alignment)
         angle = float(np.linalg.norm(f - (f @ _VU) * _VU))
         assert angle <= 1e-8
 
     def test_cat_stable_line(self):
-        est = estimate_bundles_many(make_cat_map(), [[0.2, 0.9]], dim_f=1,
-                                    n_transient=60)
+        est = estimate_bundles_many(make_cat_map(), [[0.2, 0.9]], dim_f=1)
         e = est.e_frames[0, :, 0]
         angle = float(np.linalg.norm(e - (e @ _VS) * _VS))
         assert angle <= 1e-8
@@ -212,7 +213,7 @@ class TestEstimateBundles:
     def test_frames_orthonormal(self):
         est = estimate_bundles_many(make_cat_block(2),
                                     np.random.default_rng(0).random((5, 4)),
-                                    dim_f=2, n_transient=40)
+                                    dim_f=2)
         for i in range(5):
             f = est.f_frames[i]
             assert np.allclose(f.T @ f, np.eye(2), atol=1e-10)
@@ -347,3 +348,28 @@ class TestJacobianAlongF:
         v = make_viana(1.7808, 0.02, 16)
         val = jacobian_at(v, [0.2, 0.0], np.array([[0.0], [1.0]]))
         assert val == 0.0
+
+
+# |det A| = 1e-8 and sigma_min(A) = 1e-16: the Gram matrix A^T A has
+# det 0 in floating point and an eigenvalue of 1e-32 lost below eps * 1e16
+GRADED = np.array([[1.0, 1e8], [0.0, 1e-8]])
+
+
+class TestGradedCocycle:
+    def _cloud(self, system):
+        pts = np.array([[0.1, 0.2], [0.3, 0.7], [0.6, 0.4]])
+        return EmpiricalMeasure(system.space, pts, np.full(3, 1.0 / 3.0))
+
+    def test_jacobian_full_dim_is_log_det(self):
+        system = constant_cocycle(GRADED)
+        est = jacobian_formula_entropy(system, self._cloud(system), dim_f=2)
+        assert est.diagnostics["raw_mean"] == pytest.approx(-8.0 * math.log(10.0),
+                                                            rel=0.0, abs=1e-12)
+        assert est.diagnostics["skipped_points"] == 0
+
+    def test_ls2_forward_and_backward(self):
+        system = constant_cocycle(GRADED)
+        system.inverse_eval_batch = lambda pts: pts.copy()
+        out = ls2_integral(system, self._cloud(system))
+        assert out["forward"] == pytest.approx(8.0 * math.log(10.0), rel=0.0, abs=1e-12)
+        assert out["backward"] == pytest.approx(16.0 * math.log(10.0), rel=0.0, abs=1e-12)
