@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 from .entropy import (
     CrossValidationReport,
     EntropyEstimate,
-    LSSequence,
     combine_estimates,
     cross_validate,
     jacobian_formula_entropy,
     ls_entropy,
-    ls_sequence,
     pesin_entropy,
 )
 from .errors import (
@@ -28,11 +26,6 @@ from .errors import (
     SweepAbortError,
     UlamConvergenceError,
     UnsupportedSystemError,
-)
-from .matrixcore import (
-    WedgeProfile,
-    singular_values,
-    wedge_profile,
 )
 from .measures import (
     EmpiricalMeasure,
@@ -59,7 +52,6 @@ from .sweep import (
     SweepConfig,
     SweepResult,
     continuity_modulus,
-    neighborhood_split_entropy,
     run_sweep,
     split_log_det_integral,
     usc_check,

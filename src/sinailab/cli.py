@@ -223,8 +223,16 @@ def _parse_grid(text: str):
     return tuple(float(v) for v in text.split(","))
 
 
+#: [sweep] keys passed to SweepConfig as they are, with their parsers
+_SWEEP_FIELDS = {"seed": int, "burn_in": int, "length": _steps,
+                 "ulam_resolution": int, "n_max": int, "dim_f": int}
+#: [checks] keys, with the usc_check argument each sets and its parser
+_CHECKS_FIELDS = {"usc_window": ("window", int), "usc_slack": ("slack", float)}
+
+
 def load_sweep_config(path, workers=None) -> tuple:
-    """Parse the INI-style sweep config; returns (SweepConfig, checks dict).
+    """Parse the INI-style sweep config; returns (SweepConfig, checks), where
+    checks holds the usc_check keyword arguments the [checks] section sets.
 
     The worker count is SINAILAB_WORKERS when set, else `workers` (the
     --workers flag), else the config's, else the machine's CPU count.
@@ -241,38 +249,33 @@ def load_sweep_config(path, workers=None) -> tuple:
     if not parser.has_section("sweep"):
         raise ConfigError("missing [sweep] section")
     s = parser["sweep"]
-    try:
-        estimators = tuple(
-            _METHOD_ALIASES[e.strip()]
-            for e in s.get("estimators", "pesin").split(",") if e.strip()
-        )
-    except KeyError as exc:
-        raise ConfigError(f"unknown estimator {exc}")
-    if "all" in estimators:
-        estimators = ESTIMATORS
+    # only the keys the file sets: SweepConfig and usc_check hold the defaults
+    fields = {}
+    if "estimators" in s:
+        try:
+            estimators = tuple(_METHOD_ALIASES[e.strip()]
+                               for e in s["estimators"].split(",") if e.strip())
+        except KeyError as exc:
+            raise ConfigError(f"unknown estimator {exc}")
+        fields["estimators"] = ESTIMATORS if "all" in estimators else estimators
     env_workers = _env_workers()
     try:
+        for key, parse in _SWEEP_FIELDS.items():
+            if key in s:
+                fields[key] = parse(s[key])
         if workers is None:
             workers = s.getint("workers", fallback=os.cpu_count() or 1)
         config = SweepConfig(
             family=s.get("family", "mp"),
             grid=_parse_grid(s.get("grid", "0.0:0.9:10")),
-            estimators=estimators,
-            seed=s.getint("seed", 0),
-            burn_in=s.getint("burn_in", 10_000),
-            length=int(float(s.get("length", "100000"))),
-            ulam_resolution=s.getint("ulam_resolution", fallback=None),
-            n_max=s.getint("n_max", 40),
-            dim_f=s.getint("dim_f", fallback=None),
             workers=env_workers or workers,
+            **fields,
         )
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad sweep config: {exc}")
-    checks = {}
-    if parser.has_section("checks"):
-        c = parser["checks"]
-        checks["usc_window"] = c.getint("usc_window", 1)
-        checks["usc_slack"] = c.getfloat("usc_slack", 0.05)
+    c = parser["checks"] if parser.has_section("checks") else {}
+    checks = {arg: parse(c[key]) for key, (arg, parse) in _CHECKS_FIELDS.items()
+              if key in c}
     return config, checks
 
 
@@ -284,8 +287,7 @@ def cmd_sweep(ns) -> int:
     payload = result.to_json_dict()
     n_ok = sum(1 for r in result.rows if r.ok)
     if n_ok >= 3:
-        report = usc_check(result, window=checks.get("usc_window", 1),
-                           slack=checks.get("usc_slack", 0.05))
+        report = usc_check(result, **checks)
         payload["usc_check"] = report.to_json_dict()
         print(f"usc_check: {'pass' if report.passed else 'FAIL'} "
               f"({len(report.witnesses)} witnesses)")

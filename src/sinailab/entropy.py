@@ -74,24 +74,6 @@ class EntropyEstimate:
         }
 
 
-@dataclass
-class LSSequence:
-    """Averaged log aggregate wedge norms a_n and their running minimum."""
-
-    a_n: np.ndarray            # index k holds a_{k+1}
-    argmin_index: int          # minimizing n (1-based)
-    value: float
-    skipped_points: int = 0
-    std_error: float = 0.0
-
-    def __post_init__(self):
-        self.a_n = np.asarray(self.a_n, dtype=float)
-        if self.a_n.shape[0] == 0:
-            raise ValueError("empty sequence")
-        if abs(self.value - float(self.a_n.min())) > 1e-12:
-            raise ValueError("reported value must equal the table minimum")
-
-
 def check_estimator_args(methods, n_max: int, dim_f: Optional[int], dim: int) -> None:
     """ValueError when LS is among the methods and n_max lies outside
     [1, LS_N_MAX], or Jacobian-F is and a given dim_f outside [1, dim].
@@ -136,9 +118,10 @@ def _masked_mean_se(values: np.ndarray, weights: np.ndarray, keep: np.ndarray):
     return mean, math.sqrt(max(var, 0.0) / max(int(keep.sum()), 1))
 
 
-def ls_sequence(system: DynamicalSystem, measure, n_max: int = 40,
-                early_stop: bool = True, seed: int = 0) -> LSSequence:
-    """Table a_n = (1/n) <log ||Df^n(x)^wedge||>_mu and its minimum.
+def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
+               early_stop: bool = True, seed: int = 0) -> EntropyEstimate:
+    """Ledrappier-Strelcyn entropy: the minimum over n <= n_max of the
+    table a_n = (1/n) <log ||Df^n(x)^wedge||>_mu.
 
     The minimum over the table is an upper bound for the limit value, so
     the reported number is one-sided. Points whose orbit fails are skipped
@@ -146,7 +129,8 @@ def ls_sequence(system: DynamicalSystem, measure, n_max: int = 40,
     stopping cuts the table when STOP_WINDOW consecutive n gain less than
     STOP_DELTA; pass early_stop=False for the full table. std_error is the
     weighted spread of the per-point values at the minimizing n over the
-    surviving points.
+    surviving points. The diagnostics hold the table (a_n, index k for
+    a_{k+1}), the minimizing n (argmin_n, 1-based) and skipped_points.
     """
     check_estimator_args((LEDRAPPIER_STRELCYN,), n_max, None, system.space.dim)
     pts, weights = measure_cloud(measure)
@@ -163,29 +147,15 @@ def ls_sequence(system: DynamicalSystem, measure, n_max: int = 40,
         if early_stop and n > STOP_WINDOW:
             if totals[-1 - STOP_WINDOW] - totals[-1] < STOP_DELTA:
                 break
-    a = np.asarray(totals)
-    k = int(np.argmin(a))
-    return LSSequence(
-        a_n=a,
-        argmin_index=k + 1,
-        value=float(a[k]),
-        skipped_points=int((~alive).sum()),
-        std_error=_masked_mean_se(best_row, weights, alive)[1],
-    )
-
-
-def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
-               **kwargs) -> EntropyEstimate:
-    """EntropyEstimate wrapper around ls_sequence."""
-    seq = ls_sequence(system, measure, n_max, **kwargs)
+    k = int(np.argmin(totals))
     return EntropyEstimate(
-        value=max(seq.value, 0.0),
+        value=max(totals[k], 0.0),
         method=LEDRAPPIER_STRELCYN,
-        std_error=seq.std_error,
+        std_error=_masked_mean_se(best_row, weights, alive)[1],
         diagnostics={
-            "a_n": seq.a_n.tolist(),
-            "argmin_n": seq.argmin_index,
-            "skipped_points": seq.skipped_points,
+            "a_n": totals,
+            "argmin_n": k + 1,
+            "skipped_points": int((~alive).sum()),
         },
     )
 
@@ -288,15 +258,14 @@ def run_estimators(system: DynamicalSystem, measure, methods, seed: int,
     for the named methods, and the spectrum used (None when none was).
 
     The Benettin spectrum, unless given, runs once and only for Pesin or a
-    Jacobian-F without dim_f: along the measure's own orbit when it has
-    burn_in + n_steps points, else (Ulam clouds, another length) along a
-    fresh orbit from seed. dim_f defaults to its expanding dimension.
+    Jacobian-F without dim_f: along the measure's own orbit when it keeps
+    one (benettin_spectrum rejects it unless it has burn_in + n_steps
+    points), else (Ulam clouds) along a fresh orbit from seed. dim_f
+    defaults to its expanding dimension.
     """
     if spectrum is None and (PESIN in methods or (JACOBIAN_F in methods and dim_f is None)):
-        orbit = getattr(measure, "orbit", None)
-        if orbit is not None and orbit.shape[0] != burn_in + n_steps:
-            orbit = None
-        spectrum = benettin_spectrum(system, seed, burn_in, n_steps, orbit=orbit)
+        spectrum = benettin_spectrum(system, seed, burn_in, n_steps,
+                                     orbit=getattr(measure, "orbit", None))
     estimates = {}
     if PESIN in methods:
         estimates[PESIN] = pesin_entropy(spectrum)
@@ -312,18 +281,16 @@ def run_estimators(system: DynamicalSystem, measure, methods, seed: int,
 
 def cross_validate(system: DynamicalSystem, measure, dim_f: Optional[int] = None,
                    n_max: int = 40, tolerance: float = 0.02,
-                   spectrum: Optional[LyapunovSpectrum] = None,
-                   spectrum_steps: Optional[int] = None) -> CrossValidationReport:
+                   spectrum: Optional[LyapunovSpectrum] = None) -> CrossValidationReport:
     """Run all three estimators on one system/measure pair and compare.
 
     Seed, burn-in and orbit length come from the measure's provenance, so
-    the spectrum runs along the measure's own Birkhoff orbit;
-    spectrum_steps != length draws a longer or shorter orbit from the same
-    seed. See run_estimators for the rest.
+    the spectrum, unless given, runs along the measure's own Birkhoff
+    orbit. See run_estimators for the rest.
     """
     prov = getattr(measure, "provenance", {}) or {}
-    steps = int(prov.get("length", 100_000)) if spectrum_steps is None else spectrum_steps
     estimates, _ = run_estimators(system, measure, ESTIMATORS, int(prov.get("seed", 0)),
-                                  int(prov.get("burn_in", 10_000)), steps,
+                                  int(prov.get("burn_in", 10_000)),
+                                  int(prov.get("length", 100_000)),
                                   n_max=n_max, dim_f=dim_f, spectrum=spectrum)
     return combine_estimates(*estimates.values(), tolerance)

@@ -18,13 +18,9 @@ batched eigvalsh.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-
-MAX_DIM = 8
 
 #: log-scale stand-in for log(0); kept finite so sums and comparisons work.
 LOG_ZERO = -1.0e308
@@ -34,23 +30,6 @@ POWER_STEPS = 6
 #: relative accuracy its certificate demands of the top eigenvalue of P^T P
 #: (the bound it proves is twice this)
 POWER_TOL = 1e-14
-
-
-def as_square_matrix(a) -> np.ndarray:
-    """Validate and return a float64 square matrix of dimension 1..8."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not 1 <= m.shape[0] <= MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} outside [1, {MAX_DIM}]")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
-def singular_values(a) -> np.ndarray:
-    """Sorted (descending) singular values of a square matrix."""
-    return np.linalg.svd(as_square_matrix(a), compute_uv=False)
 
 
 def top_singular_values(mats: np.ndarray, start=None) -> tuple:
@@ -115,47 +94,6 @@ def top_singular_values(mats: np.ndarray, start=None) -> tuple:
         top = np.linalg.eigvalsh(grams)[:, -1]
         sigma[np.concatenate(solve)] = np.sqrt(np.maximum(top, 0.0))
     return sigma, v
-
-
-@dataclass(frozen=True)
-class WedgeProfile:
-    """Log-scale summary of all exterior-power norms of one matrix.
-
-    log_wedge_j[j-1] = log of the operator norm of the j-th exterior power,
-    which equals the sum of the top-j log singular values. log_wedge_total
-    is log(1 + sum_j ||A^(wedge j)||), the aggregate used by the
-    Ledrappier-Strelcyn entropy characterization. A zero singular value is
-    carried as the LOG_ZERO sentinel, never NaN, so totals stay finite.
-    """
-
-    dim: int
-    log_singular_values: tuple
-    log_wedge_j: tuple
-    log_wedge_total: float
-
-    @property
-    def log_wedge_dim(self) -> float:
-        """log |det A| (the top wedge)."""
-        return self.log_wedge_j[-1]
-
-    @staticmethod
-    def from_log_singular_values(log_sv) -> "WedgeProfile":
-        lsv = sorted((float(v) for v in log_sv), reverse=True)
-        with np.errstate(over="ignore"):  # summed LOG_ZERO sentinels give -inf
-            lw = np.maximum(np.cumsum(lsv), LOG_ZERO)
-        return WedgeProfile(
-            dim=len(lsv),
-            log_singular_values=tuple(lsv),
-            log_wedge_j=tuple(float(v) for v in lw),
-            log_wedge_total=float(log_wedge_total_from_rows(lw[None, :])[0]),
-        )
-
-
-def wedge_profile(a) -> WedgeProfile:
-    """WedgeProfile of a square matrix from its singular values."""
-    sv = singular_values(a)
-    log_sv = [math.log(s) if s > 0.0 else LOG_ZERO for s in sv]
-    return WedgeProfile.from_log_singular_values(log_sv)
 
 
 def _gram_schmidt(m: np.ndarray):
@@ -274,7 +212,7 @@ class WedgeAccumulatorBatch:
             dead = scale == 0.0
             safe = np.where(dead, 1.0, scale)
             prod /= safe[:, None, None]
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 self._logs[i] += np.where(dead, LOG_ZERO, np.log(safe))
             self._logs[i][self._logs[i] < LOG_ZERO] = LOG_ZERO
             self._mats[i] = prod
@@ -283,9 +221,9 @@ class WedgeAccumulatorBatch:
         """log ||P^(wedge j)|| per point for the current product P."""
         top, self._starts[j - 1] = top_singular_values(self._mats[j - 1],
                                                        self._starts[j - 1])
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # LOG_ZERO twice is -inf
             lw = np.where(top > 0.0, np.log(np.maximum(top, 1e-320)), LOG_ZERO)
-        lw = lw + self._logs[j - 1]
+            lw = lw + self._logs[j - 1]
         lw[lw < LOG_ZERO] = LOG_ZERO
         return lw
 

@@ -182,7 +182,7 @@ def _random_frames(rng: np.random.Generator, m: int, d: int, k: int) -> np.ndarr
 
 
 def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
-                          dim_f: int, seed: int = 0) -> SplittingEstimate:
+                          dim_f: int) -> SplittingEstimate:
     """Splitting estimates at several anchor points at once.
 
     F at x is the pushforward of a random dim_f-frame from the
@@ -196,7 +196,7 @@ def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
     if not 1 <= dim_f <= d:
         raise ValueError(f"dim_f must be in [1, {d}]")
     dim_e = d - dim_f
-    rng = np.random.default_rng([seed, 0xF])
+    rng = np.random.default_rng([0, 0xF])
     if dim_f == d:
         eye = np.broadcast_to(np.eye(d), (m, d, d)).copy()
         return SplittingEstimate(pts, np.empty((m, d, 0)), eye)
@@ -216,7 +216,7 @@ def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
         dfs = system.differential_batch(back[k])
         f_frames = _orthonormalize_batch(np.matmul(dfs, f_frames))[0]
     # pull a complementary frame back through Df^-1 along the forward walk
-    walk = _cloud_walk(system, pts, [seed, 0xE])
+    walk = _cloud_walk(system, pts, [0, 0xE])
     fwd = [next(walk)[0] for _ in range(FRAME_TRANSIENT)]
     e_frames = _random_frames(rng, m, d, dim_e)
     for dfs in reversed(fwd):

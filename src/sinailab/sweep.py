@@ -26,7 +26,7 @@ from .measures import (
     ulam_stationary,
     usable_points,
 )
-from .systems import FamilyHandle, get_family
+from .systems import get_family
 
 #: intermittent Manneville-Pomeau points mix polynomially; quadruple orbits
 MP_SLOW_ALPHA = 0.7
@@ -50,10 +50,19 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
+        try:
+            family = get_family(self.family)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
         grid = tuple(float(t) for t in self.grid)
         object.__setattr__(self, "grid", grid)
         if len(grid) == 0:
             raise ValueError("empty parameter grid")
+        # NaN fails this comparison as well
+        outside = [t for t in grid if not family.lo <= t <= family.hi]
+        if outside:
+            raise ValueError(f"grid values {outside} outside the {family.family_id} "
+                             f"parameter interval [{family.lo}, {family.hi}]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
         if self.workers < 1:
@@ -64,10 +73,6 @@ class SweepConfig:
             raise ValueError("length must be >= 1")
         if self.ulam_resolution is not None and self.ulam_resolution < 2:
             raise ValueError("ulam_resolution must be >= 2")
-        try:
-            family = get_family(self.family)
-        except KeyError as exc:
-            raise ValueError(exc.args[0]) from None
         ests = tuple(self.estimators)
         for e in ests:
             if e not in ESTIMATORS:
@@ -404,19 +409,3 @@ def split_log_det_integral(system, measure, delta: float) -> dict:
         "inside_mass": float(weights[inside_mask].sum()),
         "skipped": skipped,
     }
-
-
-def neighborhood_split_entropy(family, t: float, delta: float,
-                               seed: int = 0, burn_in: int = 10_000,
-                               length: int = 100_000) -> dict:
-    """Build the family member at t, sample its measure, and split the
-    log-Jacobian entropy integral around the singular set."""
-    handle = family if isinstance(family, FamilyHandle) else get_family(family)
-    system = handle.build(t)
-    if not system.singular_set:
-        raise ValueError(f"{system.name} declares no singular set")
-    measure = birkhoff_sample(system, seed=seed, burn_in=burn_in, length=length)
-    out = split_log_det_integral(system, measure, delta)
-    out["t"] = float(t)
-    out["family"] = handle.family_id
-    return out

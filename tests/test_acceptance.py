@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from sinailab.cli import main
-from sinailab.entropy import cross_validate, ls_sequence
-from sinailab.matrixcore import wedge_profile
+from sinailab.entropy import cross_validate, ls_entropy
+from sinailab.matrixcore import WedgeAccumulatorBatch, log_wedge_total_from_rows
 from sinailab.measures import (
     birkhoff_sample,
     ls1_fit,
@@ -36,8 +36,8 @@ from sinailab.oseledets import (
 from sinailab.sweep import (
     SweepConfig,
     continuity_modulus,
-    neighborhood_split_entropy,
     run_sweep,
+    split_log_det_integral,
     usc_check,
 )
 from sinailab.systems import (
@@ -80,18 +80,19 @@ def test_criterion_1_cat_spectrum_speed_and_accuracy():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name,factory,dim_f,spectrum_steps", [
+@pytest.mark.parametrize("name,factory,dim_f,n_steps", [
     ("cat", make_cat_map, 1, 200_000),
     ("da_0.2", lambda: make_derived_from_anosov(0.2), 1, 200_000),
     ("skew_K0.5_N2", lambda: make_standard_skew(0.5, 2), 2, 500_000),
 ])
-def test_criterion_2_entropy_triple_agreement(name, factory, dim_f,
-                                              spectrum_steps):
+def test_criterion_2_entropy_triple_agreement(name, factory, dim_f, n_steps):
+    # the spectrum runs along a longer orbit from the cloud's own seed
     system = factory()
     t0 = time.perf_counter()
     measure = birkhoff_sample(system, seed=101, burn_in=10_000, length=30_000)
+    spectrum = benettin_spectrum(system, seed=101, burn_in=10_000, n_steps=n_steps)
     rep = cross_validate(system, measure, dim_f=dim_f, n_max=60,
-                         tolerance=0.02, spectrum_steps=spectrum_steps)
+                         tolerance=0.02, spectrum=spectrum)
     elapsed = time.perf_counter() - t0
     worst = max(rep.gaps.values())
     ok = rep.sinai_consistent and elapsed < 60.0
@@ -107,21 +108,35 @@ def test_criterion_2_entropy_triple_agreement(name, factory, dim_f,
 # ---------------------------------------------------------------------------
 
 
+def log_wedge_totals(mats):
+    """log(1 + sum_j ||A^(wedge j)||) for each matrix of an (m, d, d) stack,
+    from one step of the identity frame's WedgeAccumulatorBatch."""
+    m, d, _ = mats.shape
+    acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d), (m, d, d)))
+    acc.step(mats)
+    return log_wedge_total_from_rows(acc.log_wedge_all())
+
+
 def test_criterion_3_wedge_subadditivity_bulk():
     rng = np.random.default_rng(2024)
-    worst = -np.inf
     n_pairs = 10_000
+    pairs = {2: [], 3: [], 4: []}
     for k in range(n_pairs):
         d = 2 + (k % 3)
         a = rng.standard_normal((d, d)) * rng.uniform(0.2, 4.0)
         b = rng.standard_normal((d, d)) * rng.uniform(0.2, 4.0)
-        excess = (wedge_profile(a @ b).log_wedge_total
-                  - wedge_profile(a).log_wedge_total
-                  - wedge_profile(b).log_wedge_total)
-        worst = max(worst, excess)
+        pairs[d].append((a, b))
+    t0 = time.perf_counter()
+    worst = -np.inf
+    for stack in pairs.values():
+        a, b = np.array(stack).transpose(1, 0, 2, 3)
+        excess = (log_wedge_totals(np.matmul(a, b))
+                  - log_wedge_totals(a) - log_wedge_totals(b))
+        worst = max(worst, float(excess.max()))
+    elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12
     report(3, ok, f"{n_pairs} pairs, worst subadditivity excess {worst:.2e} "
-                  f"(tol 1e-12)")
+                  f"(tol 1e-12), {elapsed:.2f}s")
     assert worst <= 1e-12
 
 
@@ -133,10 +148,10 @@ def test_criterion_3_wedge_subadditivity_bulk():
 def test_criterion_4_ls_sequence_closed_form():
     system = make_cat_map()
     measure = birkhoff_sample(system, seed=5, burn_in=100, length=100)
-    seq = ls_sequence(system, measure, n_max=40, early_stop=False)
+    est = ls_entropy(system, measure, n_max=40, early_stop=False)
     errs = [abs(a - math.log(2.0 + LAM ** n) / n)
-            for n, a in enumerate(seq.a_n, start=1)]
-    min_err = abs(seq.value - LOG_LAM)
+            for n, a in enumerate(est.diagnostics["a_n"], start=1)]
+    min_err = abs(est.value - LOG_LAM)
     ok = max(errs) <= 1e-10 and min_err <= 3e-3
     report(4, ok, f"a_n closed-form max err {max(errs):.2e} (tol 1e-10), "
                   f"|min - log lambda| {min_err:.2e} (tol 3e-3)")
@@ -294,8 +309,7 @@ def test_criterion_9_mp_diagnostics():
     measure = birkhoff_sample(system, seed=37, burn_in=10_000, length=1_000_000)
     fit = ls1_fit(system, measure, np.logspace(-3, -1, 9))
     ls2 = ls2_integral(system, measure)
-    split = neighborhood_split_entropy("mp", 0.0, 0.01, seed=37,
-                                       burn_in=10_000, length=1_000_000)
+    split = split_log_det_integral(system, measure, 0.01)
     inside_target = 0.02 * LOG2
     inside_rel = abs(split["inside"] - inside_target) / inside_target
     ls2_err = abs(ls2["forward"] - LOG2)

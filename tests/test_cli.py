@@ -358,7 +358,11 @@ class TestUsageErrors:
         "family = mp\ngrid = 0.1,0.2,0.3\nburn_in = -1\n",
         "family = mp\ngrid = 0.1,0.2,0.3\nlength = 0\n",
         "family = da\ngrid = 0.1,0.2,0.3\nulam_resolution = 1\n",
-    ], ids=["nmax", "dimf", "family", "burn_in", "length", "ulam_resolution"])
+        "family = mp\ngrid = 0.0,0.5,1.2\n",
+        "family = mp\ngrid = 0.0:1.5:10\n",
+        "family = mp\ngrid = 0.0,nan,0.5\n",
+    ], ids=["nmax", "dimf", "family", "burn_in", "length", "ulam_resolution",
+            "grid-above", "grid-range-above", "grid-nan"])
     def test_sweep_range_checked_before_sampling(self, tmp_path, capsys,
                                                  orbit_calls, body):
         # burn_in and length are added unless the body sets them: a

@@ -10,7 +10,7 @@ from sinailab.entropy import (
     combine_estimates,
     cross_validate,
     jacobian_formula_entropy,
-    ls_sequence,
+    ls_entropy,
     pesin_entropy,
 )
 from sinailab.errors import SamplingFailureError
@@ -97,28 +97,27 @@ class TestLSSequence:
         # constant cocycle: a_n = (1/n) log(2 + lambda^n)
         sys = make_cat_map()
         mu = small_cloud(sys, length=50)
-        seq = ls_sequence(sys, mu, n_max=40, early_stop=False)
-        for k, a in enumerate(seq.a_n, start=1):
+        est = ls_entropy(sys, mu, n_max=40, early_stop=False)
+        for k, a in enumerate(est.diagnostics["a_n"], start=1):
             expected = math.log(2.0 + LAM ** k) / k
             assert a == pytest.approx(expected, abs=1e-10)
         # the tail is flat to machine precision, so only pin the region
-        assert seq.argmin_index >= 35
-        assert abs(seq.value - LOG_LAM) <= 3e-3
+        assert est.diagnostics["argmin_n"] >= 35
+        assert abs(est.value - LOG_LAM) <= 3e-3
 
     def test_identity_map_table(self):
         sys = make_torus_identity(2)
         pts = np.random.default_rng(1).random((20, 2))
         mu = EmpiricalMeasure(sys.space, pts, np.full(20, 0.05))
-        seq = ls_sequence(sys, mu, n_max=20, early_stop=False)
-        for k, a in enumerate(seq.a_n, start=1):
+        est = ls_entropy(sys, mu, n_max=20, early_stop=False)
+        for k, a in enumerate(est.diagnostics["a_n"], start=1):
             assert a == pytest.approx(math.log(3.0) / k, abs=1e-12)
-        assert seq.argmin_index == 20
+        assert est.diagnostics["argmin_n"] == 20
 
     def test_table_subadditive_scaled(self):
         sys = make_cat_map()
         mu = small_cloud(sys, length=30)
-        seq = ls_sequence(sys, mu, n_max=24, early_stop=False)
-        a = seq.a_n
+        a = ls_entropy(sys, mu, n_max=24, early_stop=False).diagnostics["a_n"]
         for n in range(1, 12):
             for m in range(1, 12):
                 lhs = (n + m) * a[n + m - 1]
@@ -128,15 +127,15 @@ class TestLSSequence:
     def test_min_nonincreasing_in_n_max(self):
         sys = make_derived_from_anosov(0.3)
         mu = small_cloud(sys, length=100)
-        v1 = ls_sequence(sys, mu, n_max=10, early_stop=False).value
-        v2 = ls_sequence(sys, mu, n_max=25, early_stop=False).value
+        v1 = ls_entropy(sys, mu, n_max=10, early_stop=False).value
+        v2 = ls_entropy(sys, mu, n_max=25, early_stop=False).value
         assert v2 <= v1 + 1e-12
 
     def test_early_stop_shortens_table(self):
         sys = make_cat_map()
         mu = small_cloud(sys, length=30)
-        seq = ls_sequence(sys, mu, n_max=40, early_stop=True)
-        assert seq.a_n.shape[0] < 40
+        est = ls_entropy(sys, mu, n_max=40, early_stop=True)
+        assert len(est.diagnostics["a_n"]) < 40
 
     def test_constant_symmetric_closed_form(self):
         # normal constant cocycles: a_n = (1/n) log(1 + sum_j prod_i<=j s_i^n)
@@ -155,8 +154,8 @@ class TestLSSequence:
         sys = DynamicalSystem("const", PhaseSpace.torus(3), {}, ev, dfb)
         pts = rng.random((5, 3))
         mu = EmpiricalMeasure(sys.space, pts, np.full(5, 0.2))
-        seq = ls_sequence(sys, mu, n_max=12, early_stop=False)
-        for k, got in enumerate(seq.a_n, start=1):
+        est = ls_entropy(sys, mu, n_max=12, early_stop=False)
+        for k, got in enumerate(est.diagnostics["a_n"], start=1):
             wedges = np.cumsum(k * np.log(sv))
             expected = (np.logaddexp.reduce(np.concatenate([[0.0], wedges]))) / k
             assert got == pytest.approx(expected, abs=1e-10)
@@ -165,9 +164,9 @@ class TestLSSequence:
         sys = make_cat_map()
         mu = small_cloud(sys, length=10)
         with pytest.raises(ValueError):
-            ls_sequence(sys, mu, n_max=0)
+            ls_entropy(sys, mu, n_max=0)
         with pytest.raises(ValueError):
-            ls_sequence(sys, mu, n_max=61)
+            ls_entropy(sys, mu, n_max=61)
 
     def test_orbit_failures_above_threshold_abort(self):
         # 5% of the cloud sits exactly on the branch point: both cloud
@@ -177,7 +176,7 @@ class TestLSSequence:
         pts[::20] = 0.5
         mu = EmpiricalMeasure(sys.space, pts, np.full(100, 0.01))
         with pytest.raises(SamplingFailureError):
-            ls_sequence(sys, mu, n_max=10)
+            ls_entropy(sys, mu, n_max=10)
         with pytest.raises(SamplingFailureError):
             jacobian_formula_entropy(sys, mu, dim_f=1)
 
@@ -255,8 +254,9 @@ class TestCrossValidate:
 
         sys = make_viana(1.7808, 0.02, 16)
         mu = birkhoff_sample(sys, seed=3, burn_in=5000, length=20_000)
+        spec = benettin_spectrum(sys, seed=3, burn_in=5000, n_steps=200_000)
         rep = cross_validate(sys, mu, dim_f=2, n_max=40, tolerance=0.02,
-                             spectrum_steps=200_000)
+                             spectrum=spec)
         assert rep.sinai_consistent, rep.gaps
 
     def test_spectrum_runs_along_the_cloud_orbit(self, orbit_calls):

@@ -1,4 +1,4 @@
-"""Singular values, wedge norms, and the Gram-Schmidt QR kernel."""
+"""Wedge norms, top singular values, and the Gram-Schmidt QR kernel."""
 
 import math
 
@@ -6,19 +6,14 @@ import numpy as np
 import pytest
 
 import sinailab.matrixcore as matrixcore
-from sinailab.entropy import ls_sequence
+from sinailab.entropy import ls_entropy
 from sinailab.matrixcore import (
     LOG_ZERO,
-    MAX_DIM,
     WedgeAccumulatorBatch,
-    WedgeProfile,
     _gram_schmidt,
     compounds,
-    log_singular_values_from_wedges,
     log_wedge_total_from_rows,
-    singular_values,
     top_singular_values,
-    wedge_profile,
 )
 from sinailab.measures import birkhoff_sample
 from sinailab.systems import (
@@ -33,72 +28,43 @@ from sinailab.systems import (
 LAM = (3.0 + math.sqrt(5.0)) / 2.0
 LAM_INV = (3.0 - math.sqrt(5.0)) / 2.0
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
+#: largest matrix dimension the compound tests draw
+MAX_DIM = 8
 
 
-class TestSingularValues:
-    def test_identity(self):
-        assert np.allclose(singular_values(np.eye(3)), [1.0, 1.0, 1.0])
-
-    def test_cat_matrix_analytic(self):
-        sv = singular_values(CAT)
-        assert sv == pytest.approx([LAM, LAM_INV], abs=1e-12)
-
-    def test_diagonal_with_zero(self):
-        assert np.allclose(singular_values(np.diag([3.0, 0.0])), [3.0, 0.0])
-
-    def test_against_numpy_svd_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            d = rng.integers(1, 9)
-            a = rng.standard_normal((d, d))
-            ours = singular_values(a)
-            ref = np.linalg.svd(a, compute_uv=False)
-            assert np.allclose(ours, ref, rtol=1e-10, atol=1e-12)
-
-    def test_orthogonal_invariance(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            d = rng.integers(2, 9)
-            a = rng.standard_normal((d, d))
-            q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            assert np.allclose(
-                singular_values(q1 @ a @ q2), singular_values(a),
-                rtol=1e-10, atol=1e-10,
-            )
-
-    def test_rejects_nonsquare_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            singular_values(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            singular_values(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            singular_values(np.ones((9, 9)))
+def wedge_logs(a):
+    """(log ||A^(wedge j)|| for j = 1..d, log(1 + sum_j ||A^(wedge j)||)) of
+    one square matrix: one step of the identity frame's WedgeAccumulatorBatch."""
+    a = np.asarray(a, dtype=float)
+    acc = WedgeAccumulatorBatch(np.eye(a.shape[0])[None])
+    acc.step(a[None])
+    lw = acc.log_wedge_all()
+    return lw[0], log_wedge_total_from_rows(lw)[0]
 
 
 class TestWedgeProfile:
     def test_identity_two(self):
-        p = wedge_profile(np.eye(2))
-        assert p.log_wedge_j == pytest.approx([0.0, 0.0], abs=1e-15)
-        assert p.log_wedge_total == pytest.approx(math.log(3.0), abs=1e-14)
+        lw, total = wedge_logs(np.eye(2))
+        assert lw == pytest.approx([0.0, 0.0], abs=1e-15)
+        assert total == pytest.approx(math.log(3.0), abs=1e-14)
 
     def test_cat_matrix(self):
-        p = wedge_profile(CAT)
-        assert math.exp(p.log_wedge_j[0]) == pytest.approx(LAM, abs=1e-12)
-        assert math.exp(p.log_wedge_j[1]) == pytest.approx(1.0, abs=1e-12)
-        assert p.log_wedge_total == pytest.approx(math.log(2.0 + LAM), abs=1e-12)
+        lw, total = wedge_logs(CAT)
+        assert math.exp(lw[0]) == pytest.approx(LAM, abs=1e-12)
+        assert math.exp(lw[1]) == pytest.approx(1.0, abs=1e-12)
+        assert total == pytest.approx(math.log(2.0 + LAM), abs=1e-12)
 
     def test_diagonal(self):
-        p = wedge_profile(np.diag([2.0, 0.5]))
-        assert math.exp(p.log_wedge_j[0]) == pytest.approx(2.0)
-        assert math.exp(p.log_wedge_j[1]) == pytest.approx(1.0)
-        assert p.log_wedge_total == pytest.approx(math.log(4.0), abs=1e-14)
+        lw, total = wedge_logs(np.diag([2.0, 0.5]))
+        assert math.exp(lw[0]) == pytest.approx(2.0)
+        assert math.exp(lw[1]) == pytest.approx(1.0)
+        assert total == pytest.approx(math.log(4.0), abs=1e-14)
 
     def test_singular_matrix_total_finite(self):
-        p = wedge_profile(np.diag([3.0, 0.0]))
-        assert p.log_wedge_j[1] == LOG_ZERO
-        assert p.log_wedge_total == pytest.approx(math.log(4.0), abs=1e-14)
-        assert all(np.isfinite([p.log_wedge_total]))
+        lw, total = wedge_logs(np.diag([3.0, 0.0]))
+        assert lw[1] == LOG_ZERO
+        assert total == pytest.approx(math.log(4.0), abs=1e-14)
+        assert all(np.isfinite([total]))
 
     def test_log_wedge_concave_in_order(self):
         # increments of the cumulative sums are the sorted log singular
@@ -106,8 +72,7 @@ class TestWedgeProfile:
         rng = np.random.default_rng(12)
         for _ in range(100):
             d = rng.integers(2, 7)
-            p = wedge_profile(rng.standard_normal((d, d)))
-            lw = [0.0] + list(p.log_wedge_j)
+            lw = [0.0] + list(wedge_logs(rng.standard_normal((d, d)))[0])
             for j in range(1, d):
                 assert lw[j + 1] - lw[j] <= lw[j] - lw[j - 1] + 1e-9
 
@@ -117,8 +82,7 @@ class TestWedgeProfile:
             d = rng.integers(1, 6)
             a = rng.standard_normal((d, d))
             det = abs(np.linalg.det(a))
-            p = wedge_profile(a)
-            assert math.exp(p.log_wedge_dim) == pytest.approx(det, rel=1e-10)
+            assert math.exp(wedge_logs(a)[0][-1]) == pytest.approx(det, rel=1e-10)
 
     def test_submultiplicative_every_order(self):
         rng = np.random.default_rng(7)
@@ -126,10 +90,10 @@ class TestWedgeProfile:
             d = rng.integers(2, 5)
             a = rng.standard_normal((d, d)) * rng.uniform(0.1, 5.0)
             b = rng.standard_normal((d, d)) * rng.uniform(0.1, 5.0)
-            pa, pb, pab = wedge_profile(a), wedge_profile(b), wedge_profile(a @ b)
+            (la, ta), (lb, tb), (lab, tab) = wedge_logs(a), wedge_logs(b), wedge_logs(a @ b)
             for j in range(d):
-                assert pab.log_wedge_j[j] <= pa.log_wedge_j[j] + pb.log_wedge_j[j] + 1e-10
-            assert pab.log_wedge_total <= pa.log_wedge_total + pb.log_wedge_total + 1e-10
+                assert lab[j] <= la[j] + lb[j] + 1e-10
+            assert tab <= ta + tb + 1e-10
 
 
 def _qr_cocycle(mats):
@@ -224,38 +188,39 @@ class TestCompoundBatch:
 
 
 def cocycle_wedge(system, x, n):
-    """WedgeProfile of Df^n(x): the identity frame's WedgeAccumulatorBatch
-    stepped n times by the shared cloud walk from x."""
+    """(log wedge norms, log_wedge_total) of Df^n(x): the identity frame's
+    WedgeAccumulatorBatch stepped n times by the shared cloud walk from x."""
     acc = WedgeAccumulatorBatch(np.eye(system.space.dim)[None])
     for _, (dfs, _) in zip(range(n), _cloud_walk(system, np.atleast_2d(x), 0)):
         acc.step(dfs)
-    return WedgeProfile.from_log_singular_values(
-        log_singular_values_from_wedges(acc.log_wedge_all())[0])
+    lw = acc.log_wedge_all()
+    return lw[0], log_wedge_total_from_rows(lw)[0]
 
 
 class TestExactCocycleWedge:
     def test_cat_map_closed_form(self):
         sys = make_cat_map()
-        p = cocycle_wedge(sys, np.array([0.2, 0.7]), 10)
+        _, total = cocycle_wedge(sys, np.array([0.2, 0.7]), 10)
         expected = math.log(2.0 + LAM ** 10) / 10.0
-        assert p.log_wedge_total / 10.0 == pytest.approx(expected, abs=1e-12)
+        assert total / 10.0 == pytest.approx(expected, abs=1e-12)
 
     def test_single_step_matches_wedge_profile(self):
+        # the reference wedge norms: cumulative sums of log singular values
         sys = make_cat_map()
         x = np.array([0.3, 0.4])
-        p1 = cocycle_wedge(sys, x, 1)
-        p2 = wedge_profile(sys.differential(x))
-        assert p1.log_wedge_total == pytest.approx(p2.log_wedge_total, abs=1e-12)
-        assert np.allclose(p1.log_wedge_j, p2.log_wedge_j, atol=1e-12)
+        lw, total = cocycle_wedge(sys, x, 1)
+        ref = np.cumsum(np.log(np.linalg.svd(sys.differential(x), compute_uv=False)))
+        assert total == pytest.approx(math.log(1.0 + np.exp(ref).sum()), abs=1e-12)
+        assert np.allclose(lw, ref, atol=1e-12)
 
     def test_deep_product_keeps_det_exact(self):
         # At n = 40 the 2-step wedge (the determinant) is ~5e16 times smaller
         # than the dominant one; per-order compound products must keep it.
         sys = make_cat_map()
-        p = cocycle_wedge(sys, np.array([0.2, 0.7]), 40)
-        assert p.log_wedge_dim == pytest.approx(0.0, abs=1e-9)
+        lw, total = cocycle_wedge(sys, np.array([0.2, 0.7]), 40)
+        assert lw[-1] == pytest.approx(0.0, abs=1e-9)
         expected = math.log(2.0 + LAM ** 40) / 40.0
-        assert p.log_wedge_total / 40.0 == pytest.approx(expected, abs=1e-10)
+        assert total / 40.0 == pytest.approx(expected, abs=1e-10)
 
 
 def _svd_top(mats):
@@ -362,9 +327,10 @@ class TestTopSingularValues:
     def test_ls_table_matches_eigvalsh(self, make, monkeypatch):
         system = make()
         measure = birkhoff_sample(system, seed=3, burn_in=500, length=1500)
-        a_n = ls_sequence(system, measure, 20, early_stop=False, seed=3).a_n
+        a_n = ls_entropy(system, measure, 20, early_stop=False, seed=3).diagnostics["a_n"]
         monkeypatch.setattr(matrixcore, "top_singular_values", self._eigvalsh_top)
-        reference = ls_sequence(system, measure, 20, early_stop=False, seed=3).a_n
+        reference = ls_entropy(system, measure, 20, early_stop=False,
+                               seed=3).diagnostics["a_n"]
         assert np.allclose(a_n, reference, rtol=0.0, atol=1e-12)
 
 

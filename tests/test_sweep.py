@@ -26,7 +26,6 @@ from sinailab.sweep import (
     _one_blas_thread,
     _sweep_point,
     continuity_modulus,
-    neighborhood_split_entropy,
     run_sweep,
     split_log_det_integral,
     usc_check,
@@ -59,13 +58,14 @@ def openblas_thread_counts():
 
 
 def staircase_result(values, slack_se=0.0):
+    """Pesin values on the mp grid t = 0, 0.1, 0.2, ..."""
     rows = []
     for i, v in enumerate(values):
-        row = SweepRow(index=i, t=float(i))
+        row = SweepRow(index=i, t=i / 10)
         row.estimates[PESIN] = EntropyEstimate(value=v, method=PESIN,
                                                std_error=slack_se)
         rows.append(row)
-    cfg = SweepConfig(family="mp", grid=tuple(float(i) for i in range(len(values))))
+    cfg = SweepConfig(family="mp", grid=tuple(row.t for row in rows))
     return SweepResult(config=cfg, rows=rows)
 
 
@@ -73,6 +73,17 @@ class TestSweepConfig:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             SweepConfig(family="mp", grid=(0.1, 0.1))
+
+    @pytest.mark.parametrize("family, grid", [
+        ("mp", (0.0, 0.5, 1.2)),
+        ("mp", (-0.1, 0.5)),
+        ("mp", (0.0, math.nan, 0.5)),
+        ("mp", (0.0, math.inf)),
+        ("viana", (0.0, 0.1)),
+    ], ids=["above", "below", "nan", "inf", "viana-above"])
+    def test_grid_inside_the_family_interval(self, family, grid):
+        with pytest.raises(ValueError, match="parameter interval"):
+            SweepConfig(family=family, grid=grid)
 
     def test_workers_positive(self):
         with pytest.raises(ValueError):
@@ -270,7 +281,7 @@ class TestUSCCheck:
         rep = usc_check(staircase_result([1.0, 1.0, 0.0, 1.0, 1.0]), slack=0.1)
         assert not rep.passed
         assert len(rep.witnesses) == 1
-        assert rep.witnesses[0]["t"] == 2.0
+        assert rep.witnesses[0]["t"] == 0.2
 
     def test_error_bars_absorb_dips(self):
         rep = usc_check(staircase_result([1.0, 1.0, 0.0, 1.0, 1.0], slack_se=0.6),
@@ -285,7 +296,7 @@ class TestUSCCheck:
         assert rep.passed and not rep.witnesses
 
     def test_drop_on_steep_ramp_single_witness(self):
-        # A 0.2 drop (> slack + err = 0.1) below the ramp at t = 4, next to
+        # A 0.2 drop (> slack + err = 0.1) below the ramp at t = 0.4, next to
         # the lower end. A dip further from that end would raise a second
         # witness two grid steps past it, whose trend step it spoils.
         ramp = [1.0 - 0.15 * i for i in range(6)]
@@ -293,8 +304,8 @@ class TestUSCCheck:
         rep = usc_check(staircase_result(ramp), slack=0.1)
         assert not rep.passed
         assert len(rep.witnesses) == 1
-        assert rep.witnesses[0]["t"] == 4.0
-        assert rep.witnesses[0]["neighbor_t"] == 3.0
+        assert rep.witnesses[0]["t"] == 0.4
+        assert rep.witnesses[0]["neighbor_t"] == 0.3
         assert rep.witnesses[0]["excess"] == pytest.approx(0.2)
 
     @pytest.mark.parametrize("dip", [1, 2, 3, 4])
@@ -307,7 +318,7 @@ class TestUSCCheck:
         ramp[dip] -= 0.2
         rep = usc_check(staircase_result(ramp), slack=0.1)
         expected = [dip] if dip + 2 < len(ramp) - 1 else [dip, dip + 2]
-        assert [w["t"] for w in rep.witnesses] == [float(t) for t in expected]
+        assert [w["t"] for w in rep.witnesses] == [t / 10 for t in expected]
 
 
 class TestContinuityModulus:
@@ -318,11 +329,11 @@ class TestContinuityModulus:
     def test_endpoint_grid_single_gap(self):
         mod = continuity_modulus(staircase_result([0.2, 0.9]))
         assert mod.max_gap(PESIN) == pytest.approx(0.7)
-        assert mod.per_method[PESIN]["at"] == [0.0, 1.0]
+        assert mod.per_method[PESIN]["at"] == [0.0, 0.1]
 
     def test_locates_worst_gap(self):
         mod = continuity_modulus(staircase_result([0.0, 0.1, 0.5, 0.55]))
-        assert mod.per_method[PESIN]["at"] == [1.0, 2.0]
+        assert mod.per_method[PESIN]["at"] == [0.1, 0.2]
 
 
 class TestSinaiConsistencyAlongSweep:
@@ -347,14 +358,16 @@ class TestSinaiConsistencyAlongSweep:
 
 class TestNeighborhoodSplit:
     def test_doubling_band_mass(self):
-        out = neighborhood_split_entropy("mp", 0.0, 0.01, seed=3,
-                                         burn_in=1000, length=200_000)
+        sys = make_manneville_pomeau(0.0)
+        mu = birkhoff_sample(sys, seed=3, burn_in=1000, length=200_000)
+        out = split_log_det_integral(sys, mu, 0.01)
         assert out["inside"] == pytest.approx(0.02 * LOG2, rel=0.10)
         assert out["outside"] == pytest.approx(0.98 * LOG2, rel=0.02)
 
     def test_zero_delta_empty_inside(self):
-        out = neighborhood_split_entropy("mp", 0.0, 0.0, seed=3,
-                                         burn_in=100, length=10_000)
+        sys = make_manneville_pomeau(0.0)
+        mu = birkhoff_sample(sys, seed=3, burn_in=100, length=10_000)
+        out = split_log_det_integral(sys, mu, 0.0)
         assert out["inside"] == 0.0
 
     def test_partition_identity(self):
