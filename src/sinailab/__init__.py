@@ -36,6 +36,7 @@ from .measures import (
     holder_parameter_check,
     ls1_fit,
     ls2_integral,
+    split_log_det_integral,
     ulam_matrix,
     ulam_stationary,
     weak_star_distance,
@@ -53,7 +54,6 @@ from .sweep import (
     SweepResult,
     continuity_modulus,
     run_sweep,
-    split_log_det_integral,
     usc_check,
 )
 from .systems import (

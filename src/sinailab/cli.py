@@ -38,6 +38,7 @@ from .measures import (
     holder_parameter_check,
     ls1_fit,
     ls2_integral,
+    split_log_det_integral,
 )
 from .oseledets import benettin_spectrum, domination_report, estimate_bundles_many
 from .serialize import (
@@ -51,9 +52,9 @@ from .serialize import (
 )
 from .sweep import (
     SweepConfig,
+    check_usc_args,
     continuity_modulus,
     run_sweep,
-    split_log_det_integral,
     usc_check,
 )
 from .systems import FAMILIES, build_system
@@ -233,6 +234,7 @@ _CHECKS_FIELDS = {"usc_window": ("window", int), "usc_slack": ("slack", float)}
 def load_sweep_config(path, workers=None) -> tuple:
     """Parse the INI-style sweep config; returns (SweepConfig, checks), where
     checks holds the usc_check keyword arguments the [checks] section sets.
+    Every value is checked here, before any orbit is drawn.
 
     The worker count is SINAILAB_WORKERS when set, else `workers` (the
     --workers flag), else the config's, else the machine's CPU count.
@@ -271,11 +273,12 @@ def load_sweep_config(path, workers=None) -> tuple:
             workers=env_workers or workers,
             **fields,
         )
+        c = parser["checks"] if parser.has_section("checks") else {}
+        checks = {arg: parse(c[key]) for key, (arg, parse) in _CHECKS_FIELDS.items()
+                  if key in c}
+        check_usc_args(**checks)
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad sweep config: {exc}")
-    c = parser["checks"] if parser.has_section("checks") else {}
-    checks = {arg: parse(c[key]) for key, (arg, parse) in _CHECKS_FIELDS.items()
-              if key in c}
     return config, checks
 
 

@@ -10,8 +10,8 @@ run_estimators, the one pipeline behind cross_validate, `sinailab entropy`
 and sweep points, decides which spectrum, default dim_f and seed each
 estimator gets. The LS table and Jacobian-along-F advance their clouds
 through systems._cloud_walk (one rule for dead points, dither and the
-failure limit) and share one masked, weighted mean and standard error
-(_masked_mean_se).
+failure limit) and average over it with measures._masked_mean_se, the
+package's one weighted cloud mean and standard error.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SamplingFailureError
 from .matrixcore import LOG_ZERO, WedgeAccumulatorBatch, log_wedge_total_from_rows
-from .measures import measure_cloud
+from .measures import _masked_mean_se, measure_cloud
 from .oseledets import (
     FRAME_TRANSIENT,
     LyapunovSpectrum,
@@ -98,24 +97,6 @@ def pesin_entropy(spectrum: LyapunovSpectrum) -> EntropyEstimate:
         std_error=se,
         diagnostics={"n_positive": int(pos.sum()), "n_steps": spectrum.n_steps},
     )
-
-
-def _masked_mean_se(values: np.ndarray, weights: np.ndarray, keep: np.ndarray):
-    """(mean, std_error) of values under the weights renormalized over the
-    kept points; std_error = sqrt(weighted variance / number kept).
-
-    The sums are numpy reductions, not BLAS dot products: a threaded BLAS
-    splits a long dot into per-thread partial sums, so its last bits would
-    depend on the host's thread count.
-    """
-    w = weights * keep
-    total = w.sum()
-    if total <= 0.0:
-        raise SamplingFailureError("no usable points in the cloud")
-    w = w / total
-    mean = float(np.sum(w * values))
-    var = float(np.sum(w * (values - mean) ** 2))
-    return mean, math.sqrt(max(var, 0.0) / max(int(keep.sum()), 1))
 
 
 def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
@@ -192,8 +173,7 @@ def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
     good = alive & np.all(log_r > LOG_ZERO, axis=0)
     log_vol = np.where(good, log_r, 0.0).sum(axis=0)
     good &= np.isfinite(log_vol)
-    logs = np.where(good, log_vol, 0.0)
-    mean, se = _masked_mean_se(logs, weights, good)
+    mean, se = _masked_mean_se(log_vol, weights, good)
     return EntropyEstimate(
         value=max(mean, 0.0),
         method=JACOBIAN_F,

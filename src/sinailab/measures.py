@@ -3,7 +3,10 @@
 Two routes to an approximate Sinai/SRB measure: Birkhoff point clouds from
 Lebesgue-random starts, and the Ulam transfer-operator discretization.
 Diagnostics cover singular-set mass scaling, log-norm integrability,
-parameter Hölder regularity of log |det Df|, and Jacobian boundedness.
+parameter Hölder regularity of log |det Df|, Jacobian boundedness, and
+the split of <log |det Df|> at the singular set. One routine,
+_masked_mean_se, sums every cloud integral: the estimators' means, the
+diagnose integrals and the weak* dictionary moments.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SamplingFailureError, UlamConvergenceError
-from .systems import SINGULAR_HIT_DISTANCE, DynamicalSystem, FamilyHandle, PhaseSpace
+from .systems import DynamicalSystem, FamilyHandle, PhaseSpace
 
 #: largest Ulam grid. The sample points are mapped in chunks, so it bounds
 #: what is held whole: the density vector, and a CSR matrix of at most
@@ -115,6 +118,41 @@ def measure_cloud(measure):
     if isinstance(measure, GridMeasure):
         return measure.cell_centers(), measure.density
     raise TypeError(f"not a measure: {type(measure)!r}")
+
+
+def _masked_mean_se(values: np.ndarray, weights: np.ndarray, keep: np.ndarray):
+    """(mean, std_error) of values under the weights renormalized over the
+    kept points; std_error = sqrt(weighted variance / number kept). Values
+    at dropped points are ignored, finite or not.
+
+    The one place a cloud integral is summed. The sums are numpy
+    reductions, never BLAS products: a threaded BLAS splits a long dot
+    into per-thread partial sums, so its last bits would depend on the
+    host's thread count.
+    """
+    w = weights * keep
+    total = w.sum()
+    if total <= 0.0:
+        raise SamplingFailureError("no usable points in the cloud")
+    w = w / total
+    values = np.where(keep, values, 0.0)
+    mean = float(np.sum(w * values))
+    var = float(np.sum(w * (values - mean) ** 2))
+    return mean, math.sqrt(max(var, 0.0) / max(int(keep.sum()), 1))
+
+
+def _cloud_integral(system: DynamicalSystem, measure, integrand):
+    """(means, skipped): per row of integrand(points), a (rows, n) array,
+    its weighted mean over the cloud points it is given, and the number
+    of points left out: those system.unusable flags (integrand never sees
+    them) and those where a row is not finite.
+    """
+    pts, weights = measure_cloud(measure)
+    usable = ~system.unusable(pts)
+    values = integrand(pts[usable])
+    finite = np.all(np.isfinite(values), axis=0)
+    means = [_masked_mean_se(row, weights[usable], finite)[0] for row in values]
+    return means, int(usable.size - finite.sum())
 
 
 @dataclass
@@ -310,14 +348,12 @@ def ulam_stationary(transfer: TransferMatrix, tol: float = 1e-12,
 
 
 def _chebyshev_values(u: np.ndarray, degree: int) -> np.ndarray:
-    """(len(u), degree) matrix of T_1..T_degree at u in [-1, 1]."""
-    out = np.empty((u.shape[0], degree))
+    """(degree + 1, len(u)) array of T_0..T_degree at u in [-1, 1]."""
+    out = np.ones((degree + 1, u.shape[0]))
     if degree >= 1:
-        out[:, 0] = u
-    if degree >= 2:
-        out[:, 1] = 2.0 * u * u - 1.0
-    for m in range(3, degree + 1):
-        out[:, m - 1] = 2.0 * u * out[:, m - 2] - out[:, m - 3]
+        out[1] = u
+    for m in range(2, degree + 1):
+        out[m] = 2.0 * u * out[m - 1] - out[m - 2]
     return out
 
 
@@ -335,35 +371,41 @@ def _torus_wavevectors(d: int, cutoff: int):
     return np.array(keep)
 
 
-def dictionary_moments(measure, cutoff: int) -> np.ndarray:
-    """Integrals of the test dictionary against the measure.
+def _dictionary(space: PhaseSpace, pts: np.ndarray, cutoff: int):
+    """The test dictionary at pts, in (functions, points) blocks.
 
     Torus: cos/sin(2 pi k.x) over |k|_inf <= cutoff. Interval: Chebyshev
     polynomials to degree cutoff (affinely rescaled). Cylinder: products of
-    the two. The constant function is omitted (both measures integrate it
+    the two. The constant function is omitted (every measure integrates it
     to 1).
     """
-    pts, w = measure_cloud(measure)
-    space = measure.space
     if space.kind == "torus":
         ks = _torus_wavevectors(space.dim, cutoff)
-        phases = 2.0 * math.pi * (pts @ ks.T)
-        return np.concatenate([w @ np.cos(phases), w @ np.sin(phases)])
-    if space.kind == "interval":
+        phases = 2.0 * math.pi * sum(np.multiply.outer(k, x) for k, x in zip(ks.T, pts.T))
+        yield np.cos(phases)
+        yield np.sin(phases)
+    elif space.kind == "interval":
         u = 2.0 * (pts[:, 0] - space.lo[0]) / space.widths()[0] - 1.0
-        return w @ _chebyshev_values(u, cutoff)
-    if space.kind == "cylinder":
+        yield _chebyshev_values(u, cutoff)[1:]
+    elif space.kind == "cylinder":
         phases = 2.0 * math.pi * pts[:, 0]
         u = 2.0 * (pts[:, 1] - space.lo[1]) / space.widths()[1] - 1.0
-        cheb = np.column_stack([np.ones_like(u), _chebyshev_values(u, cutoff)])
-        mom = [w @ cheb[:, 1:]]  # pure Chebyshev modes
+        cheb = _chebyshev_values(u, cutoff)
+        yield cheb[1:]  # pure Chebyshev modes
         for k in range(1, cutoff + 1):
-            ck = np.cos(k * phases)
-            sk = np.sin(k * phases)
-            mom.append(w @ (ck[:, None] * cheb))
-            mom.append(w @ (sk[:, None] * cheb))
-        return np.concatenate(mom)
-    raise ValueError(f"no dictionary for space kind {space.kind!r}")
+            yield np.cos(k * phases) * cheb
+            yield np.sin(k * phases) * cheb
+    else:
+        raise ValueError(f"no dictionary for space kind {space.kind!r}")
+
+
+def dictionary_moments(measure, cutoff: int) -> np.ndarray:
+    """Integrals of the test dictionary (see _dictionary) against the
+    measure, every point counted."""
+    pts, w = measure_cloud(measure)
+    keep = np.ones(w.shape[0], dtype=bool)
+    return np.array([_masked_mean_se(f, w, keep)[0]
+                     for block in _dictionary(measure.space, pts, cutoff) for f in block])
 
 
 def moment_gap(m1: np.ndarray, m2: np.ndarray) -> float:
@@ -417,48 +459,27 @@ def ls1_fit(system: DynamicalSystem, measure, eps_grid) -> dict:
             "mass": masses.tolist()}
 
 
-def usable_points(system: DynamicalSystem, measure, observable, what: str):
-    """An observable over the cloud points where it is defined.
-
-    Points on the singular set are skipped, and so are those where
-    observable(points) is not finite. Returns (values, weights, dist,
-    skipped): the kept values, their weights renormalized to sum 1, their
-    distances to the singular set, and the number of points skipped.
-    Raises SamplingFailureError, naming `what`, when no point is left.
-    Callers integrate with np.sum(weights * values), not a BLAS dot
-    product, whose last bits depend on the BLAS thread count.
-    """
-    pts, w = measure_cloud(measure)
-    dist = system.singular_distance(pts)
-    ok = dist >= SINGULAR_HIT_DISTANCE
-    values = observable(pts[ok])
-    finite = np.all(np.isfinite(values), axis=tuple(range(1, values.ndim)))
-    kept = np.flatnonzero(ok)[finite]
-    weights = w[kept]
-    total = weights.sum()
-    if total <= 0.0:
-        raise SamplingFailureError(f"no usable points for the {what}")
-    return values[finite], weights / total, dist[kept], int(pts.shape[0] - kept.shape[0])
-
-
 def ls2_integral(system: DynamicalSystem, measure) -> dict:
     """Weighted log+ norms of Df (and of Df^-1 when invertible).
 
     Both norms come from one batched SVD, which keeps sigma_min accurate
-    where the Gram matrix Df^T Df would lose it. Points where the
-    differential is undefined (singular set) are skipped and the remaining
-    weights renormalized; the skip count is reported.
+    where the Gram matrix Df^T Df would lose it. skipped counts the points
+    _cloud_integral leaves out, a non-finite Df included.
     """
-    dfs, weights, _, skipped = usable_points(
-        system, measure, system.differential_batch, "log-norm integral")
-    sv = np.linalg.svd(dfs, compute_uv=False)
-    forward = float(np.sum(weights * np.maximum(np.log(sv[:, 0]), 0.0)))
-    out = {"forward": forward, "backward": None, "skipped": skipped}
-    if system.invertible:
-        smin = sv[:, -1]
-        inv_norm = np.where(smin > 0.0, 1.0 / np.maximum(smin, 1e-300), np.inf)
-        out["backward"] = float(np.sum(weights * np.maximum(np.log(inv_norm), 0.0)))
-    return out
+    def log_norms(pts):
+        dfs = system.differential_batch(pts)
+        finite = np.all(np.isfinite(dfs), axis=(1, 2))
+        sv = np.full(dfs.shape[:2], np.nan)
+        sv[finite] = np.linalg.svd(dfs[finite], compute_uv=False)
+        with np.errstate(divide="ignore"):
+            norms = [np.log(sv[:, 0])]
+            if system.invertible:
+                norms.append(np.log(1.0 / sv[:, -1]))
+        return np.maximum(norms, 0.0)
+
+    means, skipped = _cloud_integral(system, measure, log_norms)
+    return {"forward": means[0], "backward": means[1] if system.invertible else None,
+            "skipped": skipped}
 
 
 def holder_parameter_check(family: FamilyHandle, t_grid, sample_points) -> dict:
@@ -468,16 +489,16 @@ def holder_parameter_check(family: FamilyHandle, t_grid, sample_points) -> dict:
     against log |t - s| over parameter pairs; the constant c is then the
     smallest envelope making the bound hold on those same pairs, so the
     check describes the sample and cannot fail on it. A family whose
-    Jacobian does not depend on t returns c = 0, beta = +inf.
+    Jacobian does not depend on t returns c = 0, beta = +inf. A sample
+    point that DynamicalSystem.unusable flags at some t raises ValueError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.shape[0] < 2:
         raise ValueError("need at least two parameter values")
     systems = [family.build(t) for t in t_grid]
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    for sys_t in systems:
-        if np.any(sys_t.singular_distance(pts) <= 0.0):
-            raise ValueError("sample point on the singular set")
+    if any(sys_t.unusable(pts).any() for sys_t in systems):
+        raise ValueError("sample point on the singular set or not finite")
     logs = np.array([log_det_batch(sys_t, pts) for sys_t in systems])
     n_t = t_grid.shape[0]
     gaps, diffs = [], []
@@ -509,8 +530,29 @@ def log_det_batch(system: DynamicalSystem, pts: np.ndarray) -> np.ndarray:
 
 def bounded_jacobian_check(system: DynamicalSystem, measure, bound: float) -> dict:
     """|integral of log |det Df|| compared against an a-priori bound."""
-    logdet, weights, _, skipped = usable_points(
-        system, measure, lambda pts: log_det_batch(system, pts), "Jacobian integral")
-    value = float(abs(np.sum(weights * logdet)))
+    (mean,), skipped = _cloud_integral(
+        system, measure, lambda pts: log_det_batch(system, pts)[None])
+    value = abs(mean)
     return {"value": value, "bound": float(bound), "passed": value <= bound,
             "skipped": skipped}
+
+
+def split_log_det_integral(system: DynamicalSystem, measure, delta: float) -> dict:
+    """Split <log |det Df|>_mu at the delta-neighborhood of the singular set.
+
+    The points _cloud_integral leaves out are skipped (reweighted) as in
+    the other cloud integrals, and SamplingFailureError is raised when
+    none is usable; delta = 0 gives an empty inside part.
+    """
+    if delta < 0.0:
+        raise ValueError("delta must be >= 0")
+
+    def parts(pts):
+        logdet = log_det_batch(system, pts)
+        inside = system.singular_distance(pts) < delta
+        return np.array([np.where(inside, logdet, 0.0),
+                         np.where(inside, 0.0, logdet), inside])
+
+    (inside, outside, mass), skipped = _cloud_integral(system, measure, parts)
+    return {"delta": float(delta), "inside": inside, "outside": outside,
+            "inside_mass": mass, "skipped": skipped}

@@ -3,12 +3,16 @@
 Each grid point builds its system, approximates the invariant measure, and
 runs entropy.run_estimators with a point-specific seed derived from the
 config seed and the grid index (so neighboring points share no
-randomness). Discrete upper-semicontinuity and continuity-modulus checks
-operate on the resulting entropy curves with explicit slack and error bars.
+randomness); its weak* column compares measures.dictionary_moments of
+adjacent points. Discrete upper-semicontinuity and continuity-modulus
+checks operate on the resulting entropy curves with explicit slack and
+error bars. Every cloud integral, singular-set handling included, lives
+in measures.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -20,11 +24,9 @@ from .errors import SinaiLabError, SweepAbortError
 from .measures import (
     birkhoff_sample,
     dictionary_moments,
-    log_det_batch,
     moment_gap,
     ulam_matrix,
     ulam_stationary,
-    usable_points,
 )
 from .systems import get_family
 
@@ -272,6 +274,15 @@ class USCReport:
                 "witnesses": self.witnesses, "passed": self.passed}
 
 
+def check_usc_args(window: Optional[int] = None, slack: Optional[float] = None) -> None:
+    """ValueError when a given usc_check window is below 1 or a given slack
+    is negative or not finite. Sweep configs run it before they sample."""
+    if window is not None and window < 1:
+        raise ValueError(f"usc window must be >= 1, got {window}")
+    if slack is not None and not 0.0 <= slack < math.inf:
+        raise ValueError(f"usc slack must be finite and >= 0, got {slack}")
+
+
 def usc_check(result: SweepResult, window: int = 1, slack: float = 0.05) -> USCReport:
     """Flag grid points that sit below the trend of their neighborhood.
 
@@ -292,8 +303,10 @@ def usc_check(result: SweepResult, window: int = 1, slack: float = 0.05) -> USCR
     jump into t's neighborhood standing out from the local trend, the
     discrete failure mode of upper semicontinuity. A continuous curve
     that falls steeply but evenly raises none. Each witness names the
-    neighbor with the largest margin over its bound.
+    neighbor with the largest margin over its bound. See check_usc_args
+    for the values window and slack may take.
     """
+    check_usc_args(window, slack)
     ok_rows = [r for r in result.rows if r.ok]
     if len(ok_rows) < 3:
         raise ValueError("usc_check needs at least 3 successful grid points")
@@ -381,31 +394,3 @@ def continuity_modulus(result: SweepResult) -> ContinuityModulus:
         }
     return ContinuityModulus(per_method=per_method)
 
-
-# ---------------------------------------------------------------------------
-# Singular-neighborhood entropy splitting
-# ---------------------------------------------------------------------------
-
-
-def split_log_det_integral(system, measure, delta: float) -> dict:
-    """Split <log |det Df|>_mu at the delta-neighborhood of the singular set.
-
-    Points exactly on the singular set are skipped (reweighted) as in the
-    other cloud integrals, and SamplingFailureError is raised when none is
-    usable; delta = 0 gives an empty inside part.
-    """
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
-    logdet, weights, dist, skipped = usable_points(
-        system, measure, lambda pts: log_det_batch(system, pts),
-        "split Jacobian integral")
-    inside_mask = dist < delta
-    inside = float(np.sum(weights[inside_mask] * logdet[inside_mask]))
-    outside = float(np.sum(weights[~inside_mask] * logdet[~inside_mask]))
-    return {
-        "delta": float(delta),
-        "inside": inside,
-        "outside": outside,
-        "inside_mass": float(weights[inside_mask].sum()),
-        "skipped": skipped,
-    }

@@ -6,10 +6,14 @@ isotopy of the cat map, a standard-map skew product over T^4, and the
 quadratic-fiber skew products of Viana type.
 
 Every system bundles a phase space, a vectorized map, its exact Jacobian,
-a singular-set description, and (when available) an inverse. Long-orbit
-generation goes through fast scalar loops per family. Batches of points
-advance through the derivative cocycle along one generator, _cloud_walk,
-which every forward product (LS table, Jacobian-along-F, bundle frames,
+a singular set (a union of coordinate hyperplanes), and (when available)
+an inverse. DynamicalSystem.unusable is the one rule for which points an
+orbit or a cloud integral may use: orbit sampling, the cloud walk, the
+diagnose integrals and the Hölder check drop the points it flags.
+Long-orbit generation
+goes through fast scalar loops per family. Batches of points advance
+through the derivative cocycle along one generator, _cloud_walk, which
+every forward product (LS table, Jacobian-along-F, bundle frames,
 domination ratios) consumes.
 """
 
@@ -30,8 +34,8 @@ TWO_PI = 2.0 * math.pi
 #: collapse onto the fixed point at 0 within ~53 steps.
 DITHER_SCALE = 2.0 ** -50
 
-#: a point closer than this to the singular set counts as on it; cloud
-#: integrals skip such points, orbit samplers restart.
+#: a point closer than this to the singular set counts as on it (see
+#: DynamicalSystem.unusable)
 SINGULAR_HIT_DISTANCE = 1e-15
 
 #: orbit-failure fraction above which a cloud walk refuses to go on
@@ -107,42 +111,17 @@ class PhaseSpace:
 
 
 # ---------------------------------------------------------------------------
-# Singular-set descriptors (points and coordinate hyperplanes)
+# Singular sets: unions of coordinate hyperplanes
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SingularPoint:
-    location: tuple
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class SingularHyperplane:
+    """The hyperplane {x_axis = value}; in a 1-d space, the point value."""
+
     axis: int
     value: float
     label: str = ""
-
-
-def distance_to_singular_set(space: PhaseSpace, descriptors, pts: np.ndarray) -> np.ndarray:
-    """Max-metric distance from each point to the singular set.
-
-    Empty singular set yields +inf everywhere.
-    """
-    pts = np.atleast_2d(pts)
-    out = np.full(pts.shape[0], np.inf)
-    for desc in descriptors:
-        if isinstance(desc, SingularHyperplane):
-            dist = space.coord_distance(pts[:, desc.axis], desc.value, desc.axis)
-        elif isinstance(desc, SingularPoint):
-            loc = np.asarray(desc.location, dtype=float)
-            dist = space.coord_distance(pts[:, 0], loc[0], 0)
-            for i in range(1, space.dim):
-                dist = np.maximum(dist, space.coord_distance(pts[:, i], loc[i], i))
-        else:
-            raise TypeError(f"unknown singular descriptor {type(desc)!r}")
-        out = np.minimum(out, dist)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +161,23 @@ class DynamicalSystem:
 
     # -- singular set ------------------------------------------------------
     def singular_distance(self, pts: np.ndarray) -> np.ndarray:
-        return distance_to_singular_set(self.space, self.singular_set, pts)
+        """Distance from each point to the nearest singular hyperplane;
+        +inf everywhere for an empty singular set."""
+        pts = np.atleast_2d(pts)
+        out = np.full(pts.shape[0], np.inf)
+        for plane in self.singular_set:
+            out = np.minimum(out, self.space.coord_distance(
+                pts[:, plane.axis], plane.value, plane.axis))
+        return out
 
     def hits_singular_set(self, pts: np.ndarray) -> np.ndarray:
         return self.singular_distance(pts) < SINGULAR_HIT_DISTANCE
 
     def unusable(self, pts: np.ndarray) -> np.ndarray:
         """True where a point is on the singular set or not finite: no
-        orbit can be continued from it."""
+        orbit can be continued from it. The one skip rule: orbit samplers
+        restart, the cloud walk kills the point, and cloud integrals and
+        the Hölder check leave it out."""
         bad = self.hits_singular_set(pts)
         for coord in pts.T:  # column by column: ~8x faster than all(axis=1)
             bad |= ~np.isfinite(coord)
@@ -385,9 +373,9 @@ def make_manneville_pomeau(alpha: float) -> DynamicalSystem:
         out = np.where(x <= 0.5, left, 2.0)
         return out[:, None, None]
 
-    singular = [SingularPoint((0.5,), "branch")]
+    singular = [SingularHyperplane(0, 0.5, "branch")]
     if alpha > 0.0:
-        singular.append(SingularPoint((0.0,), "neutral"))
+        singular.append(SingularHyperplane(0, 0.0, "neutral"))
 
     def orbit_fn(x0, n, noise):
         out = np.empty((n + 1, 1))

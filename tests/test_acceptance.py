@@ -23,6 +23,7 @@ from sinailab.measures import (
     birkhoff_sample,
     ls1_fit,
     ls2_integral,
+    split_log_det_integral,
     ulam_matrix,
     ulam_stationary,
     weak_star_distance,
@@ -37,7 +38,6 @@ from sinailab.sweep import (
     SweepConfig,
     continuity_modulus,
     run_sweep,
-    split_log_det_integral,
     usc_check,
 )
 from sinailab.systems import (

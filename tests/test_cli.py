@@ -12,9 +12,8 @@ import pytest
 import sinailab
 from sinailab.cli import load_sweep_config, main
 from sinailab.entropy import ESTIMATORS
-from sinailab.measures import birkhoff_sample
+from sinailab.measures import birkhoff_sample, split_log_det_integral
 from sinailab.serialize import sha256_file
-from sinailab.sweep import split_log_det_integral
 from sinailab.systems import build_system
 
 LAM = (3.0 + math.sqrt(5.0)) / 2.0
@@ -372,6 +371,30 @@ class TestUsageErrors:
                            if f"\n{key} =" not in body)
         cfg = tmp_path / "c.ini"
         cfg.write_text("[sweep]\n" + body + defaults, encoding="utf-8")
+        code = main(["sweep", "--config", str(cfg), "--workers", "1",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "bad sweep config" in capsys.readouterr().err
+        assert orbit_calls == []
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("checks", [
+        "usc_window = 0\nusc_slack = -5\n",
+        "usc_window = -1\n",
+        "usc_slack = -0.01\n",
+        "usc_slack = nan\n",
+        "usc_slack = inf\n",
+        "usc_window = two\n",
+    ], ids=["window-0-slack-negative", "window-negative", "slack-negative",
+            "slack-nan", "slack-inf", "window-not-a-number"])
+    def test_sweep_checks_checked_before_sampling(self, tmp_path, capsys,
+                                                  orbit_calls, checks):
+        # a [checks] value usc_check would reject is a config error: with
+        # usc_window = 0 it would compare nothing and pass any curve
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[sweep]\nfamily = mp\ngrid = 0.1,0.2,0.3,0.4\n"
+                       "estimators = pesin\nburn_in = 100\nlength = 2000\n"
+                       "[checks]\n" + checks, encoding="utf-8")
         code = main(["sweep", "--config", str(cfg), "--workers", "1",
                      "--out", str(tmp_path / "x")])
         assert code == 2

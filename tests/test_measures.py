@@ -143,7 +143,7 @@ class TestBirkhoffSample:
     def test_persistent_singular_hits_fail(self):
         # every orbit lands exactly on the singular point: all restarts fail
         from sinailab.errors import SamplingFailureError
-        from sinailab.systems import SingularPoint
+        from sinailab.systems import SingularHyperplane
 
         def ev(pts):
             return np.full_like(np.atleast_2d(pts), 0.5)
@@ -155,7 +155,7 @@ class TestBirkhoffSample:
         trap = DynamicalSystem(
             name="trap", space=PhaseSpace.unit_interval(), params={},
             eval_batch=ev, differential_batch=dfb,
-            singular_set=[SingularPoint((0.5,))],
+            singular_set=[SingularHyperplane(0, 0.5)],
         )
         with pytest.raises(SamplingFailureError):
             birkhoff_sample(trap, seed=0, burn_in=0, length=10)
@@ -381,9 +381,10 @@ class TestHolderCheck:
         assert math.isfinite(out["beta"]) and out["beta"] > 0.0
 
     def test_sample_on_singular_set_rejected(self):
-        pts = np.array([[0.2, 0.0]])
-        with pytest.raises(ValueError):
-            holder_parameter_check(FAMILIES["viana"], [0.01, 0.02], pts)
+        # on the critical line, and within SINGULAR_HIT_DISTANCE of it
+        for pts in ([[0.2, 0.0]], [[0.2, 1e-16]]):
+            with pytest.raises(ValueError):
+                holder_parameter_check(FAMILIES["viana"], [0.01, 0.02], np.array(pts))
 
 
 class TestBoundedJacobian:

@@ -17,7 +17,7 @@ from sinailab.entropy import (
     cross_validate,
 )
 from sinailab.errors import SamplingFailureError, SweepAbortError
-from sinailab.measures import EmpiricalMeasure, birkhoff_sample
+from sinailab.measures import EmpiricalMeasure, birkhoff_sample, split_log_det_integral
 from sinailab.serialize import write_json
 from sinailab.sweep import (
     SweepConfig,
@@ -27,7 +27,6 @@ from sinailab.sweep import (
     _sweep_point,
     continuity_modulus,
     run_sweep,
-    split_log_det_integral,
     usc_check,
 )
 from sinailab.systems import FamilyHandle, get_family, make_manneville_pomeau
@@ -210,17 +209,23 @@ class TestRunSweep:
             assert est.value == pytest.approx(LOG_LAM, abs=0.02)
 
     def test_worker_count_independence(self):
-        cfg1 = SweepConfig(family="mp", grid=(0.0, 0.2, 0.4, 0.6),
+        # alpha = 0.7 quadruples the orbit: a 4e5-point cloud, long enough
+        # for a threaded BLAS to split a sum over it. Pool workers run one
+        # BLAS thread, this process its default count, so the weak* column
+        # must not depend on the BLAS.
+        cfg1 = SweepConfig(family="mp", grid=(0.0, 0.2, 0.4, 0.6, 0.7),
                            estimators=(PESIN,), seed=13, burn_in=100,
-                           length=4_000, workers=1)
-        cfg2 = SweepConfig(family="mp", grid=(0.0, 0.2, 0.4, 0.6),
+                           length=100_000, workers=1)
+        cfg2 = SweepConfig(family="mp", grid=(0.0, 0.2, 0.4, 0.6, 0.7),
                            estimators=(PESIN,), seed=13, burn_in=100,
-                           length=4_000, workers=2)
+                           length=100_000, workers=2)
         r1 = run_sweep(cfg1)
         r2 = run_sweep(cfg2)
+        assert r1.rows[-1].length_used == 400_000
         for a, b in zip(r1.rows, r2.rows):
             assert a.estimates[PESIN].value == b.estimates[PESIN].value
-            assert a.weak_star_prev == b.weak_star_prev
+            # bit for bit: a float's repr round-trips
+            assert repr(a.weak_star_prev) == repr(b.weak_star_prev)
 
     def test_ulam_sweep_rows_independent_of_worker_count(self, tmp_path):
         # 128^2 cells: the LS and Jacobian-F means run over a 16384-point
@@ -276,6 +281,20 @@ class TestUSCCheck:
     def test_constant_curve_passes(self):
         rep = usc_check(staircase_result([1.0, 1.0, 1.0, 1.0]), slack=0.1)
         assert rep.passed and not rep.witnesses
+
+    @pytest.mark.parametrize("window, slack", [
+        (0, 0.05), (-1, 0.05), (0, -5.0), (1, -0.01), (1, math.nan),
+        (1, math.inf), (1, -math.inf),
+    ])
+    def test_window_and_slack_bounds(self, window, slack):
+        # window 0 compares nothing, so it would pass any curve
+        dip = staircase_result([1.0, 1.0, 0.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            usc_check(dip, window=window, slack=slack)
+
+    def test_zero_slack_allowed(self):
+        rep = usc_check(staircase_result([1.0, 1.0, 1.0, 1.0]), window=2, slack=0.0)
+        assert rep.passed
 
     def test_staircase_dip_witness_at_middle(self):
         rep = usc_check(staircase_result([1.0, 1.0, 0.0, 1.0, 1.0]), slack=0.1)
