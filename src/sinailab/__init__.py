@@ -29,7 +29,6 @@ from .errors import (
 )
 from .measures import (
     EmpiricalMeasure,
-    GridMeasure,
     TransferMatrix,
     birkhoff_sample,
     bounded_jacobian_check,

@@ -284,8 +284,8 @@ def load_sweep_config(path, workers=None) -> tuple:
 
 def cmd_sweep(ns) -> int:
     config, checks = load_sweep_config(ns.config, workers=ns.workers)
-    manifest = _Manifest("sweep", {"config_file": str(ns.config),
-                                   **config.to_json_dict()}, ns.out)
+    manifest = _Manifest("sweep", {"config_file": str(ns.config), **config.to_json_dict(),
+                                   "workers": config.workers}, ns.out)
     result = run_sweep(config)
     payload = result.to_json_dict()
     n_ok = sum(1 for r in result.rows if r.ok)

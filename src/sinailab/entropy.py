@@ -8,10 +8,12 @@ the expanding subbundle. A cross-validation report compares all three.
 
 run_estimators, the one pipeline behind cross_validate, `sinailab entropy`
 and sweep points, decides which spectrum, default dim_f and seed each
-estimator gets. The LS table and Jacobian-along-F advance their clouds
-through systems._cloud_walk (one rule for dead points, dither and the
-failure limit) and average over it with measures._masked_mean_se, the
-package's one weighted cloud mean and standard error.
+estimator gets; the spectrum runs along the measure's orbit when it
+keeps one. The LS table and Jacobian-along-F read a measure as its
+(points, weights), advance the points through systems._cloud_walk (one
+rule for dead points, dither and the failure limit) and average over
+them with measures._masked_mean_se, the package's one weighted cloud
+mean and standard error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .matrixcore import LOG_ZERO, WedgeAccumulatorBatch, log_wedge_total_from_rows
-from .measures import _masked_mean_se, measure_cloud
+from .measures import _masked_mean_se
 from .oseledets import (
     FRAME_TRANSIENT,
     LyapunovSpectrum,
@@ -114,7 +116,7 @@ def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
     a_{k+1}), the minimizing n (argmin_n, 1-based) and skipped_points.
     """
     check_estimator_args((LEDRAPPIER_STRELCYN,), n_max, None, system.space.dim)
-    pts, weights = measure_cloud(measure)
+    pts, weights = measure.points, measure.weights
     m, d = pts.shape
     acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d), (m, d, d)))
     totals = []
@@ -158,7 +160,7 @@ def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
     of the QR step that pushes its frame over one more step. dim_f = dim
     takes no transient: it is <log |det Df|>.
     """
-    pts, weights = measure_cloud(measure)
+    pts, weights = measure.points, measure.weights
     m, d = pts.shape
     check_estimator_args((JACOBIAN_F,), None, dim_f, d)
     walk = _cloud_walk(system, pts, [seed, 0xF1])
@@ -245,7 +247,7 @@ def run_estimators(system: DynamicalSystem, measure, methods, seed: int,
     """
     if spectrum is None and (PESIN in methods or (JACOBIAN_F in methods and dim_f is None)):
         spectrum = benettin_spectrum(system, seed, burn_in, n_steps,
-                                     orbit=getattr(measure, "orbit", None))
+                                     orbit=measure.orbit)
     estimates = {}
     if PESIN in methods:
         estimates[PESIN] = pesin_entropy(spectrum)
@@ -268,7 +270,7 @@ def cross_validate(system: DynamicalSystem, measure, dim_f: Optional[int] = None
     the spectrum, unless given, runs along the measure's own Birkhoff
     orbit. See run_estimators for the rest.
     """
-    prov = getattr(measure, "provenance", {}) or {}
+    prov = measure.provenance
     estimates, _ = run_estimators(system, measure, ESTIMATORS, int(prov.get("seed", 0)),
                                   int(prov.get("burn_in", 10_000)),
                                   int(prov.get("length", 100_000)),

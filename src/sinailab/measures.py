@@ -1,12 +1,15 @@
 """Invariant-measure approximation and regularity diagnostics.
 
-Two routes to an approximate Sinai/SRB measure: Birkhoff point clouds from
-Lebesgue-random starts, and the Ulam transfer-operator discretization.
-Diagnostics cover singular-set mass scaling, log-norm integrability,
-parameter Hölder regularity of log |det Df|, Jacobian boundedness, and
-the split of <log |det Df|> at the singular set. One routine,
-_masked_mean_se, sums every cloud integral: the estimators' means, the
-diagnose integrals and the weak* dictionary moments.
+Two routes to an approximate Sinai/SRB measure, both giving one weighted
+point cloud (EmpiricalMeasure) that every consumer reads as (points,
+weights): Birkhoff orbit clouds from Lebesgue-random starts, and the
+stationary density of the Ulam transfer-operator discretization on the
+grid cell centers. Diagnostics cover singular-set mass scaling, log-norm
+integrability, parameter Hölder regularity of log |det Df|, Jacobian
+boundedness, and the split of <log |det Df|> at the singular set. One
+routine, _masked_mean_se, sums every cloud integral: the estimators'
+means, the diagnose integrals, the singular-neighborhood masses and the
+weak* dictionary moments.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ MAX_ULAM_CELLS = 10_000_000
 #: sample points ulam_matrix maps at a time, rounded down to whole cells
 ULAM_CHUNK_POINTS = 2 ** 18
 
+#: most torus wavevectors _dictionary evaluates at a time (T^4 has 3280
+#: at cutoff 4): it bounds the (wavevectors, points) blocks held at once
+DICTIONARY_CHUNK = 64
+
 
 # ---------------------------------------------------------------------------
 # Measure containers
@@ -39,8 +46,10 @@ ULAM_CHUNK_POINTS = 2 ** 18
 class EmpiricalMeasure:
     """Weighted point cloud approximating an invariant measure.
 
-    A Birkhoff cloud keeps its whole sampled orbit, burn-in included;
-    points is a view of its tail.
+    Both routes give one. A Birkhoff cloud has equal weights and keeps its
+    whole sampled orbit, burn-in included; points is a view of its tail.
+    An Ulam cloud holds the grid cell centers, weighted by the stationary
+    density, and no orbit.
     """
 
     space: PhaseSpace
@@ -61,63 +70,6 @@ class EmpiricalMeasure:
             raise ValueError(f"weights must sum to 1 (got {total})")
         if not self.space.contains(self.points).all():
             raise ValueError("measure has points outside the phase space")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "empirical",
-            "points": self.points.tolist(),
-            "weights": self.weights.tolist(),
-            "provenance": self.provenance,
-        }
-
-
-@dataclass
-class GridMeasure:
-    """Probability vector over a uniform partition of the phase-space box."""
-
-    space: PhaseSpace
-    resolution: tuple       # cells per dimension
-    density: np.ndarray     # (prod(resolution),), C-order
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.resolution = tuple(int(r) for r in np.atleast_1d(self.resolution))
-        self.density = np.asarray(self.density, dtype=float)
-        if np.any(self.density < 0.0):
-            raise ValueError("density entries must be non-negative")
-        total = float(self.density.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"density must sum to 1 (got {total})")
-
-    @property
-    def n_cells(self) -> int:
-        return int(np.prod(self.resolution))
-
-    def cell_centers(self) -> np.ndarray:
-        axes = [
-            np.asarray(self.space.lo)[i]
-            + (np.arange(r) + 0.5) * (self.space.widths()[i] / r)
-            for i, r in enumerate(self.resolution)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "grid",
-            "resolution": list(self.resolution),
-            "density": self.density.tolist(),
-            "provenance": self.provenance,
-        }
-
-
-def measure_cloud(measure):
-    """(points, weights) view of either measure kind."""
-    if isinstance(measure, EmpiricalMeasure):
-        return measure.points, measure.weights
-    if isinstance(measure, GridMeasure):
-        return measure.cell_centers(), measure.density
-    raise TypeError(f"not a measure: {type(measure)!r}")
 
 
 def _masked_mean_se(values: np.ndarray, weights: np.ndarray, keep: np.ndarray):
@@ -147,11 +99,10 @@ def _cloud_integral(system: DynamicalSystem, measure, integrand):
     of points left out: those system.unusable flags (integrand never sees
     them) and those where a row is not finite.
     """
-    pts, weights = measure_cloud(measure)
-    usable = ~system.unusable(pts)
-    values = integrand(pts[usable])
+    usable = ~system.unusable(measure.points)
+    values = integrand(measure.points[usable])
     finite = np.all(np.isfinite(values), axis=0)
-    means = [_masked_mean_se(row, weights[usable], finite)[0] for row in values]
+    means = [_masked_mean_se(row, measure.weights[usable], finite)[0] for row in values]
     return means, int(usable.size - finite.sum())
 
 
@@ -318,9 +269,10 @@ def ulam_matrix(system: DynamicalSystem, resolution, samples_per_cell: int,
 
 
 def ulam_stationary(transfer: TransferMatrix, tol: float = 1e-12,
-                    max_iters: int = 20_000) -> GridMeasure:
+                    max_iters: int = 20_000) -> EmpiricalMeasure:
     """Stationary density of the Ulam matrix by left power iteration from
-    the uniform vector; raises UlamConvergenceError on non-convergence."""
+    the uniform vector, as weights on the cell centers (C order); raises
+    UlamConvergenceError on non-convergence."""
     p_t = transfer.matrix.T.tocsr()
     n = p_t.shape[0]
     v = np.full(n, 1.0 / n)
@@ -330,16 +282,17 @@ def ulam_stationary(transfer: TransferMatrix, tol: float = 1e-12,
         residual = float(np.abs(v_next - v).sum())
         v = v_next
         if residual < tol:
-            v = np.maximum(v, 0.0)
-            v /= v.sum()
-            return GridMeasure(
-                space=transfer.space,
-                resolution=transfer.resolution,
-                density=v,
-                provenance={"kind": "ulam", "iterations": it + 1,
-                            "residual": residual, "tol": tol},
-            )
-    raise UlamConvergenceError(residual=residual, iterations=max_iters)
+            break
+    else:
+        raise UlamConvergenceError(residual=residual, iterations=max_iters)
+    space = transfer.space
+    axes = [np.asarray(space.lo)[i] + (np.arange(r) + 0.5) * (space.widths()[i] / r)
+            for i, r in enumerate(transfer.resolution)]
+    centers = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    v = np.maximum(v, 0.0)
+    return EmpiricalMeasure(space, centers, v / v.sum(),
+                            {"kind": "ulam", "resolution": transfer.resolution,
+                             "iterations": it + 1, "residual": residual, "tol": tol})
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +327,20 @@ def _torus_wavevectors(d: int, cutoff: int):
 def _dictionary(space: PhaseSpace, pts: np.ndarray, cutoff: int):
     """The test dictionary at pts, in (functions, points) blocks.
 
-    Torus: cos/sin(2 pi k.x) over |k|_inf <= cutoff. Interval: Chebyshev
+    Torus: cos/sin(2 pi k.x) over |k|_inf <= cutoff, DICTIONARY_CHUNK
+    wavevectors per block. Interval: Chebyshev
     polynomials to degree cutoff (affinely rescaled). Cylinder: products of
     the two. The constant function is omitted (every measure integrates it
     to 1).
     """
     if space.kind == "torus":
         ks = _torus_wavevectors(space.dim, cutoff)
-        phases = 2.0 * math.pi * sum(np.multiply.outer(k, x) for k, x in zip(ks.T, pts.T))
-        yield np.cos(phases)
-        yield np.sin(phases)
+        for start in range(0, ks.shape[0], DICTIONARY_CHUNK):
+            chunk = ks[start:start + DICTIONARY_CHUNK]
+            phases = 2.0 * math.pi * sum(np.multiply.outer(k, x)
+                                         for k, x in zip(chunk.T, pts.T))
+            yield np.cos(phases)
+            yield np.sin(phases)
     elif space.kind == "interval":
         u = 2.0 * (pts[:, 0] - space.lo[0]) / space.widths()[0] - 1.0
         yield _chebyshev_values(u, cutoff)[1:]
@@ -402,10 +359,11 @@ def _dictionary(space: PhaseSpace, pts: np.ndarray, cutoff: int):
 def dictionary_moments(measure, cutoff: int) -> np.ndarray:
     """Integrals of the test dictionary (see _dictionary) against the
     measure, every point counted."""
-    pts, w = measure_cloud(measure)
+    w = measure.weights
     keep = np.ones(w.shape[0], dtype=bool)
     return np.array([_masked_mean_se(f, w, keep)[0]
-                     for block in _dictionary(measure.space, pts, cutoff) for f in block])
+                     for block in _dictionary(measure.space, measure.points, cutoff)
+                     for f in block])
 
 
 def moment_gap(m1: np.ndarray, m2: np.ndarray) -> float:
@@ -439,9 +397,10 @@ def ls1_fit(system: DynamicalSystem, measure, eps_grid) -> dict:
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))
     if np.any(eps_grid <= 0.0):
         raise ValueError("eps values must be positive")
-    pts, w = measure_cloud(measure)
-    dist = system.singular_distance(pts)
-    masses = np.array([float(w[dist < e].sum()) for e in eps_grid])
+    dist = system.singular_distance(measure.points)
+    keep = np.ones(dist.shape[0], dtype=bool)
+    masses = np.array([_masked_mean_se(dist < e, measure.weights, keep)[0]
+                       for e in eps_grid])
     positive = masses > 0.0
     if not np.any(positive):
         return {"C": 0.0, "beta": math.inf, "residual": 0.0,

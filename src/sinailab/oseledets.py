@@ -39,10 +39,6 @@ class LyapunovSpectrum:
         self.exponents = np.asarray(self.exponents, dtype=float)
         self.std_error = np.asarray(self.std_error, dtype=float)
 
-    @property
-    def dim(self) -> int:
-        return self.exponents.shape[0]
-
     def to_json_dict(self) -> dict:
         return {
             "exponents": self.exponents.tolist(),

@@ -100,7 +100,6 @@ class SweepConfig:
             "ulam_resolution": self.ulam_resolution,
             "n_max": self.n_max,
             "dim_f": self.dim_f,
-            "workers": self.workers,
             "weak_star_cutoff": WEAK_STAR_CUTOFF,
         }
 

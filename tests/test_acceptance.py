@@ -267,7 +267,7 @@ def test_criterion_7_ulam_doubling():
     system = make_manneville_pomeau(0.0)
     t64 = ulam_matrix(system, 64, samples_per_cell=64, seed=0)
     g64 = ulam_stationary(t64, tol=1e-13)
-    linf = float(np.max(np.abs(g64.density - 1.0 / 64.0)))
+    linf = float(np.max(np.abs(g64.weights - 1.0 / 64.0)))
     t256 = ulam_matrix(system, 256, samples_per_cell=256, seed=0)
     g256 = ulam_stationary(t256, tol=1e-13)
     birkhoff = birkhoff_sample(system, seed=29, burn_in=10_000, length=1_000_000)

@@ -305,6 +305,22 @@ class TestDeterminism:
         code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 0
 
+    def test_sweep_data_files_do_not_depend_on_workers(self, tmp_path, monkeypatch):
+        # the worker count is how a run was made, not what it computed:
+        # only the manifest records it
+        monkeypatch.delenv("SINAILAB_WORKERS", raising=False)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[sweep]\nfamily = mp\ngrid = 0.0,0.2,0.4\n"
+                       "estimators = pesin\nburn_in = 50\nlength = 2000\n",
+                       encoding="utf-8")
+        for workers in ("1", "2"):
+            code = main(["sweep", "--config", str(cfg), "--workers", workers,
+                         "--out", str(tmp_path / workers)])
+            assert code == 0
+        for name in ("sweep.json", "sweep.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        assert read_json(tmp_path / "2" / "manifest.json")["config"]["workers"] == 2
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [

@@ -10,7 +10,6 @@ import scipy.sparse as sp
 from sinailab.errors import UlamConvergenceError
 from sinailab.measures import (
     EmpiricalMeasure,
-    GridMeasure,
     TransferMatrix,
     _lattice_offsets,
     birkhoff_sample,
@@ -84,26 +83,28 @@ def dirac(space, location):
                             np.array([1.0]), {"kind": "dirac"})
 
 
+def identity_ulam(space, resolution):
+    """Ulam cloud of the identity transfer matrix: the uniform density on
+    the cell centers."""
+    n = int(np.prod(resolution))
+    return ulam_stationary(TransferMatrix(space, resolution, sp.identity(n, format="csr"), 1))
+
+
 class TestMeasureContainers:
     def test_weights_must_normalize(self):
         with pytest.raises(ValueError):
             EmpiricalMeasure(PhaseSpace.unit_interval(),
                              np.array([[0.1], [0.2]]),
                              np.array([0.5, 0.4]))
-
-    def test_density_must_normalize(self):
         with pytest.raises(ValueError):
-            GridMeasure(PhaseSpace.unit_interval(), (4,),
-                        np.array([0.5, 0.5, 0.5, 0.5]))
+            EmpiricalMeasure(PhaseSpace.unit_interval(),
+                             np.array([[0.125], [0.375], [0.625], [0.875]]),
+                             np.array([0.5, 0.5, 0.5, 0.5]))
 
     def test_grid_centers(self):
-        g = GridMeasure(PhaseSpace.unit_interval(), (4,), np.full(4, 0.25))
-        assert np.allclose(g.cell_centers()[:, 0], [0.125, 0.375, 0.625, 0.875])
-
-    def test_json_round_shape(self):
-        g = GridMeasure(PhaseSpace.unit_interval(), (2,), np.array([0.5, 0.5]))
-        d = g.to_json_dict()
-        assert d["kind"] == "grid" and d["resolution"] == [2]
+        g = identity_ulam(PhaseSpace.unit_interval(), (4,))
+        assert np.allclose(g.points[:, 0], [0.125, 0.375, 0.625, 0.875])
+        assert g.orbit is None and g.provenance["resolution"] == (4,)
 
 
 class TestBirkhoffSample:
@@ -200,8 +201,8 @@ class TestUlam:
             assert np.array_equal(getattr(t.matrix, name), getattr(ref, name)), name
         if system.space.dim == 2:
             ref_t = TransferMatrix(t.space, t.resolution, ref, samples)
-            assert np.array_equal(ulam_stationary(t, tol=1e-10).density,
-                                  ulam_stationary(ref_t, tol=1e-10).density)
+            assert np.array_equal(ulam_stationary(t, tol=1e-10).weights,
+                                  ulam_stationary(ref_t, tol=1e-10).weights)
 
     @pytest.mark.parametrize("system, resolution", [
         (make_cat_map(), 37), (make_derived_from_anosov(0.2), 64),
@@ -230,13 +231,11 @@ class TestUlam:
         t = ulam_matrix(make_manneville_pomeau(0.0), 64,
                         samples_per_cell=64, seed=0)
         g = ulam_stationary(t, tol=1e-13)
-        assert np.max(np.abs(g.density - 1.0 / 64.0)) < 1e-6
+        assert np.max(np.abs(g.weights - 1.0 / 64.0)) < 1e-6
 
     def test_identity_matrix_returns_uniform(self):
-        t = TransferMatrix(PhaseSpace.unit_interval(), (8,),
-                           sp.identity(8, format="csr"), 1)
-        g = ulam_stationary(t)
-        assert np.allclose(g.density, 1.0 / 8.0)
+        g = identity_ulam(PhaseSpace.unit_interval(), (8,))
+        assert np.allclose(g.weights, 1.0 / 8.0)
 
     def test_stationary_satisfies_balance(self):
         # ||density . T - density||_1 <= 10 tol
@@ -244,7 +243,7 @@ class TestUlam:
                         samples_per_cell=32, seed=4)
         tol = 1e-10
         g = ulam_stationary(t, tol=tol)
-        residual = float(np.abs(t.matrix.T.dot(g.density) - g.density).sum())
+        residual = float(np.abs(t.matrix.T.dot(g.weights) - g.weights).sum())
         assert residual <= 10.0 * tol
 
     def test_period_two_oscillation_diverges(self):
@@ -293,8 +292,30 @@ class TestWeakStar:
         with pytest.raises(ValueError):
             weak_star_distance(mu, nu)
 
+    def test_torus_dictionary_memory_stays_chunk_sized(self):
+        # T^4 at cutoff 4 has 3280 wavevectors: on a 2000-point cloud the
+        # whole (3280, 2000) phase array with its cos and sin peaks near 150 MB
+        mu = birkhoff_sample(make_standard_skew(0.5, 2), seed=1, burn_in=10, length=2000)
+        tracemalloc.start()
+        try:
+            m = dictionary_moments(mu, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        # the moments are the integrals of cos and sin(2 pi k.x), in some order
+        ks = np.array([k for k in np.ndindex(*(9,) * 4)]) - 4
+        first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
+        ks = ks[first > 0]
+        phases = 2.0 * math.pi * (mu.points[:200] @ ks.T)
+        sub = EmpiricalMeasure(mu.space, mu.points[:200], np.full(200, 1.0 / 200))
+        ref = np.concatenate([np.cos(phases).mean(axis=0), np.sin(phases).mean(axis=0)])
+        got = dictionary_moments(sub, 4)
+        assert m.shape == got.shape == (2 * 3280,)
+        assert np.allclose(np.sort(got), np.sort(ref), rtol=0.0, atol=1e-12)
+
     def test_grid_vs_empirical_same_uniform(self):
-        g = GridMeasure(PhaseSpace.unit_interval(), (128,), np.full(128, 1.0 / 128))
+        g = identity_ulam(PhaseSpace.unit_interval(), (128,))
         pts = (np.arange(4096)[:, None] + 0.5) / 4096.0
         e = EmpiricalMeasure(PhaseSpace.unit_interval(), pts, np.full(4096, 1.0 / 4096))
         assert weak_star_distance(g, e, 4) < 1e-3
