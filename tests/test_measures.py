@@ -96,6 +96,9 @@ class TestMeasureContainers:
             EmpiricalMeasure(PhaseSpace.unit_interval(),
                              np.array([[0.1], [0.2]]),
                              np.array([0.5, 0.4]))
+
+    def test_density_must_normalize(self):
+        # An Ulam density is the weights of the cell-center cloud.
         with pytest.raises(ValueError):
             EmpiricalMeasure(PhaseSpace.unit_interval(),
                              np.array([[0.125], [0.375], [0.625], [0.875]]),
