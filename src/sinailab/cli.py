@@ -57,7 +57,7 @@ from .sweep import (
     run_sweep,
     usc_check,
 )
-from .systems import FAMILIES, build_system
+from .systems import FAMILIES, build_system, whole_number
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -108,7 +108,7 @@ def _system_from_args(ns) -> tuple:
 
 
 def _steps(text) -> int:
-    return int(float(text))
+    return whole_number(text, "a step count")
 
 
 class _Manifest:

@@ -10,11 +10,11 @@ a singular set (a union of coordinate hyperplanes), and (when available)
 an inverse. DynamicalSystem.unusable is the one rule for which points an
 orbit or a cloud integral may use: orbit sampling, the cloud walk, the
 diagnose integrals and the Hölder check drop the points it flags.
-Long-orbit generation
-goes through fast scalar loops per family. Batches of points advance
-through the derivative cocycle along one generator, _cloud_walk, which
-every forward product (LS table, Jacobian-along-F, bundle frames,
-domination ratios) consumes.
+Each family's fast scalar loop yields its orbit's coordinates one float at
+a time, and DynamicalSystem.orbit streams them into the one array an
+orbit is stored in. Batches of points advance through the derivative
+cocycle along one generator, _cloud_walk, which every forward product (LS
+table, Jacobian-along-F, bundle frames, domination ratios) consumes.
 """
 
 from __future__ import annotations
@@ -198,24 +198,34 @@ class DynamicalSystem:
 
     def orbit(self, x0, n: int, dither_rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """(n+1, d) array [x0, f(x0), ..., f^n(x0)], dithered (see _dither)
-        when dither_rng is given.
+        when dither_rng is given; ValueError for n < 0.
 
-        Uses the family's fast scalar loop when available; orbit_fn(x0, n,
-        noise) gets the dither noise, or None.
+        The family's scalar loop orbit_fn(x0, n, noise) gets the dither
+        noise, or None, and yields the coordinates as floats in row-major
+        order; without one, eval_batch steps the orbit. This is the one
+        place an orbit is stored: numpy allocates the (n+1)*d buffer once
+        and fills it from the stream.
         """
+        if n < 0:
+            raise ValueError(f"orbit length n must be >= 0, got {n}")
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         noise = self._dither(n, dither_rng)
         if self.orbit_fn is not None:
-            return self.orbit_fn(x0, n, noise)
-        if noise is not None:
+            coords = self.orbit_fn(x0, n, noise)
+        elif noise is not None:
             raise UnsupportedSystemError(f"{self.name}: a dithered orbit needs an orbit_fn")
-        out = np.empty((n + 1, self.space.dim))
-        out[0] = x0
+        else:
+            coords = self._eval_orbit(x0, n)
+        d = self.space.dim
+        return np.fromiter(coords, float, d * (n + 1)).reshape(n + 1, d)
+
+    def _eval_orbit(self, x0: np.ndarray, n: int):
+        """orbit_fn's coordinate stream, one eval_batch call per step."""
         cur = x0[None, :]
-        for k in range(n):
+        yield from x0.tolist()
+        for _ in range(n):
             cur = self.eval_batch(cur)
-            out[k + 1] = cur[0]
-        return out
+            yield from cur[0].tolist()
 
     def step_batch(self, pts: np.ndarray, dither_rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """One map application for a batch, dithered as orbit() dithers."""
@@ -300,23 +310,21 @@ def make_torus_automorphism(matrix) -> DynamicalSystem:
         a10, a11 = rows[1]
 
         def orbit_fn(x0, n, _noise):
-            out = np.empty((n + 1, 2))
             x, y = float(x0[0]), float(x0[1])
-            out[0] = (x, y)
-            for k in range(n):
+            yield x
+            yield y
+            for _ in range(n):
                 x, y = (a00 * x + a01 * y) % 1.0, (a10 * x + a11 * y) % 1.0
-                out[k + 1] = (x, y)
-            return out
+                yield x
+                yield y
     else:
         def orbit_fn(x0, n, _noise):
-            out = np.empty((n + 1, d))
             cur = [float(v) for v in x0]
-            out[0] = cur
+            yield from cur
             rng_d = range(d)
-            for k in range(n):
+            for _ in range(n):
                 cur = [sum(r[i] * cur[i] for i in rng_d) % 1.0 for r in rows]
-                out[k + 1] = cur
-            return out
+                yield from cur
 
     return DynamicalSystem(
         name="torus_automorphism",
@@ -378,9 +386,8 @@ def make_manneville_pomeau(alpha: float) -> DynamicalSystem:
         singular.append(SingularHyperplane(0, 0.0, "neutral"))
 
     def orbit_fn(x0, n, noise):
-        out = np.empty((n + 1, 1))
         x = float(x0[0])
-        out[0, 0] = x
+        yield x
         for k in range(n):
             if x <= 0.5:
                 x = x * (1.0 + pow2a * x ** alpha)
@@ -390,8 +397,7 @@ def make_manneville_pomeau(alpha: float) -> DynamicalSystem:
                 x = 2.0 * x - 1.0
             if noise is not None:
                 x = (x + noise[k]) % 1.0
-            out[k + 1, 0] = x
-        return out
+            yield x
 
     return DynamicalSystem(
         name="manneville_pomeau",
@@ -480,13 +486,13 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
         return x
 
     def orbit_fn(x0, n, _noise):
-        out = np.empty((n + 1, 2))
         x, y = float(x0[0]), float(x0[1])
-        out[0] = (x, y)
+        yield x
+        yield y
         vux, vuy = float(vu[0]), float(vu[1])
         vsx, vsy = float(vs[0]), float(vs[1])
         tk = t * kappa
-        for k in range(n):
+        for _ in range(n):
             wx = (x + 0.5) % 1.0 - 0.5
             wy = (y + 0.5) % 1.0 - 0.5
             u = wx * vux + wy * vuy
@@ -498,8 +504,8 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
             else:
                 delta = 0.0
             x, y = (2.0 * x + y + delta * vsx) % 1.0, (x + y + delta * vsy) % 1.0
-            out[k + 1] = (x, y)
-        return out
+            yield x
+            yield y
 
     return DynamicalSystem(
         name="derived_from_anosov",
@@ -534,6 +540,8 @@ def make_standard_skew(K: float, N: int) -> DynamicalSystem:
     mod 1; A is the cat matrix. The Jacobian is block upper-triangular with
     unit determinant, so the map preserves volume.
     """
+    if not math.isfinite(K):
+        raise ValueError(f"K must be finite, got {K}")
     if N < 1:
         raise ValueError("N must be >= 1")
     a = np.asarray(CAT_MATRIX, dtype=float)
@@ -589,16 +597,20 @@ def make_standard_skew(K: float, N: int) -> DynamicalSystem:
                           float(a2n[1, 0]), float(a2n[1, 1]))
 
     def orbit_fn(x0, n, _noise):
-        out = np.empty((n + 1, 4))
         z0, z1, w0, w1 = (float(x0[0]), float(x0[1]), float(x0[2]), float(x0[3]))
-        out[0] = (z0, z1, w0, w1)
-        for k in range(n):
+        yield z0
+        yield z1
+        yield w0
+        yield w1
+        for _ in range(n):
             kick = c * math.sin(TWO_PI * z0)
             drive = an00 * w0 + an01 * w1
             z0, z1 = (z0 + z1 + kick + drive) % 1.0, (z1 + kick) % 1.0
             w0, w1 = (b00 * w0 + b01 * w1) % 1.0, (b10 * w0 + b11 * w1) % 1.0
-            out[k + 1] = (z0, z1, w0, w1)
-        return out
+            yield z0
+            yield z1
+            yield w0
+            yield w1
 
     return DynamicalSystem(
         name="standard_skew",
@@ -628,6 +640,8 @@ def make_viana(a0: float = VIANA_A0, eps: float = 0.02, d: int = 16) -> Dynamica
     base expansion d is a power of two for the classical choice d = 16, so
     long orbits are dithered (see DynamicalSystem.orbit).
     """
+    if not (math.isfinite(a0) and math.isfinite(eps)):
+        raise ValueError(f"a0 and eps must be finite, got a0={a0}, eps={eps}")
     if d < 16:
         raise ValueError("d must be >= 16")
     if eps < 0.0:
@@ -670,9 +684,9 @@ def make_viana(a0: float = VIANA_A0, eps: float = 0.02, d: int = 16) -> Dynamica
         return out
 
     def orbit_fn(x0, n, noise):
-        out = np.empty((n + 1, 2))
         theta, x = float(x0[0]), float(x0[1])
-        out[0] = (theta, x)
+        yield theta
+        yield x
         for k in range(n):
             new_theta = (dd * theta) % 1.0
             if noise is not None:
@@ -683,8 +697,8 @@ def make_viana(a0: float = VIANA_A0, eps: float = 0.02, d: int = 16) -> Dynamica
             elif x > b_hi:
                 x = b_hi
             theta = new_theta
-            out[k + 1] = (theta, x)
-        return out
+            yield theta
+            yield x
 
     return DynamicalSystem(
         name="viana",
@@ -745,6 +759,15 @@ def get_family(family_id: str) -> FamilyHandle:
 # ---------------------------------------------------------------------------
 
 
+def whole_number(value, name: str) -> int:
+    """value, a number or its text ("1e6" included), as an int; ValueError
+    naming it unless it is a finite whole number."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a finite whole number, got {value!r}")
+    return int(number)
+
+
 def build_system(name: str, params: Optional[dict] = None) -> DynamicalSystem:
     """Construct a system from a name and a parameter mapping."""
     p = dict(params or {})
@@ -757,10 +780,11 @@ def build_system(name: str, params: Optional[dict] = None) -> DynamicalSystem:
     if name == "da":
         return make_derived_from_anosov(float(p.get("deformation", 0.2)))
     if name == "skew":
-        return make_standard_skew(float(p.get("K", 0.5)), int(p.get("N", 2)))
+        return make_standard_skew(float(p.get("K", 0.5)),
+                                  whole_number(p.get("N", 2), "N"))
     if name == "viana":
         return make_viana(float(p.get("a0", VIANA_A0)),
-                          float(p.get("eps", 0.02)), int(p.get("d", 16)))
+                          float(p.get("eps", 0.02)), whole_number(p.get("d", 16), "d"))
     raise ValueError(
         f"unknown system {name!r}; available: cat, cat4, mp, da, skew, viana"
     )

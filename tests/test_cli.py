@@ -347,6 +347,31 @@ class TestUsageErrors:
         assert message in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["lyapunov", "--system", "cat", "--steps", "inf"],
+        ["lyapunov", "--system", "cat", "--steps", "2e4", "--burn-in", "inf"],
+        ["lyapunov", "--system", "cat", "--steps", "20000.7"],
+        ["lyapunov", "--system", "cat", "--steps", "2e4", "--burn-in", "1.5"],
+        ["lyapunov", "--system", "skew", "--param", "K=nan", "--steps", "2e4"],
+        ["lyapunov", "--system", "skew", "--param", "K=inf", "--steps", "2e4"],
+        ["lyapunov", "--system", "viana", "--param", "eps=nan", "--steps", "2e4"],
+        ["lyapunov", "--system", "viana", "--param", "a0=nan", "--steps", "2e4"],
+        ["lyapunov", "--system", "skew", "--param", "N=2.5", "--steps", "2e4"],
+    ], ids=["steps-inf", "burn-in-inf", "steps-fractional", "burn-in-fractional",
+            "skew-K-nan", "skew-K-inf", "viana-eps-nan", "viana-a0-nan",
+            "skew-N-fractional"])
+    def test_bad_count_or_parameter_exit_two(self, tmp_path, capsys, orbit_calls,
+                                             argv):
+        # a step count must be a finite whole number and a family parameter
+        # one the family is defined for: one error line and exit 2, before
+        # any orbit is drawn, and no output directory
+        code = main(argv + ["--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert orbit_calls == []
+        assert not (tmp_path / "x").exists()
+
     def test_short_1d_orbit_with_few_blocks_runs(self, tmp_path):
         # 10 steps per dimension suffice when there are fewer blocks
         code = main(["lyapunov", "--system", "mp", "--steps", "15", "--blocks", "5",
@@ -376,8 +401,11 @@ class TestUsageErrors:
         "family = mp\ngrid = 0.0,0.5,1.2\n",
         "family = mp\ngrid = 0.0:1.5:10\n",
         "family = mp\ngrid = 0.0,nan,0.5\n",
+        "family = mp\ngrid = 0.1,0.2,0.3\nlength = inf\n",
+        "family = mp\ngrid = 0.1,0.2,0.3\nlength = 2000.5\n",
     ], ids=["nmax", "dimf", "family", "burn_in", "length", "ulam_resolution",
-            "grid-above", "grid-range-above", "grid-nan"])
+            "grid-above", "grid-range-above", "grid-nan", "length-inf",
+            "length-fractional"])
     def test_sweep_range_checked_before_sampling(self, tmp_path, capsys,
                                                  orbit_calls, body):
         # burn_in and length are added unless the body sets them: a

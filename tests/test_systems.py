@@ -1,6 +1,8 @@
 """Example families: exact maps, exact Jacobians, phase-space contracts."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +253,11 @@ class TestStandardSkew:
     def test_differential_fd(self):
         _assert_differential_matches_fd(make_standard_skew(0.5, 2), tol=2e-6)
 
+    @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_K(self, K):
+        with pytest.raises(ValueError):
+            make_standard_skew(K, 2)
+
     def test_orbit_matches_eval(self):
         sys = make_standard_skew(0.5, 2)
         x0 = np.array([0.1, 0.2, 0.3, 0.4])
@@ -284,6 +291,55 @@ class TestDitherRule:
             sys.orbit(np.array([0.3]), 5, np.random.default_rng(0))
 
 
+class TestOrbitStore:
+    # orbit() stores every family's coordinate stream, and the eval_batch
+    # fallback's, in one buffer; tol is 0 where the scalar loop and
+    # eval_batch do the same float operations
+    @pytest.mark.parametrize("make, tol", [
+        (make_cat_map, 0.0),
+        (make_cat_block, 0.0),
+        (lambda: make_manneville_pomeau(0.5), 1e-12),
+        (lambda: make_derived_from_anosov(0.35), 1e-12),
+        (lambda: make_standard_skew(0.5, 2), 1e-12),
+        (make_viana, 1e-12),
+    ], ids=["cat", "cat4", "mp", "da", "skew", "viana"])
+    def test_orbit_is_iterated_eval_batch(self, make, tol):
+        system = make()
+        d = system.space.dim
+        x0 = np.linspace(0.011, 0.37, d)
+        orbits = []
+        for sys in (system, dataclasses.replace(system, orbit_fn=None)):
+            orb = sys.orbit(x0, 300)
+            orbits.append(orb)
+            assert orb.shape == (301, d) and orb.dtype == np.float64
+            assert orb.flags.c_contiguous and orb.flags.writeable
+            assert np.array_equal(orb[0], x0)
+            for k in range(300):
+                step = sys.eval_batch(orb[k][None, :])[0]
+                if tol == 0.0:
+                    assert np.array_equal(orb[k + 1], step)
+                else:
+                    assert np.max(np.abs(sys.space.displacement(orb[k + 1], step))) <= tol
+            assert np.array_equal(sys.orbit(x0, 0), x0[None, :])
+            with pytest.raises(ValueError):
+                sys.orbit(x0, -1)
+        if tol == 0.0:
+            assert np.array_equal(*orbits)
+
+    def test_orbit_allocates_its_array_once(self):
+        # a 1e5-step cat orbit is a 1.6 MB array; a list or a growing
+        # buffer behind it would peak well above that
+        sys = make_cat_map()
+        x0 = np.array([0.123, 0.456])
+        tracemalloc.start()
+        try:
+            orb = sys.orbit(x0, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * orb.nbytes
+
+
 class TestViana:
     def test_eps_zero_decouples(self):
         sys = make_viana(1.7808, 0.0, 16)
@@ -314,6 +370,14 @@ class TestViana:
     def test_rejects_small_d(self):
         with pytest.raises(ValueError):
             make_viana(1.7808, 0.01, 8)
+
+    @pytest.mark.parametrize("a0, eps", [
+        (1.7808, math.nan), (math.nan, 0.02), (1.7808, math.inf), (math.inf, 0.02),
+    ])
+    def test_rejects_non_finite_parameters(self, a0, eps):
+        # not an EscapeError: nan has no fiber interval to escape from
+        with pytest.raises(ValueError):
+            make_viana(a0, eps, 16)
 
     def test_differential_fd(self):
         _assert_differential_matches_fd(make_viana(1.7808, 0.03, 16), tol=2e-6)
@@ -355,3 +419,11 @@ class TestBuildSystem:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             build_system("lorenz")
+
+    @pytest.mark.parametrize("name, params", [
+        ("skew", {"N": 2.5}), ("skew", {"N": math.inf}), ("skew", {"N": math.nan}),
+        ("viana", {"d": 16.5}),
+    ])
+    def test_rejects_non_integral_counts(self, name, params):
+        with pytest.raises(ValueError):
+            build_system(name, params)
