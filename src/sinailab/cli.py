@@ -225,7 +225,7 @@ def _parse_grid(text: str):
 
 
 #: [sweep] keys passed to SweepConfig as they are, with their parsers
-_SWEEP_FIELDS = {"seed": int, "burn_in": int, "length": _steps,
+_SWEEP_FIELDS = {"seed": int, "burn_in": _steps, "length": _steps,
                  "ulam_resolution": int, "n_max": int, "dim_f": int}
 #: [checks] keys, with the usc_check argument each sets and its parser
 _CHECKS_FIELDS = {"usc_window": ("window", int), "usc_slack": ("slack", float)}

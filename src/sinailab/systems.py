@@ -201,8 +201,9 @@ class DynamicalSystem:
         when dither_rng is given; ValueError for n < 0.
 
         The family's scalar loop orbit_fn(x0, n, noise) gets the dither
-        noise, or None, and yields the coordinates as floats in row-major
-        order; without one, eval_batch steps the orbit. This is the one
+        noise as a list of floats, or None, so that it runs on Python
+        floats, and yields the coordinates as floats in row-major order;
+        without one, eval_batch steps the orbit. This is the one
         place an orbit is stored: numpy allocates the (n+1)*d buffer once
         and fills it from the stream.
         """
@@ -211,7 +212,7 @@ class DynamicalSystem:
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         noise = self._dither(n, dither_rng)
         if self.orbit_fn is not None:
-            coords = self.orbit_fn(x0, n, noise)
+            coords = self.orbit_fn(x0, n, None if noise is None else noise.tolist())
         elif noise is not None:
             raise UnsupportedSystemError(f"{self.name}: a dithered orbit needs an orbit_fn")
         else:
@@ -429,6 +430,12 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
     DA_LOG_WEAK_RATE, scaled by the deformation parameter. deformation = 0
     reproduces the cat map exactly (bit for bit). The bump profile
     (1 - q/r^2)^3 in q = u^2 + s^2 is C^2 at the edge and smooth inside.
+
+    The batch map and differential work the bump out only inside its
+    support: a box test around the lattice Z^2 screens for candidates, a
+    superset of the bump, and the unchanged exact test q < r^2 decides
+    among them. Everywhere else they return the cat map and A, which is
+    what the bump terms, all zero there, would give bit for bit.
     """
     if not 0.0 <= deformation < 1.0:
         raise ValueError(f"deformation must be in [0, 1), got {deformation}")
@@ -445,31 +452,46 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
     space = PhaseSpace.torus(2)
 
     def _bump_terms(pts):
-        y = np.mod(pts + 0.5, 1.0) - 0.5  # wrap to the cell centered at 0
+        """(idx, u, s, hp, g) for the points pts[idx] inside the bump.
+
+        A point is a candidate when both coordinates lie within
+        DA_BUMP_RADIUS * (1 + 1e-9) of an integer: x - round(x) is exact,
+        and the margin covers the rounding of the wrap and of q. Only the
+        candidates are wrapped and given the exact test q < r2.
+        """
+        near = np.abs(pts - np.round(pts)) < DA_BUMP_RADIUS * (1.0 + 1e-9)
+        cand = np.flatnonzero(near[:, 0] & near[:, 1])
+        y = np.mod(pts[cand] + 0.5, 1.0) - 0.5  # wrap to the cell centered at 0
         u = y @ vu
         s = y @ vs
         q = u * u + s * s
         inside = q < r2
-        z = np.where(inside, 1.0 - q / r2, 0.0)
-        h = z ** 3
-        hp = np.where(inside, -3.0 * z * z / r2, 0.0)
-        g = np.expm1(t * kappa * h)
-        return u, s, h, hp, g
+        u, s, q = u[inside], s[inside], q[inside]
+        z = 1.0 - q / r2
+        hp = -3.0 * z * z / r2
+        g = np.expm1(t * kappa * z ** 3)
+        return cand[inside], u, s, hp, g
 
     def ev(pts):
         pts = np.atleast_2d(pts)
-        _, s, _, _, g = _bump_terms(pts)
-        delta = s * lam_inv * g
-        return np.mod(pts @ a.T + delta[:, None] * vs, 1.0)
+        out = pts @ a.T
+        idx, _, s, _, g = _bump_terms(pts)
+        out[idx] += (s * lam_inv * g)[:, None] * vs
+        # np.mod(out, 1.0) bit for bit (both round x - floor(x) once), but
+        # without the divmod that makes np.mod the costliest step here
+        out -= np.floor(out)
+        return out
 
     def dfb(pts):
         pts = np.atleast_2d(pts)
-        u, s, _, hp, g = _bump_terms(pts)
+        out = np.tile(a, (pts.shape[0], 1, 1))
+        idx, u, s, hp, g = _bump_terms(pts)
         gp = (g + 1.0) * t * kappa * hp  # d/dq of expm1 term
         grad_s = lam_inv * (g + 2.0 * s * s * gp)
         grad_u = lam_inv * (2.0 * u * s * gp)
         grad = grad_s[:, None] * vs + grad_u[:, None] * vu
-        return a + vs[None, :, None] * grad[:, None, :]
+        out[idx] += vs[None, :, None] * grad[:, None, :]
+        return out
 
     a_inv = _integer_inverse(a)
 
@@ -768,9 +790,22 @@ def whole_number(value, name: str) -> int:
     return int(number)
 
 
+#: the parameters each named system takes
+_SYSTEM_PARAMS = {"cat": (), "cat4": (), "mp": ("alpha",), "da": ("deformation",),
+                 "skew": ("K", "N"), "viana": ("a0", "eps", "d")}
+
+
 def build_system(name: str, params: Optional[dict] = None) -> DynamicalSystem:
-    """Construct a system from a name and a parameter mapping."""
+    """Construct a system from a name and a parameter mapping; ValueError
+    for an unknown name or a parameter the named system does not take."""
+    if name not in _SYSTEM_PARAMS:
+        raise ValueError(f"unknown system {name!r}; available: {', '.join(_SYSTEM_PARAMS)}")
     p = dict(params or {})
+    unknown = sorted(set(p) - set(_SYSTEM_PARAMS[name]))
+    if unknown:
+        takes = ", ".join(_SYSTEM_PARAMS[name]) or "none"
+        raise ValueError(f"system {name!r} takes no parameter {', '.join(unknown)}; "
+                         f"its parameters: {takes}")
     if name == "cat":
         return make_cat_map()
     if name == "cat4":
@@ -782,9 +817,5 @@ def build_system(name: str, params: Optional[dict] = None) -> DynamicalSystem:
     if name == "skew":
         return make_standard_skew(float(p.get("K", 0.5)),
                                   whole_number(p.get("N", 2), "N"))
-    if name == "viana":
-        return make_viana(float(p.get("a0", VIANA_A0)),
-                          float(p.get("eps", 0.02)), whole_number(p.get("d", 16), "d"))
-    raise ValueError(
-        f"unknown system {name!r}; available: cat, cat4, mp, da, skew, viana"
-    )
+    return make_viana(float(p.get("a0", VIANA_A0)),
+                      float(p.get("eps", 0.02)), whole_number(p.get("d", 16), "d"))

@@ -357,13 +357,18 @@ class TestUsageErrors:
         ["lyapunov", "--system", "viana", "--param", "eps=nan", "--steps", "2e4"],
         ["lyapunov", "--system", "viana", "--param", "a0=nan", "--steps", "2e4"],
         ["lyapunov", "--system", "skew", "--param", "N=2.5", "--steps", "2e4"],
+        ["lyapunov", "--system", "skew", "--param", "k=2", "--steps", "2e4"],
+        ["lyapunov", "--system", "cat", "--param", "alpha=0.3", "--steps", "2e4"],
+        ["lyapunov", "--system", "da", "--param", "t=0.2", "--steps", "2e4"],
     ], ids=["steps-inf", "burn-in-inf", "steps-fractional", "burn-in-fractional",
             "skew-K-nan", "skew-K-inf", "viana-eps-nan", "viana-a0-nan",
-            "skew-N-fractional"])
+            "skew-N-fractional", "skew-unknown-k", "cat-unknown-alpha",
+            "da-unknown-t"])
     def test_bad_count_or_parameter_exit_two(self, tmp_path, capsys, orbit_calls,
                                              argv):
         # a step count must be a finite whole number and a family parameter
-        # one the family is defined for: one error line and exit 2, before
+        # one the family takes, at a value it is defined for: one error
+        # line and exit 2, before
         # any orbit is drawn, and no output directory
         code = main(argv + ["--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
@@ -396,6 +401,7 @@ class TestUsageErrors:
         "family = da\ngrid = 0.1,0.2,0.3\nestimators = jacobian\ndim_f = 3\n",
         "family = nope\ngrid = 0.1,0.2,0.3\n",
         "family = mp\ngrid = 0.1,0.2,0.3\nburn_in = -1\n",
+        "family = mp\ngrid = 0.1,0.2,0.3\nburn_in = 1.5\n",
         "family = mp\ngrid = 0.1,0.2,0.3\nlength = 0\n",
         "family = da\ngrid = 0.1,0.2,0.3\nulam_resolution = 1\n",
         "family = mp\ngrid = 0.0,0.5,1.2\n",
@@ -403,9 +409,9 @@ class TestUsageErrors:
         "family = mp\ngrid = 0.0,nan,0.5\n",
         "family = mp\ngrid = 0.1,0.2,0.3\nlength = inf\n",
         "family = mp\ngrid = 0.1,0.2,0.3\nlength = 2000.5\n",
-    ], ids=["nmax", "dimf", "family", "burn_in", "length", "ulam_resolution",
-            "grid-above", "grid-range-above", "grid-nan", "length-inf",
-            "length-fractional"])
+    ], ids=["nmax", "dimf", "family", "burn_in", "burn_in-fractional", "length",
+            "ulam_resolution", "grid-above", "grid-range-above", "grid-nan",
+            "length-inf", "length-fractional"])
     def test_sweep_range_checked_before_sampling(self, tmp_path, capsys,
                                                  orbit_calls, body):
         # burn_in and length are added unless the body sets them: a
@@ -421,6 +427,16 @@ class TestUsageErrors:
         assert "bad sweep config" in capsys.readouterr().err
         assert orbit_calls == []
         assert not (tmp_path / "x").exists()
+
+    def test_sweep_counts_read_like_the_flags(self, tmp_path):
+        # burn_in and length are step counts, written as --burn-in and
+        # --length may be
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[sweep]\nfamily = mp\ngrid = 0.1,0.2\nburn_in = 1e3\n"
+                       "length = 2e3\n", encoding="utf-8")
+        config, _ = load_sweep_config(cfg, workers=1)
+        assert (config.burn_in, config.length) == (1000, 2000)
+        assert isinstance(config.burn_in, int)
 
     @pytest.mark.parametrize("checks", [
         "usc_window = 0\nusc_slack = -5\n",

@@ -10,6 +10,8 @@ import pytest
 from sinailab.errors import EscapeError, UnsupportedSystemError
 from sinailab.systems import (
     CAT_MATRIX,
+    DA_BUMP_RADIUS,
+    DA_LOG_WEAK_RATE,
     FAMILIES,
     PhaseSpace,
     build_system,
@@ -42,6 +44,77 @@ def finite_difference_jacobian(system, x, h=1e-5):
         fm = system.eval_batch((x - e)[None, :])
         jac[:, j] = system.space.displacement(fm, fp)[0] / (2.0 * h)
     return jac
+
+
+def _unscreened_da(t):
+    """(eval_batch, differential_batch) of the DA map with the bump worked
+    out at every point, none screened out: the reference the screened
+    batch map must match bit for bit."""
+    a = np.asarray(CAT_MATRIX, dtype=float)
+    lam_inv = 1.0 / LAM
+    vu = np.array([1.0, LAM - 2.0])
+    vu /= math.sqrt(float(vu @ vu))
+    vs = np.array([-(LAM - 2.0), 1.0])
+    vs /= math.sqrt(float(vs @ vs))
+    r2 = DA_BUMP_RADIUS ** 2
+    kappa = math.log(LAM) + DA_LOG_WEAK_RATE
+
+    def bump_terms(pts):
+        y = np.mod(pts + 0.5, 1.0) - 0.5
+        u = y @ vu
+        s = y @ vs
+        q = u * u + s * s
+        inside = q < r2
+        z = np.where(inside, 1.0 - q / r2, 0.0)
+        hp = np.where(inside, -3.0 * z * z / r2, 0.0)
+        g = np.expm1(t * kappa * z ** 3)
+        return u, s, hp, g
+
+    def ev(pts):
+        _, s, _, g = bump_terms(pts)
+        return np.mod(pts @ a.T + (s * lam_inv * g)[:, None] * vs, 1.0)
+
+    def dfb(pts):
+        u, s, hp, g = bump_terms(pts)
+        gp = (g + 1.0) * t * kappa * hp
+        grad_s = lam_inv * (g + 2.0 * s * s * gp)
+        grad_u = lam_inv * (2.0 * u * s * gp)
+        grad = grad_s[:, None] * vs + grad_u[:, None] * vu
+        return a + vs[None, :, None] * grad[:, None, :]
+
+    return ev, dfb
+
+
+def _bump_edge_points():
+    """Points where screening the DA bump could go wrong: both sides of the
+    screen box and of the circle q = r^2, the four wrap corners, lattice
+    points, and coordinates outside [0, 1) or equal to -0.0."""
+    r = DA_BUMP_RADIUS
+    rng = np.random.default_rng(31)
+    box = r * (1.0 + 1e-9)
+    # the bump is C^2-flat at its edge: 1e-8 inside it, a point the screen
+    # missed would still change bits of the differential
+    edges = [r * (1.0 - 1e-8), r, box] + [np.nextafter(v, w) for v in (r, box)
+                                          for w in (0.0, 1.0)]
+    rows = [(sign * e, y) for e in edges for sign in (1.0, -1.0)
+            for y in (0.0, -0.0, 1e-9, rng.uniform(-0.02, 0.02))]
+    rows += [(y, x) for x, y in rows]
+    rows += [(x + 1.0, y - 1.0) for x, y in rows]
+    for eps in (1e-12, 1e-3, 0.05, 0.07, 0.0999):
+        rows += [(eps, eps), (1.0 - eps, 1.0 - eps), (eps, 1.0 - eps), (1.0 - eps, eps)]
+    # on the circle, in the eigenbasis the bump is measured in
+    vu = np.array([1.0, LAM - 2.0]) / math.sqrt(1.0 + (LAM - 2.0) ** 2)
+    vs = np.array([-vu[1], vu[0]])
+    theta = rng.uniform(0.0, 2.0 * math.pi, 400)
+    circle = r * (np.cos(theta)[:, None] * vu + np.sin(theta)[:, None] * vs)
+    circle = np.vstack([circle, np.nextafter(circle, 0.0), np.nextafter(circle, 2.0)])
+    rows += [(-0.3, 1.7), (1.7, -0.3), (-0.0, 0.05), (0.05, -0.0), (-0.0, -0.0),
+             (0.0, 0.0), (1.0, 0.0), (-1.0, 1.0), (2.0, -3.0), (0.5, -0.5),
+             (-0.97, 1.02), (2.03, -0.98), (-0.3, 0.04), (1.7, 1.95)]
+    pts = np.vstack([np.array(rows), circle, np.mod(circle, 1.0),
+                     rng.normal(scale=0.08, size=(2000, 2)),
+                     rng.uniform(-1.0, 2.0, size=(2000, 2))])
+    return pts
 
 
 def _sample_points_off_singular(system, n, seed, margin=2e-2):
@@ -213,6 +286,29 @@ class TestDerivedFromAnosov:
         expected = math.exp(0.8 * -math.log(LAM) + 0.2 * 0.1)
         assert ev[0] == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("t", [0.1, 0.35, 0.95])
+    def test_screened_bump_matches_unscreened(self, t):
+        # the batch map works the bump out only at points near the lattice
+        # Z^2; every bit must be what the unscreened map gives
+        sys = make_derived_from_anosov(t)
+        ev, dfb = _unscreened_da(t)
+        pts = _bump_edge_points()
+        assert sys.eval_batch(pts).tobytes() == ev(pts).tobytes()
+        assert sys.differential_batch(pts).tobytes() == dfb(pts).tobytes()
+        for p in pts[::97]:  # one point at a time: subsets of size one
+            assert sys.eval(p).tobytes() == ev(p[None, :])[0].tobytes()
+            assert sys.differential(p).tobytes() == dfb(p[None, :])[0].tobytes()
+
+    @pytest.mark.parametrize("t", [0.1, 0.35, 0.95])
+    def test_outside_the_bump_is_the_cat_map(self, t):
+        sys = make_derived_from_anosov(t)
+        pts = np.random.default_rng(41).uniform(-1.0, 2.0, size=(5000, 2))
+        wrapped = np.mod(pts + 0.5, 1.0) - 0.5
+        pts = pts[np.hypot(wrapped[:, 0], wrapped[:, 1]) > 1.01 * DA_BUMP_RADIUS]
+        assert np.array_equal(sys.eval_batch(pts), make_cat_map().eval_batch(pts))
+        dfs = sys.differential_batch(pts)
+        assert np.array_equal(dfs, np.broadcast_to(np.asarray(CAT_MATRIX, float), dfs.shape))
+
     def test_orbit_matches_eval(self):
         sys = make_derived_from_anosov(0.35)
         orb = sys.orbit(np.array([0.01, 0.02]), 200)
@@ -283,6 +379,19 @@ class TestDitherRule:
             assert np.max(np.abs(orbit_step - batch_step)) <= 1e-15
             undithered = sys.eval_batch(x0[None, :])[0]
             assert np.array_equal(batch_step[1:], undithered[1:])
+
+    @pytest.mark.parametrize("make", [lambda: make_manneville_pomeau(0.0), make_viana],
+                             ids=["mp0", "viana"])
+    def test_orbit_loop_gets_float_noise(self, make):
+        # orbit() hands the loop its noise as Python floats, so that it runs
+        # on floats; the stream is the one the numpy noise array gives
+        sys = make()
+        d, n = sys.space.dim, 20_000
+        x0 = np.linspace(0.37, 0.5, d)
+        noise = sys._dither(n, np.random.default_rng(3))
+        stream = np.fromiter(sys.orbit_fn(x0, n, noise), float, d * (n + 1))
+        orb = sys.orbit(x0, n, np.random.default_rng(3))
+        assert orb.tobytes() == stream.tobytes()
 
     def test_dither_needs_an_orbit_loop(self):
         sys = make_manneville_pomeau(0.0)
@@ -419,6 +528,14 @@ class TestBuildSystem:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             build_system("lorenz")
+
+    @pytest.mark.parametrize("name, params", [
+        ("skew", {"k": 2}), ("cat", {"alpha": 0.3}), ("cat4", {"K": 1.0}),
+        ("da", {"t": 0.2}), ("mp", {"alpha": 0.2, "eps": 0.1}),
+    ])
+    def test_rejects_parameters_the_system_does_not_take(self, name, params):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            build_system(name, params)
 
     @pytest.mark.parametrize("name, params", [
         ("skew", {"N": 2.5}), ("skew", {"N": math.inf}), ("skew", {"N": math.nan}),
