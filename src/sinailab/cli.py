@@ -239,7 +239,7 @@ def load_sweep_config(path, workers=None) -> tuple:
     The worker count is SINAILAB_WORKERS when set, else `workers` (the
     --workers flag), else the config's, else the machine's CPU count.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -239,6 +239,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     n = len(config.grid)
     if config.workers > 1 and n > 1:
+        if config.ulam_resolution:
+            # ulam_matrix imports scipy.sparse on first use; importing it
+            # here, before the fork, spares each worker the import
+            import scipy.sparse  # noqa: F401
         order = sorted(range(n), key=lambda i: -_orbit_length(config, config.grid[i]))
         with ProcessPoolExecutor(max_workers=config.workers,
                                  initializer=_one_blas_thread) as pool:

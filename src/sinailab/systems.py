@@ -42,6 +42,17 @@ SINGULAR_HIT_DISTANCE = 1e-15
 MAX_FAILURE_FRACTION = 0.01
 
 
+def _wrap_unit(x: np.ndarray) -> np.ndarray:
+    """x mod 1, in place: the one wrap rule for the periodic unit
+    coordinates of the batch maps. x - floor(x) rounds once, as np.mod's
+    fmod-and-correct does, so the bits are np.mod(x, 1.0)'s (+0.0 at the
+    integers, 1.0 just below 0), without the divmod that makes np.mod
+    about 10x as costly.
+    """
+    x -= np.floor(x)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Phase spaces
 # ---------------------------------------------------------------------------
@@ -233,7 +244,7 @@ class DynamicalSystem:
         out = self.eval_batch(pts)
         noise = self._dither(out.shape[0], dither_rng)
         if noise is not None:
-            out[:, 0] = (out[:, 0] + noise) % 1.0
+            out[:, 0] = _wrap_unit(out[:, 0] + noise)
         return out
 
 
@@ -254,13 +265,19 @@ def _cloud_walk(system: DynamicalSystem, pts: np.ndarray, dither_key):
     cur = pts.copy()
     while True:
         alive &= ~system.unusable(cur)
-        if (~alive).sum() > MAX_FAILURE_FRACTION * m:
+        dead = m - int(np.count_nonzero(alive))
+        if dead > MAX_FAILURE_FRACTION * m:
             raise SamplingFailureError(
-                f"{system.name}: {int((~alive).sum())}/{m} orbit failures in the cloud walk"
+                f"{system.name}: {dead}/{m} orbit failures in the cloud walk"
             )
+        if not dead:
+            # the usual case: the whole cloud steps as it is, and the
+            # dither draws m values either way, so the bits are the same
+            yield system.differential_batch(cur), alive
+            cur = system.step_batch(cur, dither)
+            continue
         dfs = system.differential_batch(np.where(alive[:, None], cur, pts))
-        if not np.all(alive):
-            dfs[~alive] = np.eye(d)
+        dfs[~alive] = np.eye(d)
         yield dfs, alive
         cur[alive] = system.step_batch(cur[alive], dither)
 
@@ -297,14 +314,14 @@ def make_torus_automorphism(matrix) -> DynamicalSystem:
     rows = [tuple(float(v) for v in a[i]) for i in range(d)]
 
     def ev(pts):
-        return np.mod(np.atleast_2d(pts) @ a.T, 1.0)
+        return _wrap_unit(np.atleast_2d(pts) @ a.T)
 
     def dfb(pts):
         pts = np.atleast_2d(pts)
         return np.broadcast_to(a, (pts.shape[0], d, d)).copy()
 
     def inv_ev(pts):
-        return np.mod(np.atleast_2d(pts) @ a_inv.T, 1.0)
+        return _wrap_unit(np.atleast_2d(pts) @ a_inv.T)
 
     if d == 2:
         a00, a01 = rows[0]
@@ -461,7 +478,7 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
         """
         near = np.abs(pts - np.round(pts)) < DA_BUMP_RADIUS * (1.0 + 1e-9)
         cand = np.flatnonzero(near[:, 0] & near[:, 1])
-        y = np.mod(pts[cand] + 0.5, 1.0) - 0.5  # wrap to the cell centered at 0
+        y = _wrap_unit(pts[cand] + 0.5) - 0.5  # wrap to the cell centered at 0
         u = y @ vu
         s = y @ vs
         q = u * u + s * s
@@ -477,10 +494,7 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
         out = pts @ a.T
         idx, _, s, _, g = _bump_terms(pts)
         out[idx] += (s * lam_inv * g)[:, None] * vs
-        # np.mod(out, 1.0) bit for bit (both round x - floor(x) once), but
-        # without the divmod that makes np.mod the costliest step here
-        out -= np.floor(out)
-        return out
+        return _wrap_unit(out)
 
     def dfb(pts):
         pts = np.atleast_2d(pts)
@@ -498,13 +512,13 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
     def inv_ev(pts):
         """Newton solve of f(x) = y on the torus, seeded at A^-1 y."""
         y = np.atleast_2d(pts)
-        x = np.mod(y @ a_inv.T, 1.0)
+        x = _wrap_unit(y @ a_inv.T)
         for _ in range(60):
             res = space.displacement(ev(x), y)
             if np.max(np.abs(res)) < 1e-14:
                 break
             step = np.linalg.solve(dfb(x), res[:, :, None])[:, :, 0]
-            x = np.mod(x + step, 1.0)
+            x = _wrap_unit(x + step)
         return x
 
     def orbit_fn(x0, n, _noise):
@@ -582,7 +596,7 @@ def make_standard_skew(K: float, N: int) -> DynamicalSystem:
         out[:, 1] = z1 + kick
         out[:, 2] = a2n[0, 0] * w0 + a2n[0, 1] * w1
         out[:, 3] = a2n[1, 0] * w0 + a2n[1, 1] * w1
-        return np.mod(out, 1.0)
+        return _wrap_unit(out)
 
     def dfb(pts):
         p = np.atleast_2d(pts)
@@ -602,12 +616,12 @@ def make_standard_skew(K: float, N: int) -> DynamicalSystem:
 
     def inv_ev(pts):
         p = np.atleast_2d(pts)
-        w = np.mod(p[:, 2:] @ a2n_inv.T, 1.0)
+        w = _wrap_unit(p[:, 2:] @ a2n_inv.T)
         drive = an[0, 0] * w[:, 0] + an[0, 1] * w[:, 1]
         z0p = p[:, 0] - drive
-        z0 = np.mod(z0p - p[:, 1], 1.0)
+        z0 = _wrap_unit(z0p - p[:, 1])
         kick = c * np.sin(TWO_PI * z0)
-        z1 = np.mod(p[:, 1] - kick, 1.0)
+        z1 = _wrap_unit(p[:, 1] - kick)
         out = np.empty_like(p)
         out[:, 0] = z0
         out[:, 1] = z1
@@ -692,7 +706,7 @@ def make_viana(a0: float = VIANA_A0, eps: float = 0.02, d: int = 16) -> Dynamica
 
     def ev(pts):
         p = np.atleast_2d(pts)
-        theta = np.mod(dd * p[:, 0], 1.0)
+        theta = _wrap_unit(dd * p[:, 0])
         x = a0 + eps * np.sin(TWO_PI * p[:, 0]) - p[:, 1] ** 2
         return np.column_stack([theta, np.clip(x, b_lo, b_hi)])
 

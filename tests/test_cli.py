@@ -159,6 +159,19 @@ length = 2000
         assert len(payload["rows"]) == 1
         assert "usc_check" not in payload
 
+    def test_readme_config_loads(self, tmp_path, monkeypatch):
+        # the grammar's example, as printed, with its inline ; comments
+        monkeypatch.delenv("SINAILAB_WORKERS", raising=False)
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        config, checks = load_sweep_config(self._write_config(tmp_path / "r.ini", block))
+        assert (config.family, len(config.grid), config.grid[-1]) == ("mp", 10, 0.9)
+        assert config.estimators == ESTIMATORS[:2]
+        assert (config.seed, config.burn_in, config.length) == (7, 10_000, 200_000)
+        assert (config.ulam_resolution, config.n_max, config.dim_f) == (256, 40, 1)
+        assert config.workers == 2
+        assert checks == {"window": 1, "slack": 0.05}
+
     def test_malformed_config_exit_two(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path / "bad.ini", "grid = oops\nno section")
         code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")])
@@ -320,6 +333,15 @@ class TestDeterminism:
         for name in ("sweep.json", "sweep.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
         assert read_json(tmp_path / "2" / "manifest.json")["config"]["workers"] == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.sparse is imported where the Ulam matrix is built, so commands
+    # that build none do not pay for it
+    src = str(Path(sinailab.__file__).resolve().parents[1])
+    code = "import sys, sinailab.cli; sys.exit('scipy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestUsageErrors:

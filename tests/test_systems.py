@@ -13,7 +13,11 @@ from sinailab.systems import (
     DA_BUMP_RADIUS,
     DA_LOG_WEAK_RATE,
     FAMILIES,
+    MAX_FAILURE_FRACTION,
+    VIANA_A0,
     PhaseSpace,
+    _cloud_walk,
+    _wrap_unit,
     build_system,
     get_family,
     make_cat_block,
@@ -398,6 +402,69 @@ class TestDitherRule:
         sys.orbit_fn = None
         with pytest.raises(UnsupportedSystemError):
             sys.orbit(np.array([0.3]), 5, np.random.default_rng(0))
+
+
+def masked_walk(system, pts, dither_key):
+    """Reference cloud walk that masks every step, dead points or none."""
+    m, d = pts.shape
+    dither = np.random.default_rng(dither_key) if system.dither_scale else None
+    alive = np.ones(m, dtype=bool)
+    cur = pts.copy()
+    while True:
+        alive &= ~system.unusable(cur)
+        assert (~alive).sum() <= MAX_FAILURE_FRACTION * m
+        dfs = system.differential_batch(np.where(alive[:, None], cur, pts))
+        if not np.all(alive):
+            dfs[~alive] = np.eye(d)
+        yield dfs, alive
+        cur[alive] = system.step_batch(cur[alive], dither)
+
+
+class TestCloudWalk:
+    def test_matches_the_masked_walk_when_a_point_dies(self):
+        # theta = 0 and x = sqrt(a0) map to x = a0 - x^2, within 1e-15 of
+        # the critical line: that point dies after one step, one of 200,
+        # while the dithered rest walks on
+        system = make_viana()
+        pts = system.space.uniform(np.random.default_rng(5), 200)
+        pts[17] = (0.0, math.sqrt(VIANA_A0))
+        start = pts.copy()
+        runs = []
+        for walk in (_cloud_walk, masked_walk):
+            seen = []
+
+            def dfb(x, seen=seen):
+                seen.append(x.copy())
+                return system.differential_batch(x)
+
+            recording = dataclasses.replace(system, differential_batch=dfb)
+            steps = [(dfs.copy(), alive.copy())
+                     for _, (dfs, alive) in zip(range(6), walk(recording, pts, 9))]
+            runs.append((steps, seen))
+        (steps, seen), (ref_steps, ref_seen) = runs
+        assert [int(alive.sum()) for _, alive in steps] == [200] + [199] * 5
+        for (dfs, alive), (ref_dfs, ref_alive) in zip(steps, ref_steps):
+            assert np.array_equal(alive, ref_alive)
+            assert dfs.tobytes() == ref_dfs.tobytes()
+        assert len(seen) == len(ref_seen) == 6
+        for x, ref_x in zip(seen, ref_seen):
+            assert x.tobytes() == ref_x.tobytes()
+        assert np.array_equal(pts, start)
+
+
+class TestWrapRule:
+    def test_wrap_unit_is_np_mod_bit_for_bit(self):
+        # signed zeros, values that wrap to 1.0, exact integers and values
+        # past 2^53 included
+        edges = [-1e-20, -0.0, 0.0, -1.0, 1.0, 1.0 - 2.0 ** -53, -0.3, 3.0, 1e17,
+                 -1e17, 2.0 ** 53 + 2.0, -(2.0 ** -1074)]
+        rng = np.random.default_rng(11)
+        x = np.concatenate([edges, rng.uniform(-4.0, 4.0, 5000),
+                            rng.standard_normal(5000) * 1e6])
+        expected = np.mod(x, 1.0)
+        out = x.copy()
+        assert _wrap_unit(out) is out
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestOrbitStore:
