@@ -57,7 +57,7 @@ from .sweep import (
     run_sweep,
     usc_check,
 )
-from .systems import FAMILIES, build_system, whole_number
+from .systems import FAMILIES, build_system, finite_nonnegative, whole_number
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -174,6 +174,7 @@ def cmd_entropy(ns) -> int:
         raise ConfigError("--no-early-stop applies only to --method ls")
     methods = ESTIMATORS if method == "all" else (method,)
     check_estimator_args(methods, ns.nmax, ns.dimf, system.space.dim)
+    finite_nonnegative(ns.tol, "--tol")
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "method": method, "length": _steps(ns.length),
               "burn_in": _steps(ns.burn_in), "n_max": ns.nmax,
@@ -328,8 +329,8 @@ def cmd_sweep(ns) -> int:
 
 def cmd_diagnose(ns) -> int:
     system, params = _system_from_args(ns)
-    if ns.delta < 0.0:
-        raise ConfigError("--delta must be >= 0")
+    finite_nonnegative(ns.delta, "--delta")
+    finite_nonnegative(ns.bound, "--bound")
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "length": _steps(ns.length), "burn_in": _steps(ns.burn_in),
               "dim_f": ns.dimf, "bound": ns.bound, "delta": ns.delta}

@@ -34,7 +34,7 @@ from .oseledets import (
     _random_frames,
     benettin_spectrum,
 )
-from .systems import DynamicalSystem, _cloud_walk
+from .systems import DynamicalSystem, _cloud_walk, finite_nonnegative
 
 PESIN = "pesin"
 LEDRAPPIER_STRELCYN = "ledrappier_strelcyn"
@@ -216,7 +216,9 @@ def combine_estimates(pesin: EntropyEstimate, ls: EntropyEstimate,
                       jac: EntropyEstimate, tolerance: float) -> CrossValidationReport:
     """Flag agreement (all pairwise gaps <= tolerance) and the numerical
     Ruelle signal (LS value above the Pesin value beyond tolerance plus
-    twice the combined standard errors)."""
+    twice the combined standard errors). ValueError unless tolerance is
+    finite and >= 0."""
+    finite_nonnegative(tolerance, "tolerance")
     ests = dict(zip(ESTIMATORS, (pesin, ls, jac)))
     gaps = {f"{a}|{b}": abs(ests[a].value - ests[b].value)
             for a, b in combinations(ESTIMATORS, 2)}

@@ -5,10 +5,18 @@ values, exterior-power (wedge) norms carried in log scale, and the one QR
 reduction of the package, a modified Gram-Schmidt kernel batched over
 stacks of frames (Benettin spectra and bundle frames both run on it).
 
+The wedge kernel runs batch-last: a stack of m matrices is an (r, c, m)
+array, so each entry is one contiguous vector over the batch. compounds
+builds each order from flat index tables with one contiguous take per
+factor of each Laplace term, WedgeAccumulatorBatch multiplies and
+rescales its products in that layout, and top_singular_values reads them
+in place. Only the accumulator's inputs arrive batch-first: frames
+(m, d, k) and one-step derivatives (m, d, d).
+
 A wedge norm is the top singular value of a compound product P. It comes
 from top_singular_values: a power iteration on the Gram matrices P^T P,
-batch-last, warm-started from the vector the previous step found (P grows
-by one factor per step, so that vector settles). Each point is accepted
+warm-started from the vector the previous step found (P grows by one
+factor per step, so that vector settles). Each point is accepted
 only under a Kato-Temple certificate that bounds the relative error of
 sigma_1^2 by 2e-14 and proves it is the top eigenvalue; the few points
 that fail it (a repeated top singular value, a slow start) go to one
@@ -33,7 +41,7 @@ POWER_TOL = 1e-14
 
 
 def top_singular_values(mats: np.ndarray, start=None) -> tuple:
-    """(sigma_1, v) for each matrix P of an (m, r, c) stack, r >= c.
+    """(sigma_1, v) for each matrix P of an (r, c, m) stack, r >= c.
 
     Power iteration on G = P^T P, batch-last (c, c, m), from the unit
     vectors start (c, m), or from e_argmax(diag G) when start is None. A
@@ -52,11 +60,10 @@ def top_singular_values(mats: np.ndarray, start=None) -> tuple:
     start for the next call. A stack of 1x1 matrices needs only the
     absolute value and returns v = None.
     """
-    m, r, c = mats.shape
+    r, c, m = mats.shape
     if r == 1:
-        return np.abs(mats[:, 0, 0]), None
-    pt = np.ascontiguousarray(mats.transpose(1, 2, 0))
-    gram = np.einsum("iam,ibm->abm", pt, pt)
+        return np.abs(mats[0, 0]), None
+    gram = np.einsum("iam,ibm->abm", mats, mats)
     trace = np.einsum("aam->m", gram)
     if start is None:
         v = np.eye(c)[:, np.argmax(np.einsum("aam->am", gram), axis=0)]
@@ -141,42 +148,50 @@ def _gram_schmidt(m: np.ndarray):
 
 
 @functools.lru_cache(maxsize=None)
-def _laplace_tables(r: int, c: int, j: int):
-    """Index tables that expand order-j minors of an (r, c) matrix along
-    the first row of each row subset.
+def _laplace_tables(r: int, c: int, j: int) -> tuple:
+    """Flat index tables that expand order-j minors of an (r, c) matrix
+    along the first row of each row subset.
 
     Subsets are in lexicographic order. For row subset I = rows[a] and
     column subset J = cols[b], det A[I, J] = sum_t (-1)^t A[lead[a], pick[b, t]]
     * minor(rest[a], drop[b, t]), where rest and drop index the order-(j-1)
-    subsets I without its first row and J without its t-th column.
+    subsets I without its first row and J without its t-th column. Term t
+    reads its two factors at firsts[t] = lead * c + pick[:, t] in the
+    matrix and minors[t] = rest * C(c, j-1) + drop[:, t] in the order-(j-1)
+    compound, both flattened over (row, column); each table is (C(r, j),
+    C(c, j)).
     """
     prev_rows = {s: i for i, s in enumerate(combinations(range(r), j - 1))}
     prev_cols = {s: i for i, s in enumerate(combinations(range(c), j - 1))}
     rows = list(combinations(range(r), j))
     cols = list(combinations(range(c), j))
-    lead = np.array([s[0] for s in rows])
-    rest = np.array([prev_rows[s[1:]] for s in rows])
+    lead = np.array([s[0] for s in rows])[:, None]
+    rest = np.array([prev_rows[s[1:]] for s in rows])[:, None]
     pick = np.array(cols)
     drop = np.array([[prev_cols[s[:t] + s[t + 1:]] for t in range(j)] for s in cols])
-    return lead, rest, pick, drop
+    firsts = tuple(lead * c + pick[:, t] for t in range(j))
+    minors = tuple(rest * len(prev_cols) + drop[:, t] for t in range(j))
+    return firsts, minors
 
 
 def compounds(mats: np.ndarray) -> list:
-    """Every exterior power of an (m, r, c) stack, orders 1..min(r, c).
+    """Every exterior power of an (r, c, m) stack, orders 1..min(r, c).
 
-    Entry (I, J) of the order-j compound is the minor det(A[I, J]) over the
-    lexicographically ordered row and column j-subsets. Each order is
-    built from the one before by Laplace expansion.
+    Entry (I, J, p) of the order-j compound is the minor det(A_p[I, J])
+    over the lexicographically ordered row and column j-subsets. Each
+    order is built from the one before by Laplace expansion, batch-last:
+    the factors of each term are one contiguous take of whole batch
+    vectors from the flattened matrix and the flattened order j - 1.
     """
-    _, r, c = mats.shape
+    r, c, m = mats.shape
+    flat = mats.reshape(r * c, m)
     out = [mats]
     for j in range(2, min(r, c) + 1):
-        lead, rest, pick, drop = _laplace_tables(r, c, j)
-        first = mats[:, lead]
-        minors = out[-1][:, rest]
-        cj = first[:, :, pick[:, 0]] * minors[:, :, drop[:, 0]]
+        firsts, minors = _laplace_tables(r, c, j)
+        prev = out[-1].reshape(-1, m)
+        cj = flat.take(firsts[0], axis=0) * prev.take(minors[0], axis=0)
         for t in range(1, j):
-            term = first[:, :, pick[:, t]] * minors[:, :, drop[:, t]]
+            term = flat.take(firsts[t], axis=0) * prev.take(minors[t], axis=0)
             if t % 2:
                 cj -= term
             else:
@@ -195,23 +210,26 @@ class WedgeAccumulatorBatch:
     log ||(Df^n F)^(wedge j)|| is available at any step without overflow
     and with full round-off accuracy. Each order also keeps the top right
     singular vector its last log_wedge found, the warm start of the next.
+    The products are held batch-last, (C(d, j), C(k, j), m), like the
+    compounds and the power iteration that read them.
     """
 
     def __init__(self, frames: np.ndarray):
         m, self.dim, k = frames.shape
         self.orders = tuple(range(1, k + 1))
-        self._mats = compounds(frames)
+        self._mats = compounds(np.ascontiguousarray(frames.transpose(1, 2, 0)))
         self._logs = [np.zeros(m) for _ in self.orders]
         self._starts = [None] * k
 
     def step(self, dfs: np.ndarray) -> None:
         """Multiply the compounds of a (m, d, d) stack onto the products."""
-        for i, cj in enumerate(compounds(dfs)[:len(self.orders)]):
-            prod = np.matmul(cj, self._mats[i])
-            scale = np.max(np.abs(prod), axis=(1, 2))
+        batch = np.ascontiguousarray(dfs.transpose(1, 2, 0))
+        for i, cj in enumerate(compounds(batch)[:len(self.orders)]):
+            prod = np.einsum("akm,kbm->abm", cj, self._mats[i])
+            scale = np.abs(prod).max(axis=(0, 1))
             dead = scale == 0.0
             safe = np.where(dead, 1.0, scale)
-            prod /= safe[:, None, None]
+            prod /= safe
             with np.errstate(divide="ignore", over="ignore"):
                 self._logs[i] += np.where(dead, LOG_ZERO, np.log(safe))
             self._logs[i][self._logs[i] < LOG_ZERO] = LOG_ZERO

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import SamplingFailureError, UlamConvergenceError
-from .systems import DynamicalSystem, FamilyHandle, PhaseSpace
+from .systems import DynamicalSystem, FamilyHandle, PhaseSpace, finite_nonnegative
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -514,7 +514,9 @@ def log_det_batch(system: DynamicalSystem, pts: np.ndarray) -> np.ndarray:
 
 
 def bounded_jacobian_check(system: DynamicalSystem, measure, bound: float) -> dict:
-    """|integral of log |det Df|| compared against an a-priori bound."""
+    """|integral of log |det Df|| compared against an a-priori bound;
+    ValueError unless the bound is finite and >= 0."""
+    finite_nonnegative(bound, "bound")
     (mean,), skipped = _cloud_integral(
         system, measure, lambda pts: log_det_batch(system, pts)[None])
     value = abs(mean)
@@ -527,10 +529,10 @@ def split_log_det_integral(system: DynamicalSystem, measure, delta: float) -> di
 
     The points _cloud_integral leaves out are skipped (reweighted) as in
     the other cloud integrals, and SamplingFailureError is raised when
-    none is usable; delta = 0 gives an empty inside part.
+    none is usable; delta = 0 gives an empty inside part. ValueError
+    unless delta is finite and >= 0.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
+    finite_nonnegative(delta, "delta")
 
     def parts(pts):
         logdet = log_det_batch(system, pts)

@@ -12,7 +12,6 @@ in measures.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,7 +27,7 @@ from .measures import (
     ulam_matrix,
     ulam_stationary,
 )
-from .systems import get_family
+from .systems import finite_nonnegative, get_family
 
 #: intermittent Manneville-Pomeau points mix polynomially; quadruple orbits
 MP_SLOW_ALPHA = 0.7
@@ -282,8 +281,8 @@ def check_usc_args(window: Optional[int] = None, slack: Optional[float] = None) 
     is negative or not finite. Sweep configs run it before they sample."""
     if window is not None and window < 1:
         raise ValueError(f"usc window must be >= 1, got {window}")
-    if slack is not None and not 0.0 <= slack < math.inf:
-        raise ValueError(f"usc slack must be finite and >= 0, got {slack}")
+    if slack is not None:
+        finite_nonnegative(slack, "usc slack")
 
 
 def usc_check(result: SweepResult, window: int = 1, slack: float = 0.05) -> USCReport:

@@ -804,6 +804,13 @@ def whole_number(value, name: str) -> int:
     return int(number)
 
 
+def finite_nonnegative(value: float, name: str) -> None:
+    """ValueError naming value unless it is finite and >= 0; NaN, which
+    compares false with everything, is rejected too."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 #: the parameters each named system takes
 _SYSTEM_PARAMS = {"cat": (), "cat4": (), "mp": ("alpha",), "da": ("deformation",),
                  "skew": ("K", "N"), "viana": ("a0", "eps", "d")}

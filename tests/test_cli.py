@@ -399,6 +399,28 @@ class TestUsageErrors:
         assert orbit_calls == []
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["entropy", "--system", "cat", "--tol", "nan"], "--tol"),
+        (["entropy", "--system", "cat", "--tol", "-0.01"], "--tol"),
+        (["diagnose", "--system", "mp", "--delta", "nan"], "--delta"),
+        (["diagnose", "--system", "mp", "--delta", "inf"], "--delta"),
+        (["diagnose", "--system", "cat", "--bound", "nan"], "--bound"),
+        (["diagnose", "--system", "cat", "--bound", "-1"], "--bound"),
+    ], ids=["tol-nan", "tol-negative", "delta-nan", "delta-inf", "bound-nan",
+            "bound-negative"])
+    def test_bad_tolerance_delta_or_bound_exit_two(self, tmp_path, capsys,
+                                                   orbit_calls, argv, flag):
+        # a NaN tolerance or bound compares false with every value, and a
+        # NaN delta puts no point inside: each must be finite and >= 0,
+        # checked before any orbit is drawn
+        code = main(argv + ["--length", "2000", "--burn-in", "100",
+                            "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert orbit_calls == []
+        assert not (tmp_path / "x").exists()
+
     def test_short_1d_orbit_with_few_blocks_runs(self, tmp_path):
         # 10 steps per dimension suffice when there are fewer blocks
         code = main(["lyapunov", "--system", "mp", "--steps", "15", "--blocks", "5",

@@ -275,6 +275,14 @@ class TestCrossValidate:
         assert rep.ruelle_violated
         assert not rep.sinai_consistent
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -0.01, math.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        # a NaN tolerance compared false with every gap: "inconsistent" at
+        # gap 0
+        est = pesin_entropy(spectrum_of(0.5, -0.5))
+        with pytest.raises(ValueError, match="tolerance"):
+            combine_estimates(est, est, est, tolerance=tolerance)
+
 
 class TestEntropyEstimateInvariants:
     def test_negative_value_rejected(self):

@@ -1,10 +1,13 @@
 """Wedge norms, top singular values, and the Gram-Schmidt QR kernel."""
 
+import functools
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import sinailab.entropy as entropy
 import sinailab.matrixcore as matrixcore
 from sinailab.entropy import ls_entropy
 from sinailab.matrixcore import (
@@ -20,7 +23,9 @@ from sinailab.systems import (
     _cloud_walk,
     make_cat_block,
     make_cat_map,
+    make_derived_from_anosov,
     make_standard_skew,
+    make_viana,
 )
 
 # Analytic eigen-decomposition of the symmetric integer matrix [[2,1],[1,1]]:
@@ -30,6 +35,16 @@ LAM_INV = (3.0 - math.sqrt(5.0)) / 2.0
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 #: largest matrix dimension the compound tests draw
 MAX_DIM = 8
+
+
+def _batch_last(mats):
+    """An (m, r, c) stack as the kernel's contiguous (r, c, m) layout."""
+    return np.ascontiguousarray(np.transpose(mats, (1, 2, 0)))
+
+
+def _batch_first(mats):
+    """An (r, c, m) stack as an (m, r, c) view."""
+    return np.transpose(mats, (2, 0, 1))
 
 
 def wedge_logs(a):
@@ -171,7 +186,8 @@ class TestCompoundBatch:
             r, s, c = rng.integers(1, MAX_DIM + 1, size=3)
             a = rng.standard_normal((3, r, s))
             b = rng.standard_normal((3, s, c))
-            ca, cb, cab = compounds(a), compounds(b), compounds(np.matmul(a, b))
+            ca, cb, cab = ([_batch_first(x) for x in compounds(_batch_last(y))]
+                           for y in (a, b, np.matmul(a, b)))
             assert len(cab) == min(r, c)
             for j in range(1, min(r, s, c) + 1):
                 assert cab[j - 1].shape == (3, math.comb(r, j), math.comb(c, j))
@@ -182,9 +198,73 @@ class TestCompoundBatch:
         rng = np.random.default_rng(6)
         for d in range(1, MAX_DIM + 1):
             a = rng.standard_normal((20, d, d))
-            c = compounds(a)[-1]
-            assert c.shape == (20, 1, 1)
-            assert np.allclose(c[:, 0, 0], np.linalg.det(a), rtol=1e-10, atol=1e-12)
+            c = compounds(_batch_last(a))[-1]
+            assert c.shape == (1, 1, 20)
+            assert np.allclose(c[0, 0], np.linalg.det(a), rtol=1e-10, atol=1e-12)
+
+    def test_bits_match_the_batch_first_kernel(self):
+        rng = np.random.default_rng(8)
+        for r in range(1, MAX_DIM + 1):
+            for c in range(1, MAX_DIM + 1):
+                a = rng.standard_normal((30, r, c))
+                got = compounds(_batch_last(a))
+                want = _batch_first_compounds(a)
+                assert len(got) == len(want) == min(r, c)
+                for x, y in zip(got, want):
+                    assert x.tobytes() == _batch_last(y).tobytes(), (r, c)
+
+
+# A batch-first wedge kernel (fancy indexing on the middle axes, stacked
+# matmul): the reference the batch-last kernel is checked against.
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_first_laplace_tables(r, c, j):
+    prev_rows = {s: i for i, s in enumerate(combinations(range(r), j - 1))}
+    prev_cols = {s: i for i, s in enumerate(combinations(range(c), j - 1))}
+    rows = list(combinations(range(r), j))
+    cols = list(combinations(range(c), j))
+    lead = np.array([s[0] for s in rows])
+    rest = np.array([prev_rows[s[1:]] for s in rows])
+    pick = np.array(cols)
+    drop = np.array([[prev_cols[s[:t] + s[t + 1:]] for t in range(j)] for s in cols])
+    return lead, rest, pick, drop
+
+
+def _batch_first_compounds(mats):
+    """Every compound of an (m, r, c) stack, indexed along the middle axes."""
+    _, r, c = mats.shape
+    out = [mats]
+    for j in range(2, min(r, c) + 1):
+        lead, rest, pick, drop = _batch_first_laplace_tables(r, c, j)
+        first = mats[:, lead]
+        minors = out[-1][:, rest]
+        cj = first[:, :, pick[:, 0]] * minors[:, :, drop[:, 0]]
+        for t in range(1, j):
+            term = first[:, :, pick[:, t]] * minors[:, :, drop[:, t]]
+            if t % 2:
+                cj -= term
+            else:
+                cj += term
+        out.append(cj)
+    return out
+
+
+class _BatchFirstAccumulator(WedgeAccumulatorBatch):
+    """Products multiplied batch-first with np.matmul and rescaled per
+    matrix; each is stored batch-last only for log_wedge to read."""
+
+    def step(self, dfs):
+        for i, cj in enumerate(_batch_first_compounds(dfs)[:len(self.orders)]):
+            prod = np.matmul(cj, np.ascontiguousarray(_batch_first(self._mats[i])))
+            scale = np.max(np.abs(prod), axis=(1, 2))
+            dead = scale == 0.0
+            safe = np.where(dead, 1.0, scale)
+            prod /= safe[:, None, None]
+            with np.errstate(divide="ignore", over="ignore"):
+                self._logs[i] += np.where(dead, LOG_ZERO, np.log(safe))
+            self._logs[i][self._logs[i] < LOG_ZERO] = LOG_ZERO
+            self._mats[i] = _batch_last(prod)
 
 
 def cocycle_wedge(system, x, n):
@@ -242,7 +322,7 @@ class TestTopSingularValues:
     def test_random_stacks(self, shape):
         rng = np.random.default_rng(21)
         mats = rng.standard_normal((500,) + shape)
-        top, v = top_singular_values(mats)
+        top, v = top_singular_values(_batch_last(mats))
         assert np.allclose(top, _svd_top(mats), rtol=1e-13, atol=0.0)
         # the returned vectors are unit and, where certified, top singular
         assert np.allclose((v * v).sum(axis=0), 1.0, atol=1e-12)
@@ -251,7 +331,7 @@ class TestTopSingularValues:
         rng = np.random.default_rng(22)
         for c in (2, 4, 6):
             mats = _with_singular_values(rng, 300, c, c, np.logspace(0, -12, c))
-            top, _ = top_singular_values(mats * 1e5)
+            top, _ = top_singular_values(_batch_last(mats * 1e5))
             assert np.allclose(top, _svd_top(mats * 1e5), rtol=1e-13, atol=0.0)
 
     def test_exactly_degenerate_stacks(self):
@@ -259,34 +339,34 @@ class TestTopSingularValues:
         for sv in ([2.0, 2.0], [3.0, 3.0, 1.0, 0.5], [1.0] * 6,
                    [2.0, 2.0 * (1.0 - 1e-9), 1.0]):
             mats = _with_singular_values(rng, 200, len(sv), len(sv), sv)
-            top, _ = top_singular_values(mats)
+            top, _ = top_singular_values(_batch_last(mats))
             assert np.allclose(top, _svd_top(mats), rtol=1e-13, atol=0.0), sv
         # integer powers of cat + cat: sigma_1 = sigma_2 = LAM^n exactly
         block = np.kron(np.eye(2), CAT)
         mats = np.stack([np.linalg.matrix_power(block, n) for n in range(1, 12)])
-        top, _ = top_singular_values(mats)
+        top, _ = top_singular_values(_batch_last(mats))
         assert np.allclose(top, LAM ** np.arange(1, 12), rtol=1e-13, atol=0.0)
 
     def test_zero_and_rank_deficient_stacks(self):
         rng = np.random.default_rng(24)
-        top, _ = top_singular_values(np.zeros((5, 4, 4)))
+        top, _ = top_singular_values(np.zeros((4, 4, 5)))
         assert np.array_equal(top, np.zeros(5))
         a = rng.standard_normal((100, 5, 1))
         b = rng.standard_normal((100, 1, 3))
         rank_one = np.matmul(a, b)
-        top, _ = top_singular_values(rank_one)
+        top, _ = top_singular_values(_batch_last(rank_one))
         expected = np.linalg.norm(a[:, :, 0], axis=1) * np.linalg.norm(b[:, 0], axis=1)
         assert np.allclose(top, expected, rtol=1e-13, atol=0.0)
         rank_two = _with_singular_values(rng, 100, 6, 6, [4.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        top, _ = top_singular_values(rank_two)
+        top, _ = top_singular_values(_batch_last(rank_two))
         assert np.allclose(top, 4.0, rtol=1e-13, atol=0.0)
         # a start vector in the null space is an eigenvector too, of 0
-        top, _ = top_singular_values(np.array([[[2.0, 0.0], [0.0, 0.0]]]),
+        top, _ = top_singular_values(np.array([[2.0, 0.0], [0.0, 0.0]])[:, :, None],
                                      np.array([[0.0], [1.0]]))
         assert top.tolist() == [2.0]
 
     def test_one_by_one_stacks_take_the_absolute_value(self):
-        mats = np.array([-3.0, 0.0, 2.5]).reshape(3, 1, 1)
+        mats = np.array([-3.0, 0.0, 2.5]).reshape(1, 1, 3)
         top, v = top_singular_values(mats)
         assert top.tolist() == [3.0, 0.0, 2.5]
         assert v is None
@@ -297,7 +377,7 @@ class TestTopSingularValues:
             mats = _with_singular_values(rng, 50, c, c, np.linspace(3.0, 1.0, c))
             gram = np.matmul(np.transpose(mats, (0, 2, 1)), mats)
             second = np.linalg.eigh(gram)[1][:, :, -2]
-            top, _ = top_singular_values(mats, second.T)
+            top, _ = top_singular_values(_batch_last(mats), second.T)
             assert np.allclose(top, 3.0, rtol=1e-13, atol=0.0), c
 
     def test_warm_start_needs_no_eigvalsh(self, monkeypatch):
@@ -311,13 +391,14 @@ class TestTopSingularValues:
         def refuse(_):
             raise AssertionError("eigvalsh called")
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        top, v = top_singular_values(mats, start)
+        top, v = top_singular_values(_batch_last(mats), start)
         assert np.allclose(top, 3.0, rtol=1e-13, atol=0.0)
         assert np.allclose(np.abs((v * start).sum(axis=0)), 1.0, atol=1e-12)
 
     @staticmethod
     def _eigvalsh_top(mats, start):
         """Reference top singular values: eigvalsh of the Gram matrices."""
+        mats = _batch_first(mats)
         gram = np.matmul(np.transpose(mats, (0, 2, 1)), mats)
         return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)), None
 
@@ -331,6 +412,20 @@ class TestTopSingularValues:
         monkeypatch.setattr(matrixcore, "top_singular_values", self._eigvalsh_top)
         reference = ls_entropy(system, measure, 20, early_stop=False,
                                seed=3).diagnostics["a_n"]
+        assert np.allclose(a_n, reference, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("make", [lambda: make_cat_block(2),
+                                      lambda: make_standard_skew(0.5, 2),
+                                      lambda: make_derived_from_anosov(0.2),
+                                      make_viana],
+                             ids=["cat4", "skew", "da", "viana"])
+    def test_ls_table_matches_the_batch_first_kernel(self, make, monkeypatch):
+        system = make()
+        measure = birkhoff_sample(system, seed=4, burn_in=500, length=1500)
+        a_n = ls_entropy(system, measure, 20, early_stop=False, seed=4).diagnostics["a_n"]
+        monkeypatch.setattr(entropy, "WedgeAccumulatorBatch", _BatchFirstAccumulator)
+        reference = ls_entropy(system, measure, 20, early_stop=False,
+                               seed=4).diagnostics["a_n"]
         assert np.allclose(a_n, reference, rtol=0.0, atol=1e-12)
 
 

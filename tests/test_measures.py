@@ -435,3 +435,9 @@ class TestBoundedJacobian:
         mu = birkhoff_sample(sys, seed=2, burn_in=0, length=10_000)
         out = bounded_jacobian_check(sys, mu, 0.1)
         assert not out["passed"]
+
+    @pytest.mark.parametrize("bound", [math.nan, -1.0, math.inf])
+    def test_bound_must_be_finite_and_nonnegative(self, bound):
+        mu = birkhoff_sample(make_cat_map(), seed=2, burn_in=0, length=500)
+        with pytest.raises(ValueError, match="bound"):
+            bounded_jacobian_check(make_cat_map(), mu, bound)

@@ -397,6 +397,13 @@ class TestNeighborhoodSplit:
         total = full["inside"] + full["outside"]
         assert split["inside"] + split["outside"] == pytest.approx(total, abs=1e-10)
 
+    @pytest.mark.parametrize("delta", [math.nan, -0.01, math.inf])
+    def test_delta_must_be_finite_and_nonnegative(self, delta):
+        sys = make_manneville_pomeau(0.5)
+        mu = birkhoff_sample(sys, seed=3, burn_in=100, length=1_000)
+        with pytest.raises(ValueError, match="delta"):
+            split_log_det_integral(sys, mu, delta)
+
     def test_no_usable_point_raises(self):
         sys = make_manneville_pomeau(0.3)
         mu = EmpiricalMeasure(sys.space, np.array([[0.5], [0.0]]),
