@@ -40,7 +40,8 @@ from .measures import (
     ls2_integral,
     split_log_det_integral,
 )
-from .oseledets import benettin_spectrum, domination_report, estimate_bundles_many
+from .oseledets import (_check_splitting, benettin_spectrum, domination_report,
+                        estimate_bundles_many)
 from .serialize import (
     entropy_csv_rows,
     spectrum_csv_rows,
@@ -331,6 +332,8 @@ def cmd_diagnose(ns) -> int:
     system, params = _system_from_args(ns)
     finite_nonnegative(ns.delta, "--delta")
     finite_nonnegative(ns.bound, "--bound")
+    if ns.dimf is not None:
+        _check_splitting(system, ns.dimf)
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "length": _steps(ns.length), "burn_in": _steps(ns.burn_in),
               "dim_f": ns.dimf, "bound": ns.bound, "delta": ns.delta}

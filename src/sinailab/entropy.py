@@ -13,7 +13,8 @@ keeps one. The LS table and Jacobian-along-F read a measure as its
 (points, weights), advance the points through systems._cloud_walk (one
 rule for dead points, dither and the failure limit) and average over
 them with measures._masked_mean_se, the package's one weighted cloud
-mean and standard error.
+mean and standard error. Jacobian-F pushes its frames batch-last with
+matrixcore._qr_step, the QR step the Benettin spectrum runs on.
 """
 
 from __future__ import annotations
@@ -25,15 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .matrixcore import LOG_ZERO, WedgeAccumulatorBatch, log_wedge_total_from_rows
+from .matrixcore import (LOG_ZERO, WedgeAccumulatorBatch, _qr_step, _random_frames,
+                         log_wedge_total_from_rows)
 from .measures import _masked_mean_se
-from .oseledets import (
-    FRAME_TRANSIENT,
-    LyapunovSpectrum,
-    _orthonormalize_batch,
-    _random_frames,
-    benettin_spectrum,
-)
+from .oseledets import FRAME_TRANSIENT, LyapunovSpectrum, benettin_spectrum
 from .systems import DynamicalSystem, _cloud_walk, finite_nonnegative
 
 PESIN = "pesin"
@@ -154,7 +150,7 @@ def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
     """Expected log volume expansion along the estimated F bundle.
 
     The cloud walks FRAME_TRANSIENT steps while random frames are pushed
-    forward and re-orthonormalized; by invariance of the sampled measure
+    forward by _qr_step, batch-last; by invariance of the sampled measure
     the advanced cloud integrates the same observable, so no backward
     orbits are needed. The log volume at a point is the sum of log diag(R)
     of the QR step that pushes its frame over one more step. dim_f = dim
@@ -165,13 +161,13 @@ def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
     check_estimator_args((JACOBIAN_F,), None, dim_f, d)
     walk = _cloud_walk(system, pts, [seed, 0xF1])
     if dim_f == d:
-        frames, steps = np.broadcast_to(np.eye(d), (m, d, d)), 1
+        frames, steps = np.broadcast_to(np.eye(d)[:, :, None], (d, d, m)), 1
     else:
         frames = _random_frames(np.random.default_rng([seed, 0xF0]), m, d, dim_f)
         steps = FRAME_TRANSIENT + 1
     for _ in range(steps):
         dfs, alive = next(walk)
-        frames, log_r = _orthonormalize_batch(np.matmul(dfs, frames))
+        frames, log_r = _qr_step(dfs, frames)
     good = alive & np.all(log_r > LOG_ZERO, axis=0)
     log_vol = np.where(good, log_r, 0.0).sum(axis=0)
     good &= np.isfinite(log_vol)

@@ -2,16 +2,16 @@
 
 Everything here works on real square matrices of dimension 1..8: singular
 values, exterior-power (wedge) norms carried in log scale, and the one QR
-reduction of the package, a modified Gram-Schmidt kernel batched over
-stacks of frames (Benettin spectra and bundle frames both run on it).
+step of the package, _qr_step: a modified Gram-Schmidt kernel on frames
+pushed one step (Benettin blocks, Jacobian-F and both bundle legs).
 
-The wedge kernel runs batch-last: a stack of m matrices is an (r, c, m)
+All of it runs batch-last: a stack of m matrices is an (r, c, m)
 array, so each entry is one contiguous vector over the batch. compounds
 builds each order from flat index tables with one contiguous take per
 factor of each Laplace term, WedgeAccumulatorBatch multiplies and
 rescales its products in that layout, and top_singular_values reads them
-in place. Only the accumulator's inputs arrive batch-first: frames
-(m, d, k) and one-step derivatives (m, d, d).
+in place. Only one-step derivatives (m, d, d) and the accumulator's
+frames (m, d, k) arrive batch-first; log_wedge_all returns (k, m).
 
 A wedge norm is the top singular value of a compound product P. It comes
 from top_singular_values: a power iteration on the Gram matrices P^T P,
@@ -133,6 +133,19 @@ def _gram_schmidt(m: np.ndarray):
     return q, log_r
 
 
+def _qr_step(dfs: np.ndarray, q: np.ndarray):
+    """One discrete QR step, _gram_schmidt(Df q), of frames q (d, k, m)
+    under one-step derivatives dfs (m, d, d): one einsum, no BLAS, over a
+    contiguous batch-last copy of dfs. Returns (q, log_r) as _gram_schmidt."""
+    step = np.ascontiguousarray(dfs.transpose(1, 2, 0))
+    return _gram_schmidt(np.einsum("ikm,kjm->ijm", step, q))
+
+
+def _random_frames(rng: np.random.Generator, m: int, d: int, k: int) -> np.ndarray:
+    """m random orthonormal (d, k) frames, batch-last (d, k, m)."""
+    return _gram_schmidt(rng.standard_normal((m, d, k)).transpose(1, 2, 0))[0]
+
+
 # ---------------------------------------------------------------------------
 # Exterior-power (compound matrix) machinery.
 #
@@ -246,33 +259,30 @@ class WedgeAccumulatorBatch:
         return lw
 
     def log_wedge_all(self) -> np.ndarray:
-        """(m, k) array of log wedge norms for every order."""
-        return np.column_stack([self.log_wedge(j) for j in self.orders])
+        """(k, m) array of log wedge norms: one row per order."""
+        return np.array([self.log_wedge(j) for j in self.orders])
 
 
 def log_singular_values_from_wedges(log_wedges: np.ndarray) -> np.ndarray:
-    """Log singular values from an (m, k) array of log wedge norms.
+    """Log singular values from a (k, m) array of log wedge norms.
 
-    log sigma_j = log ||wedge_j|| - log ||wedge_(j-1)||, so column j-1 is
-    the j-th largest up to round-off; a LOG_ZERO wedge makes its own value
-    and the next one LOG_ZERO.
+    log sigma_j = log ||wedge_j|| - log ||wedge_(j-1)||, so row j-1 is the
+    j-th largest up to round-off; a LOG_ZERO wedge makes its own value and
+    the next one LOG_ZERO.
     """
-    prev = np.concatenate([np.zeros((log_wedges.shape[0], 1)), log_wedges[:, :-1]], axis=1)
+    prev = np.concatenate([np.zeros((1, log_wedges.shape[1])), log_wedges[:-1]])
     alive = (log_wedges > LOG_ZERO) & (prev > LOG_ZERO)
     return np.where(alive, log_wedges - np.where(alive, prev, 0.0), LOG_ZERO)
 
 
 def log_wedge_total_from_rows(log_wedges: np.ndarray) -> np.ndarray:
-    """Vectorized log(1 + sum_j exp(lw_j)) over rows of wedge logs.
-
-    It runs on the (k, m) transpose, one long column per order, since numpy
-    reduces along short rows slowly: top + log(exp(-top) + sum_j
+    """Vectorized log(1 + sum_j exp(lw_j)) per point of a (k, m) array of
+    wedge logs, one row per order: top + log(exp(-top) + sum_j
     exp(lw_j - top)) with top = max(0, max_j lw_j).
     """
-    cols = np.ascontiguousarray(log_wedges.T)
-    top = cols.max(axis=0, initial=0.0)
+    top = log_wedges.max(axis=0, initial=0.0)
     total = np.exp(-top)
-    for col in cols:
-        total += np.exp(col - top)
+    for row in log_wedges:
+        total += np.exp(row - top)
     return top + np.log(total)
 

@@ -2,11 +2,11 @@
 
 The spectrum comes from the discrete QR (Benettin) scheme run along a
 Birkhoff orbit. The orbit is cut into contiguous time blocks whose frames
-advance together, one map step per call of the batched Gram-Schmidt
-kernel; each block's frame first warms up over the WARM orbit steps
-before it. The per-step logs are put back in time order, so the batch
-means read them as one sequential run. For d = 1 the spectrum is the
-closed-form orbit average of log |f'|.
+advance together, one map step per matrixcore._qr_step call; each
+block's frame first warms up over the WARM orbit steps before it. The
+per-step logs are put back in time order, so the batch means read them
+as one sequential run. For d = 1 the spectrum is the closed-form orbit
+average of log |f'|.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 from .errors import UnsupportedSystemError
 from .matrixcore import (
     WedgeAccumulatorBatch,
-    _gram_schmidt,
+    _qr_step,
+    _random_frames,
     log_singular_values_from_wedges,
 )
 from .measures import _sample_orbit
@@ -62,12 +63,12 @@ def _lockstep_logs(dfs: np.ndarray, burn_in: int) -> np.ndarray:
     """Per-step log diag(R) of the QR scheme over dfs[burn_in:], in time order.
 
     The live steps are cut into contiguous time blocks (the first
-    n_steps % n_blocks of them one step longer) that advance together, one map step per _gram_schmidt
-    call. Each block's frame starts at the identity WARM steps before the
-    block, or at dfs[0] if that comes later, and is not logged until the
-    block begins: by then it has forgotten its start, since the QR frame
-    converges exponentially fast onto the Oseledets flag when the
-    exponents are separated.
+    n_steps % n_blocks of them one step longer) that advance together, one
+    map step per _qr_step call. Each block's frame starts at the identity
+    WARM steps before the block, or at dfs[0] if that comes later, and is
+    not logged until the block begins: by then it has forgotten its start,
+    since the QR frame converges exponentially fast onto the Oseledets flag
+    when the exponents are separated.
     """
     n_steps = dfs.shape[0] - burn_in
     d = dfs.shape[1]
@@ -80,9 +81,7 @@ def _lockstep_logs(dfs: np.ndarray, burn_in: int) -> np.ndarray:
     for t in range(-min(WARM, int(starts[-1])), length + (extra > 0)):
         live = slice(0 if starts[0] + t >= 0 else 1, n_blocks if t < length else extra)
         idx = starts[live] + t
-        step = dfs.take(idx, axis=0).transpose(1, 2, 0)
-        prod = (step[:, :, None, :] * q[None, :, :, live]).sum(axis=1)
-        q[:, :, live], step_logs = _gram_schmidt(prod)
+        q[:, :, live], step_logs = _qr_step(dfs.take(idx, axis=0), q[:, :, live])
         if t >= 0:
             logs[:, idx - burn_in] = step_logs
     return logs.T
@@ -166,15 +165,17 @@ class SplittingEstimate:
 FRAME_TRANSIENT = 60
 
 
-def _orthonormalize_batch(frames: np.ndarray) -> tuple:
-    """_gram_schmidt of an (m, d, k) stack: (q, log_r), with q of shape
-    (m, d, k) and log diag(R) of shape (k, m)."""
-    q, log_r = _gram_schmidt(frames.transpose(1, 2, 0))
-    return q.transpose(2, 0, 1), log_r
-
-
-def _random_frames(rng: np.random.Generator, m: int, d: int, k: int) -> np.ndarray:
-    return _orthonormalize_batch(rng.standard_normal((m, d, k)))[0]
+def _check_splitting(system: DynamicalSystem, dim_f: int) -> None:
+    """ValueError unless 1 <= dim_f <= dim; UnsupportedSystemError for
+    dim_f < dim on a non-invertible system. It needs no orbit."""
+    d = system.space.dim
+    if not 1 <= dim_f <= d:
+        raise ValueError(f"dim_f must be in [1, {d}]")
+    if dim_f < d and not system.invertible:
+        raise UnsupportedSystemError(
+            f"{system.name}: estimating a splitting with dim E = {d - dim_f} > 0 "
+            "requires an invertible system (backward iteration)"
+        )
 
 
 def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
@@ -184,40 +185,30 @@ def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
     F at x is the pushforward of a random dim_f-frame from the
     FRAME_TRANSIENT-step backward orbit of x; E at x is the pull of a
     random complementary frame through the inverse-derivative cocycle
-    along the forward orbit. Non-invertible systems support only the
-    trivial dim_f = dim case.
+    along the forward orbit; both legs push batch-last frames with
+    _qr_step. Non-invertible systems support only dim_f = dim.
     """
+    _check_splitting(system, dim_f)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, d = pts.shape
-    if not 1 <= dim_f <= d:
-        raise ValueError(f"dim_f must be in [1, {d}]")
-    dim_e = d - dim_f
     rng = np.random.default_rng([0, 0xF])
     if dim_f == d:
         eye = np.broadcast_to(np.eye(d), (m, d, d)).copy()
         return SplittingEstimate(pts, np.empty((m, d, 0)), eye)
-    if not system.invertible:
-        raise UnsupportedSystemError(
-            f"{system.name}: estimating a splitting with dim E = {dim_e} > 0 "
-            "requires an invertible system (backward iteration)"
-        )
     # backward orbit buffer z_k = f^-k(x), k = 0..n
     back = [pts]
-    cur = pts
     for _ in range(FRAME_TRANSIENT):
-        cur = system.inverse_eval_batch(cur)
-        back.append(cur)
+        back.append(system.inverse_eval_batch(back[-1]))
     f_frames = _random_frames(rng, m, d, dim_f)
     for k in range(FRAME_TRANSIENT, 0, -1):
-        dfs = system.differential_batch(back[k])
-        f_frames = _orthonormalize_batch(np.matmul(dfs, f_frames))[0]
+        f_frames = _qr_step(system.differential_batch(back[k]), f_frames)[0]
     # pull a complementary frame back through Df^-1 along the forward walk
     walk = _cloud_walk(system, pts, [0, 0xE])
     fwd = [next(walk)[0] for _ in range(FRAME_TRANSIENT)]
-    e_frames = _random_frames(rng, m, d, dim_e)
+    e_frames = _random_frames(rng, m, d, d - dim_f)
     for dfs in reversed(fwd):
-        e_frames = _orthonormalize_batch(np.linalg.solve(dfs, e_frames))[0]
-    return SplittingEstimate(pts, e_frames, f_frames)
+        e_frames = _qr_step(np.linalg.inv(dfs), e_frames)[0]
+    return SplittingEstimate(pts, e_frames.transpose(2, 0, 1), f_frames.transpose(2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +279,7 @@ def domination_report(system: DynamicalSystem, splitting: SplittingEstimate,
         acc_f.step(dfs)
         # read at every n: each order's warm start follows the products
         log_e = acc_e.log_wedge(1)
-        log_f = log_singular_values_from_wedges(acc_f.log_wedge_all())[:, -1]
+        log_f = log_singular_values_from_wedges(acc_f.log_wedge_all())[-1]
         if n in n_grid:
             log_r.append(log_e - log_f)
     log_r = np.column_stack(log_r)

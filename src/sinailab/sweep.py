@@ -243,7 +243,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             # here, before the fork, spares each worker the import
             import scipy.sparse  # noqa: F401
         order = sorted(range(n), key=lambda i: -_orbit_length(config, config.grid[i]))
-        with ProcessPoolExecutor(max_workers=config.workers,
+        with ProcessPoolExecutor(max_workers=min(config.workers, n),
                                  initializer=_one_blas_thread) as pool:
             rows = list(pool.map(_sweep_point, [config] * n, order))
     else:

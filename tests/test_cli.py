@@ -421,6 +421,19 @@ class TestUsageErrors:
         assert orbit_calls == []
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv, code", [
+        (["diagnose", "--system", "skew", "--dimf", "7"], 2),
+        (["diagnose", "--system", "viana", "--dimf", "1"], 3),
+    ], ids=["out-of-range", "non-invertible"])
+    def test_diagnose_dimf_checked_before_sampling(self, tmp_path, capsys,
+                                                   orbit_calls, argv, code):
+        # dim_f is checked against the system's dimension and invertibility
+        # before any orbit is drawn
+        assert main(argv + ["--length", "2e3", "--out", str(tmp_path / "x")]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert orbit_calls == []
+        assert not (tmp_path / "x").exists()
+
     def test_short_1d_orbit_with_few_blocks_runs(self, tmp_path):
         # 10 steps per dimension suffice when there are fewer blocks
         code = main(["lyapunov", "--system", "mp", "--steps", "15", "--blocks", "5",

@@ -69,7 +69,7 @@ def wedge_order_minima(system, mu, n_max):
     best = np.full(d, np.inf)
     for n, (dfs, _) in zip(range(1, n_max + 1), _cloud_walk(system, pts, 0)):
         acc.step(dfs)
-        best = np.minimum(best, w @ acc.log_wedge_all() / n)
+        best = np.minimum(best, acc.log_wedge_all() @ w / n)
     return best
 
 

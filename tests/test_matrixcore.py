@@ -14,6 +14,7 @@ from sinailab.matrixcore import (
     LOG_ZERO,
     WedgeAccumulatorBatch,
     _gram_schmidt,
+    _qr_step,
     compounds,
     log_wedge_total_from_rows,
     top_singular_values,
@@ -54,7 +55,7 @@ def wedge_logs(a):
     acc = WedgeAccumulatorBatch(np.eye(a.shape[0])[None])
     acc.step(a[None])
     lw = acc.log_wedge_all()
-    return lw[0], log_wedge_total_from_rows(lw)[0]
+    return lw[:, 0], log_wedge_total_from_rows(lw)[0]
 
 
 class TestWedgeProfile:
@@ -178,6 +179,59 @@ class TestGramSchmidt:
         assert log_r[:, 0].tolist() == [math.log(2.0), LOG_ZERO]
 
 
+# The pushes _qr_step replaced: batch-first, a stacked np.matmul (F leg,
+# Jacobian-F) or np.linalg.solve (E leg) re-orthonormalized through a
+# transpose into the Gram-Schmidt kernel; batch-last, the broadcast sum of
+# the Benettin time blocks.
+
+
+def _orthonormalize_batch(frames):
+    """_gram_schmidt of an (m, d, k) stack: (q, log_r), with q of shape
+    (m, d, k) and log diag(R) of shape (k, m)."""
+    q, log_r = _gram_schmidt(frames.transpose(1, 2, 0))
+    return q.transpose(2, 0, 1), log_r
+
+
+def _broadcast_sum(dfs, q):
+    """Df q for one-step derivatives (m, d, d) and frames (d, k, m)."""
+    step = dfs.transpose(1, 2, 0)
+    return (step[:, :, None, :] * q[None]).sum(axis=1)
+
+
+class TestQRStep:
+    @pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (4, 2), (4, 4)])
+    def test_matches_the_batch_first_pushes(self, d, k):
+        rng = np.random.default_rng(31)
+        m = 400
+        dfs = _with_singular_values(rng, m, d, d, np.linspace(2.0, 0.5, d))
+        frames = np.linalg.qr(rng.standard_normal((m, d, k)))[0]
+        for step, pushed in ((dfs, np.matmul(dfs, frames)),
+                             (np.linalg.inv(dfs), np.linalg.solve(dfs, frames))):
+            q, log_r = _qr_step(step, _batch_last(frames))
+            q_ref, log_r_ref = _orthonormalize_batch(pushed)
+            assert np.allclose(_batch_first(q), q_ref, rtol=0.0, atol=1e-12)
+            assert np.allclose(log_r, log_r_ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bits_match_the_broadcast_sum(self, d):
+        # the guarantee that Benettin spectra stay byte-identical: contiguous
+        # frames and the sliced views of the time-block loop alike
+        rng = np.random.default_rng(32)
+        for k in range(1, d + 1):
+            for m in (1, 2, 3, 7, 16, 17, 100, 1001):
+                if k == 1 and m == 1:
+                    # a single one-column frame makes einsum a dot product,
+                    # summed in another order; Benettin frames are square
+                    continue
+                dfs = rng.standard_normal((m, d, d))
+                q = rng.standard_normal((d, k, m + 1))
+                for frames in (np.ascontiguousarray(q[:, :, 1:]), q[:, :, 1:], q[:, :, :m]):
+                    got = _qr_step(dfs, frames)
+                    want = _gram_schmidt(_broadcast_sum(dfs, frames))
+                    assert got[0].tobytes() == want[0].tobytes(), (d, k, m)
+                    assert got[1].tobytes() == want[1].tobytes(), (d, k, m)
+
+
 class TestCompoundBatch:
     def test_functorial_on_products(self):
         # Cauchy-Binet: C_j(AB) = C_j(A) C_j(B), also for rectangular factors
@@ -274,7 +328,7 @@ def cocycle_wedge(system, x, n):
     for _, (dfs, _) in zip(range(n), _cloud_walk(system, np.atleast_2d(x), 0)):
         acc.step(dfs)
     lw = acc.log_wedge_all()
-    return lw[0], log_wedge_total_from_rows(lw)[0]
+    return lw[:, 0], log_wedge_total_from_rows(lw)[0]
 
 
 class TestExactCocycleWedge:
@@ -436,7 +490,7 @@ def test_log_wedge_total_from_rows_against_direct_sum():
         rows[rng.random(rows.shape) < 0.2] = LOG_ZERO
         rows[:10] = rng.uniform(695.0, 705.0, (10, k))
         rows[10, :] = LOG_ZERO
-        got = log_wedge_total_from_rows(rows)
+        got = log_wedge_total_from_rows(rows.T)
         for row, value in zip(rows, got):
             direct = math.log(1.0 + sum(math.exp(x) for x in row))
             assert value == pytest.approx(direct, rel=1e-14, abs=1e-15)

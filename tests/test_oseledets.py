@@ -7,13 +7,16 @@ import pytest
 
 from sinailab.entropy import jacobian_formula_entropy
 from sinailab.errors import UnsupportedSystemError
-from sinailab.matrixcore import WedgeAccumulatorBatch, log_singular_values_from_wedges
+from sinailab.matrixcore import (
+    WedgeAccumulatorBatch,
+    _qr_step,
+    log_singular_values_from_wedges,
+)
 from sinailab.measures import EmpiricalMeasure, birkhoff_sample, log_det_batch, ls2_integral
 from sinailab.oseledets import (
     WARM,
     SplittingEstimate,
     _lockstep_logs,
-    _orthonormalize_batch,
     benettin_spectrum,
     domination_report,
     estimate_bundles_many,
@@ -44,7 +47,7 @@ def jacobian_at(system, x, frame):
     """Restricted Jacobian of one orthonormal frame at one point: the
     product of diag(R) of the QR step that pushes the frame."""
     dfs = system.differential_batch(np.atleast_2d(np.asarray(x, dtype=float)))
-    log_r = _orthonormalize_batch(np.matmul(dfs, np.asarray(frame, dtype=float)[None]))[1]
+    log_r = _qr_step(dfs, np.asarray(frame, dtype=float)[:, :, None])[1]
     return float(np.exp(log_r.sum(axis=0))[0])
 
 
@@ -284,7 +287,7 @@ class TestDominationReport:
         walk = _cloud_walk(constant_cocycle(a), np.zeros((1, 4)), 0)
         for _, (dfs, _) in zip(range(12), walk):
             acc.step(dfs)
-            log_sv = log_singular_values_from_wedges(acc.log_wedge_all())[0]
+            log_sv = log_singular_values_from_wedges(acc.log_wedge_all())[:, 0]
             lo.append(log_sv[-1])
             hi.append(log_sv[0])
         n = np.arange(1, 13)

@@ -241,6 +241,27 @@ class TestRunSweep:
             rows.append(path.read_bytes())
         assert rows[0] == rows[1]
 
+    def test_pool_no_larger_than_the_grid(self, monkeypatch):
+        # a fork pool starts all of its workers at once: a 2-point grid on
+        # 3 workers gets a pool of 2, and the rows of the serial sweep
+        import sinailab.sweep as sweep_mod
+
+        sizes = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", Recording)
+        rows = {}
+        for workers in (3, 1):
+            cfg = SweepConfig(family="mp", grid=(0.0, 0.3), estimators=(PESIN,),
+                              seed=1, burn_in=100, length=2_000, workers=workers)
+            rows[workers] = [r.to_json_dict() for r in run_sweep(cfg).rows]
+        assert sizes == [2]
+        assert rows[3] == rows[1]
+
     def test_one_blas_thread_in_a_forked_worker(self):
         if not openblas_thread_counts():
             pytest.skip("no OpenBLAS with a thread-count getter is loaded")
