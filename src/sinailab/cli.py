@@ -145,6 +145,7 @@ class _Manifest:
 
 def cmd_lyapunov(ns) -> int:
     system, params = _system_from_args(ns)
+    finite_nonnegative(ns.seed, "--seed")
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "steps": _steps(ns.steps), "burn_in": _steps(ns.burn_in),
               "blocks": ns.blocks}
@@ -176,6 +177,7 @@ def cmd_entropy(ns) -> int:
     methods = ESTIMATORS if method == "all" else (method,)
     check_estimator_args(methods, ns.nmax, ns.dimf, system.space.dim)
     finite_nonnegative(ns.tol, "--tol")
+    finite_nonnegative(ns.seed, "--seed")
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "method": method, "length": _steps(ns.length),
               "burn_in": _steps(ns.burn_in), "n_max": ns.nmax,
@@ -332,6 +334,7 @@ def cmd_diagnose(ns) -> int:
     system, params = _system_from_args(ns)
     finite_nonnegative(ns.delta, "--delta")
     finite_nonnegative(ns.bound, "--bound")
+    finite_nonnegative(ns.seed, "--seed")
     if ns.dimf is not None:
         _check_splitting(system, ns.dimf)
     config = {"system": ns.system, "params": params, "seed": ns.seed,

@@ -114,7 +114,7 @@ def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
     check_estimator_args((LEDRAPPIER_STRELCYN,), n_max, None, system.space.dim)
     pts, weights = measure.points, measure.weights
     m, d = pts.shape
-    acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d), (m, d, d)))
+    acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d)[:, :, None], (d, d, m)))
     totals = []
     for n, (dfs, alive) in zip(range(1, n_max + 1),
                                _cloud_walk(system, pts, [seed, 0xD17A])):

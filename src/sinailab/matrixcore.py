@@ -6,12 +6,12 @@ step of the package, _qr_step: a modified Gram-Schmidt kernel on frames
 pushed one step (Benettin blocks, Jacobian-F and both bundle legs).
 
 All of it runs batch-last: a stack of m matrices is an (r, c, m)
-array, so each entry is one contiguous vector over the batch. compounds
-builds each order from flat index tables with one contiguous take per
-factor of each Laplace term, WedgeAccumulatorBatch multiplies and
-rescales its products in that layout, and top_singular_values reads them
-in place. Only one-step derivatives (m, d, d) and the accumulator's
-frames (m, d, k) arrive batch-first; log_wedge_all returns (k, m).
+array, so each entry is one contiguous vector over the batch. One-step
+derivatives (d, d, m) and frames (d, k, m) come in so and are used as
+given. compounds builds each order from flat index tables with one
+contiguous take per factor of each Laplace term, WedgeAccumulatorBatch
+multiplies and rescales its products in that layout, top_singular_values
+reads them in place, and log_wedge_all returns (k, m).
 
 A wedge norm is the top singular value of a compound product P. It comes
 from top_singular_values: a power iteration on the Gram matrices P^T P,
@@ -135,10 +135,9 @@ def _gram_schmidt(m: np.ndarray):
 
 def _qr_step(dfs: np.ndarray, q: np.ndarray):
     """One discrete QR step, _gram_schmidt(Df q), of frames q (d, k, m)
-    under one-step derivatives dfs (m, d, d): one einsum, no BLAS, over a
-    contiguous batch-last copy of dfs. Returns (q, log_r) as _gram_schmidt."""
-    step = np.ascontiguousarray(dfs.transpose(1, 2, 0))
-    return _gram_schmidt(np.einsum("ikm,kjm->ijm", step, q))
+    under one-step derivatives dfs (d, d, m): one einsum, no BLAS, on the
+    stack as given. Returns (q, log_r) as _gram_schmidt."""
+    return _gram_schmidt(np.einsum("ikm,kjm->ijm", dfs, q))
 
 
 def _random_frames(rng: np.random.Generator, m: int, d: int, k: int) -> np.ndarray:
@@ -216,28 +215,27 @@ def compounds(mats: np.ndarray) -> list:
 class WedgeAccumulatorBatch:
     """Running exterior-power products Df^n(x) F for a batch of base points.
 
-    F is an (m, d, k) stack of frames the products start from: the
+    F is a (d, k, m) stack of frames the products start from: the
     identity for full wedge norms, an orthonormal frame for a product
     restricted to a subspace. For each order j = 1..k, keeps the rescaled
     compound product and the log of the accumulated scale, so
     log ||(Df^n F)^(wedge j)|| is available at any step without overflow
     and with full round-off accuracy. Each order also keeps the top right
     singular vector its last log_wedge found, the warm start of the next.
-    The products are held batch-last, (C(d, j), C(k, j), m), like the
-    compounds and the power iteration that read them.
+    The products are batch-last, (C(d, j), C(k, j), m); F and the steps'
+    stacks are read in place and never written (order 1 starts as F).
     """
 
     def __init__(self, frames: np.ndarray):
-        m, self.dim, k = frames.shape
+        self.dim, k, m = frames.shape
         self.orders = tuple(range(1, k + 1))
-        self._mats = compounds(np.ascontiguousarray(frames.transpose(1, 2, 0)))
+        self._mats = compounds(frames)
         self._logs = [np.zeros(m) for _ in self.orders]
         self._starts = [None] * k
 
     def step(self, dfs: np.ndarray) -> None:
-        """Multiply the compounds of a (m, d, d) stack onto the products."""
-        batch = np.ascontiguousarray(dfs.transpose(1, 2, 0))
-        for i, cj in enumerate(compounds(batch)[:len(self.orders)]):
+        """Multiply the compounds of a (d, d, m) stack onto the products."""
+        for i, cj in enumerate(compounds(dfs)[:len(self.orders)]):
             prod = np.einsum("akm,kbm->abm", cj, self._mats[i])
             scale = np.abs(prod).max(axis=(0, 1))
             dead = scale == 0.0

@@ -452,7 +452,7 @@ def ls2_integral(system: DynamicalSystem, measure) -> dict:
     _cloud_integral leaves out, a non-finite Df included.
     """
     def log_norms(pts):
-        dfs = system.differential_batch(pts)
+        dfs = system.differential_batch(pts).transpose(2, 0, 1)
         finite = np.all(np.isfinite(dfs), axis=(1, 2))
         sv = np.full(dfs.shape[:2], np.nan)
         sv[finite] = np.linalg.svd(dfs[finite], compute_uv=False)
@@ -506,10 +506,10 @@ def holder_parameter_check(family: FamilyHandle, t_grid, sample_points) -> dict:
 
 def log_det_batch(system: DynamicalSystem, pts: np.ndarray) -> np.ndarray:
     dfs = system.differential_batch(pts)
-    if dfs.shape[1] == 1:
+    if dfs.shape[0] == 1:
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(dfs[:, 0, 0]))
-    sign, logdet = np.linalg.slogdet(dfs)
+            return np.log(np.abs(dfs[0, 0]))
+    sign, logdet = np.linalg.slogdet(dfs.transpose(2, 0, 1))
     return np.where(sign == 0.0, -np.inf, logdet)
 
 

@@ -60,18 +60,18 @@ MAX_BLOCKS = 1000
 
 
 def _lockstep_logs(dfs: np.ndarray, burn_in: int) -> np.ndarray:
-    """Per-step log diag(R) of the QR scheme over dfs[burn_in:], in time order.
+    """Per-step log diag(R) of the QR scheme over dfs[:, :, burn_in:], in time order.
 
     The live steps are cut into contiguous time blocks (the first
     n_steps % n_blocks of them one step longer) that advance together, one
     map step per _qr_step call. Each block's frame starts at the identity
-    WARM steps before the block, or at dfs[0] if that comes later, and is
+    WARM steps before the block, or at step 0 if that comes later, and is
     not logged until the block begins: by then it has forgotten its start,
     since the QR frame converges exponentially fast onto the Oseledets flag
     when the exponents are separated.
     """
-    n_steps = dfs.shape[0] - burn_in
-    d = dfs.shape[1]
+    n_steps = dfs.shape[2] - burn_in
+    d = dfs.shape[0]
     n_blocks = max(1, min(MAX_BLOCKS, n_steps // WARM))
     length, extra = divmod(n_steps, n_blocks)
     blocks = np.arange(n_blocks)
@@ -81,7 +81,7 @@ def _lockstep_logs(dfs: np.ndarray, burn_in: int) -> np.ndarray:
     for t in range(-min(WARM, int(starts[-1])), length + (extra > 0)):
         live = slice(0 if starts[0] + t >= 0 else 1, n_blocks if t < length else extra)
         idx = starts[live] + t
-        q[:, :, live], step_logs = _qr_step(dfs.take(idx, axis=0), q[:, :, live])
+        q[:, :, live], step_logs = _qr_step(dfs.take(idx, axis=2), q[:, :, live])
         if t >= 0:
             logs[:, idx - burn_in] = step_logs
     return logs.T
@@ -113,7 +113,7 @@ def benettin_spectrum(system: DynamicalSystem, seed: int, burn_in: int,
     first = burn_in if d == 1 else max(0, burn_in - WARM)
     dfs = system.differential_batch(orbit[first:])
     if d == 1:
-        logs = np.log(np.abs(dfs[:, 0, 0]))[:, None]
+        logs = np.log(np.abs(dfs[0, 0]))[:, None]
     else:
         logs = _lockstep_logs(dfs, burn_in - first)
     return _spectrum_from_logs(logs, n_steps, blocks)
@@ -143,8 +143,8 @@ class SplittingEstimate:
     """Orthonormal E/F frames at a set of base points (E + F spans)."""
 
     points: np.ndarray        # (m, d)
-    e_frames: np.ndarray      # (m, d, dim_e)
-    f_frames: np.ndarray      # (m, d, dim_f)
+    e_frames: np.ndarray      # (d, dim_e, m)
+    f_frames: np.ndarray      # (d, dim_f, m)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -153,11 +153,11 @@ class SplittingEstimate:
 
     @property
     def dim_e(self) -> int:
-        return self.e_frames.shape[2]
+        return self.e_frames.shape[1]
 
     @property
     def dim_f(self) -> int:
-        return self.f_frames.shape[2]
+        return self.f_frames.shape[1]
 
 
 #: steps a random frame is pushed along an orbit before it stands for its
@@ -193,8 +193,8 @@ def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
     m, d = pts.shape
     rng = np.random.default_rng([0, 0xF])
     if dim_f == d:
-        eye = np.broadcast_to(np.eye(d), (m, d, d)).copy()
-        return SplittingEstimate(pts, np.empty((m, d, 0)), eye)
+        eye = np.repeat(np.eye(d)[:, :, None], m, axis=2)
+        return SplittingEstimate(pts, np.empty((d, 0, m)), eye)
     # backward orbit buffer z_k = f^-k(x), k = 0..n
     back = [pts]
     for _ in range(FRAME_TRANSIENT):
@@ -204,11 +204,11 @@ def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
         f_frames = _qr_step(system.differential_batch(back[k]), f_frames)[0]
     # pull a complementary frame back through Df^-1 along the forward walk
     walk = _cloud_walk(system, pts, [0, 0xE])
-    fwd = [next(walk)[0] for _ in range(FRAME_TRANSIENT)]
+    invs = [np.linalg.inv(next(walk)[0].transpose(2, 0, 1)) for _ in range(FRAME_TRANSIENT)]
     e_frames = _random_frames(rng, m, d, d - dim_f)
-    for dfs in reversed(fwd):
-        e_frames = _qr_step(np.linalg.inv(dfs), e_frames)[0]
-    return SplittingEstimate(pts, e_frames.transpose(2, 0, 1), f_frames.transpose(2, 0, 1))
+    for inv in reversed(invs):
+        e_frames = _qr_step(inv.transpose(1, 2, 0), e_frames)[0]
+    return SplittingEstimate(pts, e_frames, f_frames)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def domination_report(system: DynamicalSystem, splitting: SplittingEstimate,
         raise ValueError("n_grid must be strictly increasing positive ints")
     pts = splitting.points
     d = system.space.dim
-    if splitting.e_frames.shape[1] != d or splitting.f_frames.shape[1] != d:
+    if splitting.e_frames.shape[0] != d or splitting.f_frames.shape[0] != d:
         raise ValueError("splitting frames do not match the system dimension")
     if splitting.dim_e + splitting.dim_f != d:
         raise ValueError("dim E + dim F must equal the phase-space dimension")

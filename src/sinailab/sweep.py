@@ -68,6 +68,8 @@ class SweepConfig:
             raise ValueError("grid must be strictly increasing")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         if self.length < 1:

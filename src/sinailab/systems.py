@@ -145,8 +145,9 @@ class DynamicalSystem:
     """A map with its exact differential on a concrete phase space.
 
     eval_batch / differential_batch are vectorized over (n, d) point
-    arrays. Systems are immutable after construction and all evaluation is
-    pure, so instances are safe to share across threads and processes.
+    arrays; differential_batch returns a C-contiguous (d, d, n) stack.
+    Systems are immutable after construction and all evaluation is pure,
+    so instances are safe to share across threads and processes.
     """
 
     name: str
@@ -168,7 +169,7 @@ class DynamicalSystem:
         return self.eval_batch(np.atleast_1d(np.asarray(x, float))[None, :])[0]
 
     def differential(self, x) -> np.ndarray:
-        return self.differential_batch(np.atleast_1d(np.asarray(x, float))[None, :])[0]
+        return self.differential_batch(np.atleast_1d(np.asarray(x, float))[None, :])[..., 0]
 
     # -- singular set ------------------------------------------------------
     def singular_distance(self, pts: np.ndarray) -> np.ndarray:
@@ -251,9 +252,9 @@ class DynamicalSystem:
 def _cloud_walk(system: DynamicalSystem, pts: np.ndarray, dither_key):
     """Walk the cloud along its orbits, yielding (dfs, alive) per map step.
 
-    dfs holds the one-step differentials at the current points. A point
-    that hits the singular set or leaves the reals dies: it feeds the
-    identity from then on and stops moving. Only live points are stepped,
+    dfs holds the one-step differentials (d, d, m) at the current points.
+    A point that hits the singular set or leaves the reals dies: it feeds
+    the identity from then on and stops moving. Only live points are stepped,
     with the dithered stepper seeded by dither_key, so binary-shift clouds
     do not degenerate. More than MAX_FAILURE_FRACTION dead points raise
     SamplingFailureError. The cloud moves only when the next step is asked
@@ -277,7 +278,7 @@ def _cloud_walk(system: DynamicalSystem, pts: np.ndarray, dither_key):
             cur = system.step_batch(cur, dither)
             continue
         dfs = system.differential_batch(np.where(alive[:, None], cur, pts))
-        dfs[~alive] = np.eye(d)
+        dfs[:, :, ~alive] = np.eye(d)[:, :, None]
         yield dfs, alive
         cur[alive] = system.step_batch(cur[alive], dither)
 
@@ -317,8 +318,7 @@ def make_torus_automorphism(matrix) -> DynamicalSystem:
         return _wrap_unit(np.atleast_2d(pts) @ a.T)
 
     def dfb(pts):
-        pts = np.atleast_2d(pts)
-        return np.broadcast_to(a, (pts.shape[0], d, d)).copy()
+        return np.broadcast_to(a[:, :, None], (d, d, len(np.atleast_2d(pts)))).copy()
 
     def inv_ev(pts):
         return _wrap_unit(np.atleast_2d(pts) @ a_inv.T)
@@ -396,8 +396,7 @@ def make_manneville_pomeau(alpha: float) -> DynamicalSystem:
     def dfb(pts):
         x = np.atleast_2d(pts)[:, 0]
         left = 1.0 + pow2a * (1.0 + alpha) * np.power(x, alpha)
-        out = np.where(x <= 0.5, left, 2.0)
-        return out[:, None, None]
+        return np.where(x <= 0.5, left, 2.0)[None, None, :]
 
     singular = [SingularHyperplane(0, 0.5, "branch")]
     if alpha > 0.0:
@@ -498,13 +497,13 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
 
     def dfb(pts):
         pts = np.atleast_2d(pts)
-        out = np.tile(a, (pts.shape[0], 1, 1))
+        out = np.repeat(a[:, :, None], pts.shape[0], axis=2)
         idx, u, s, hp, g = _bump_terms(pts)
         gp = (g + 1.0) * t * kappa * hp  # d/dq of expm1 term
         grad_s = lam_inv * (g + 2.0 * s * s * gp)
         grad_u = lam_inv * (2.0 * u * s * gp)
         grad = grad_s[:, None] * vs + grad_u[:, None] * vu
-        out[idx] += vs[None, :, None] * grad[:, None, :]
+        out[:, :, idx] += vs[:, None, None] * grad.T
         return out
 
     a_inv = _integer_inverse(a)
@@ -517,7 +516,7 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
             res = space.displacement(ev(x), y)
             if np.max(np.abs(res)) < 1e-14:
                 break
-            step = np.linalg.solve(dfb(x), res[:, :, None])[:, :, 0]
+            step = np.linalg.solve(dfb(x).transpose(2, 0, 1), res[:, :, None])[:, :, 0]
             x = _wrap_unit(x + step)
         return x
 
@@ -600,16 +599,15 @@ def make_standard_skew(K: float, N: int) -> DynamicalSystem:
 
     def dfb(pts):
         p = np.atleast_2d(pts)
-        m = p.shape[0]
         cosk = K * np.cos(TWO_PI * p[:, 0])
-        out = np.zeros((m, 4, 4))
-        out[:, 0, 0] = 1.0 + cosk
-        out[:, 0, 1] = 1.0
-        out[:, 0, 2] = an[0, 0]
-        out[:, 0, 3] = an[0, 1]
-        out[:, 1, 0] = cosk
-        out[:, 1, 1] = 1.0
-        out[:, 2:, 2:] = a2n
+        out = np.zeros((4, 4, p.shape[0]))
+        out[0, 0] = 1.0 + cosk
+        out[0, 1] = 1.0
+        out[0, 2] = an[0, 0]
+        out[0, 3] = an[0, 1]
+        out[1, 0] = cosk
+        out[1, 1] = 1.0
+        out[2:, 2:] = a2n[:, :, None]
         return out
 
     a2n_inv = _integer_inverse(a2n)
@@ -712,11 +710,10 @@ def make_viana(a0: float = VIANA_A0, eps: float = 0.02, d: int = 16) -> Dynamica
 
     def dfb(pts):
         p = np.atleast_2d(pts)
-        m = p.shape[0]
-        out = np.zeros((m, 2, 2))
-        out[:, 0, 0] = dd
-        out[:, 1, 0] = TWO_PI * eps * np.cos(TWO_PI * p[:, 0])
-        out[:, 1, 1] = -2.0 * p[:, 1]
+        out = np.zeros((2, 2, p.shape[0]))
+        out[0, 0] = dd
+        out[1, 0] = TWO_PI * eps * np.cos(TWO_PI * p[:, 0])
+        out[1, 1] = -2.0 * p[:, 1]
         return out
 
     def orbit_fn(x0, n, noise):

@@ -110,10 +110,11 @@ def test_criterion_2_entropy_triple_agreement(name, factory, dim_f, n_steps):
 
 def log_wedge_totals(mats):
     """log(1 + sum_j ||A^(wedge j)||) for each matrix of an (m, d, d) stack,
-    from one step of the identity frame's WedgeAccumulatorBatch."""
+    from one step of the identity frame's WedgeAccumulatorBatch, which
+    takes the stack batch-last."""
     m, d, _ = mats.shape
-    acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d), (m, d, d)))
-    acc.step(mats)
+    acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d)[:, :, None], (d, d, m)))
+    acc.step(np.ascontiguousarray(mats.transpose(1, 2, 0)))
     return log_wedge_total_from_rows(acc.log_wedge_all())
 
 
@@ -290,7 +291,8 @@ def test_criterion_8_skew_volume_preservation():
     spec = benettin_spectrum(system, seed=13, burn_in=10_000, n_steps=1_000_000)
     exp_sum = abs(float(spec.exponents.sum()))
     rng = np.random.default_rng(31)
-    dets = np.abs(np.linalg.det(system.differential_batch(rng.random((1000, 4)))))
+    dfs = system.differential_batch(rng.random((1000, 4)))
+    dets = np.abs(np.linalg.det(dfs.transpose(2, 0, 1)))
     det_err = float(np.max(np.abs(dets - 1.0)))
     ok = exp_sum <= 1e-3 and det_err <= 1e-10
     report(8, ok, f"|sum of exponents| {exp_sum:.2e} (tol 1e-3) at 1e6 steps; "

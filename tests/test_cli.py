@@ -357,8 +357,9 @@ class TestUsageErrors:
         # entropy has no --blocks flag: a short orbit is named by its length
         (["entropy", "--system", "mp", "--param", "alpha=0.3", "--length", "15",
           "--burn-in", "10", "--method", "pesin"], "n_steps = 15 must be >= 20"),
+        (["lyapunov", "--system", "cat", "--steps", "2e4", "--seed", "-1"], "--seed"),
     ], ids=["nmax", "dimf", "length", "steps", "diagnose-dimf", "blocks",
-            "short-1d-orbit"])
+            "short-1d-orbit", "seed-negative"])
     def test_out_of_range_number_exit_two(self, tmp_path, capsys, argv, message):
         # the library's argument checks raise ValueError, a usage error:
         # one error line, exit 2 and no output directory
@@ -466,9 +467,10 @@ class TestUsageErrors:
         "family = mp\ngrid = 0.0,nan,0.5\n",
         "family = mp\ngrid = 0.1,0.2,0.3\nlength = inf\n",
         "family = mp\ngrid = 0.1,0.2,0.3\nlength = 2000.5\n",
+        "family = mp\ngrid = 0.1,0.2,0.3\nseed = -1\n",
     ], ids=["nmax", "dimf", "family", "burn_in", "burn_in-fractional", "length",
             "ulam_resolution", "grid-above", "grid-range-above", "grid-nan",
-            "length-inf", "length-fractional"])
+            "length-inf", "length-fractional", "seed-negative"])
     def test_sweep_range_checked_before_sampling(self, tmp_path, capsys,
                                                  orbit_calls, body):
         # burn_in and length are added unless the body sets them: a

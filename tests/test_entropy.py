@@ -44,7 +44,7 @@ def make_torus_identity(d=2):
 
     def dfb(pts):
         pts = np.atleast_2d(pts)
-        return np.broadcast_to(np.eye(d), (pts.shape[0], d, d)).copy()
+        return np.broadcast_to(np.eye(d)[:, :, None], (d, d, pts.shape[0])).copy()
 
     return DynamicalSystem(
         name="identity",
@@ -65,7 +65,7 @@ def wedge_order_minima(system, mu, n_max):
     order i, from one WedgeAccumulatorBatch driven by the shared cloud walk."""
     pts, w = mu.points, mu.weights / mu.weights.sum()
     m, d = pts.shape
-    acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d), (m, d, d)))
+    acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d)[:, :, None], (d, d, m)))
     best = np.full(d, np.inf)
     for n, (dfs, _) in zip(range(1, n_max + 1), _cloud_walk(system, pts, 0)):
         acc.step(dfs)
@@ -149,7 +149,7 @@ class TestLSSequence:
 
         def dfb(pts):
             pts = np.atleast_2d(pts)
-            return np.broadcast_to(a, (pts.shape[0], 3, 3)).copy()
+            return np.broadcast_to(a[:, :, None], (3, 3, pts.shape[0])).copy()
 
         sys = DynamicalSystem("const", PhaseSpace.torus(3), {}, ev, dfb)
         pts = rng.random((5, 3))

@@ -52,8 +52,8 @@ def wedge_logs(a):
     """(log ||A^(wedge j)|| for j = 1..d, log(1 + sum_j ||A^(wedge j)||)) of
     one square matrix: one step of the identity frame's WedgeAccumulatorBatch."""
     a = np.asarray(a, dtype=float)
-    acc = WedgeAccumulatorBatch(np.eye(a.shape[0])[None])
-    acc.step(a[None])
+    acc = WedgeAccumulatorBatch(np.eye(a.shape[0])[:, :, None])
+    acc.step(a[:, :, None])
     lw = acc.log_wedge_all()
     return lw[:, 0], log_wedge_total_from_rows(lw)[0]
 
@@ -193,9 +193,8 @@ def _orthonormalize_batch(frames):
 
 
 def _broadcast_sum(dfs, q):
-    """Df q for one-step derivatives (m, d, d) and frames (d, k, m)."""
-    step = dfs.transpose(1, 2, 0)
-    return (step[:, :, None, :] * q[None]).sum(axis=1)
+    """Df q for one-step derivatives (d, d, m) and frames (d, k, m)."""
+    return (dfs[:, :, None, :] * q[None]).sum(axis=1)
 
 
 class TestQRStep:
@@ -207,7 +206,7 @@ class TestQRStep:
         frames = np.linalg.qr(rng.standard_normal((m, d, k)))[0]
         for step, pushed in ((dfs, np.matmul(dfs, frames)),
                              (np.linalg.inv(dfs), np.linalg.solve(dfs, frames))):
-            q, log_r = _qr_step(step, _batch_last(frames))
+            q, log_r = _qr_step(_batch_last(step), _batch_last(frames))
             q_ref, log_r_ref = _orthonormalize_batch(pushed)
             assert np.allclose(_batch_first(q), q_ref, rtol=0.0, atol=1e-12)
             assert np.allclose(log_r, log_r_ref, rtol=0.0, atol=1e-12)
@@ -223,7 +222,7 @@ class TestQRStep:
                     # a single one-column frame makes einsum a dot product,
                     # summed in another order; Benettin frames are square
                     continue
-                dfs = rng.standard_normal((m, d, d))
+                dfs = _batch_last(rng.standard_normal((m, d, d)))
                 q = rng.standard_normal((d, k, m + 1))
                 for frames in (np.ascontiguousarray(q[:, :, 1:]), q[:, :, 1:], q[:, :, :m]):
                     got = _qr_step(dfs, frames)
@@ -309,7 +308,7 @@ class _BatchFirstAccumulator(WedgeAccumulatorBatch):
     matrix; each is stored batch-last only for log_wedge to read."""
 
     def step(self, dfs):
-        for i, cj in enumerate(_batch_first_compounds(dfs)[:len(self.orders)]):
+        for i, cj in enumerate(_batch_first_compounds(_batch_first(dfs))[:len(self.orders)]):
             prod = np.matmul(cj, np.ascontiguousarray(_batch_first(self._mats[i])))
             scale = np.max(np.abs(prod), axis=(1, 2))
             dead = scale == 0.0
@@ -324,7 +323,7 @@ class _BatchFirstAccumulator(WedgeAccumulatorBatch):
 def cocycle_wedge(system, x, n):
     """(log wedge norms, log_wedge_total) of Df^n(x): the identity frame's
     WedgeAccumulatorBatch stepped n times by the shared cloud walk from x."""
-    acc = WedgeAccumulatorBatch(np.eye(system.space.dim)[None])
+    acc = WedgeAccumulatorBatch(np.eye(system.space.dim)[:, :, None])
     for _, (dfs, _) in zip(range(n), _cloud_walk(system, np.atleast_2d(x), 0)):
         acc.step(dfs)
     lw = acc.log_wedge_all()
@@ -481,6 +480,25 @@ class TestTopSingularValues:
         reference = ls_entropy(system, measure, 20, early_stop=False,
                                seed=4).diagnostics["a_n"]
         assert np.allclose(a_n, reference, rtol=0.0, atol=1e-12)
+
+
+def test_ls_identity_frames_are_never_written(monkeypatch):
+    # ls_entropy starts its products from a read-only broadcast identity,
+    # which the accumulator keeps as its order-1 product until the first step
+    seen = []
+
+    class Recording(WedgeAccumulatorBatch):
+        def __init__(self, frames):
+            seen.append(frames)
+            super().__init__(frames)
+
+    monkeypatch.setattr(entropy, "WedgeAccumulatorBatch", Recording)
+    system = make_cat_block(2)
+    measure = birkhoff_sample(system, seed=5, burn_in=100, length=300)
+    ls_entropy(system, measure, 5, early_stop=False, seed=5)
+    (frames,) = seen
+    assert frames.shape == (4, 4, 300) and not frames.flags.writeable
+    assert np.array_equal(frames, np.broadcast_to(np.eye(4)[:, :, None], frames.shape))
 
 
 def test_log_wedge_total_from_rows_against_direct_sum():

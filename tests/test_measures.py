@@ -45,7 +45,7 @@ def make_interval_identity():
 
     def dfb(pts):
         pts = np.atleast_2d(pts)
-        return np.ones((pts.shape[0], 1, 1))
+        return np.ones((1, 1, pts.shape[0]))
 
     return DynamicalSystem(
         name="identity",
@@ -158,7 +158,7 @@ class TestBirkhoffSample:
 
         def dfb(pts):
             pts = np.atleast_2d(pts)
-            return np.ones((pts.shape[0], 1, 1))
+            return np.ones((1, 1, pts.shape[0]))
 
         trap = DynamicalSystem(
             name="trap", space=PhaseSpace.unit_interval(), params={},

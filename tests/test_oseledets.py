@@ -146,11 +146,17 @@ class TestBenettinSpectrum:
         assert np.all(spec.std_error < 1e-12)
 
 
-def _sequential_qr_logs(dfs):
-    """Reference discrete QR from the identity frame, one LAPACK QR per step."""
-    q = np.eye(dfs.shape[1])
+def _batch_last(mats):
+    """A contiguous (d, d, n) copy of an (n, d, d) sequence of steps."""
+    return np.ascontiguousarray(mats.transpose(1, 2, 0))
+
+
+def _sequential_qr_logs(mats):
+    """Reference discrete QR from the identity frame, one LAPACK QR per
+    step of an (n, d, d) sequence."""
+    q = np.eye(mats.shape[1])
     logs = []
-    for a in dfs:
+    for a in mats:
         q, r = np.linalg.qr(a @ q)
         sign = np.sign(np.diag(r))
         q = q * sign
@@ -163,10 +169,10 @@ class TestLockstepLogs:
         # a row's logs sum to log |det| of exactly that step's matrix
         rng = np.random.default_rng(3)
         for burn_in, n_steps in [(0, 1_234), (70, 2_001), (500, 40_013)]:
-            dfs = rng.standard_normal((burn_in + n_steps, 3, 3))
-            logs = _lockstep_logs(dfs, burn_in)
+            mats = rng.standard_normal((burn_in + n_steps, 3, 3))
+            logs = _lockstep_logs(_batch_last(mats), burn_in)
             assert logs.shape == (n_steps, 3)
-            logdet = np.linalg.slogdet(dfs[burn_in:])[1]
+            logdet = np.linalg.slogdet(mats[burn_in:])[1]
             assert np.allclose(logs.sum(axis=1), logdet, atol=1e-10)
 
     @pytest.mark.parametrize("burn_in", [0, 70, WARM + 30])
@@ -174,13 +180,13 @@ class TestLockstepLogs:
         # 1_001 live steps: 5 blocks, the first 201 steps long; block 0 warms
         # up from max(0, burn_in - WARM), block 3 from its start - WARM
         rng = np.random.default_rng(4)
-        dfs = rng.standard_normal((burn_in + 1_001, 2, 2))
-        logs = _lockstep_logs(dfs, burn_in)
+        mats = rng.standard_normal((burn_in + 1_001, 2, 2))
+        logs = _lockstep_logs(_batch_last(mats), burn_in)
         first = max(0, burn_in - WARM)
-        ref0 = _sequential_qr_logs(dfs[first:burn_in + 201])[burn_in - first:]
+        ref0 = _sequential_qr_logs(mats[first:burn_in + 201])[burn_in - first:]
         assert np.allclose(logs[:201], ref0, atol=1e-10)
         start3 = burn_in + 201 + 2 * 200
-        ref3 = _sequential_qr_logs(dfs[start3 - WARM:start3 + 200])[WARM:]
+        ref3 = _sequential_qr_logs(mats[start3 - WARM:start3 + 200])[WARM:]
         assert np.allclose(logs[601:801], ref3, atol=1e-10)
 
     def test_constant_non_normal_small_gap(self):
@@ -189,7 +195,7 @@ class TestLockstepLogs:
         # leaves each 200-step block a start-up bias of about
         # exp(-0.01 * WARM) / 200 ~ 7e-4.
         a = np.array([[1.0, 0.0], [1.0, 1.01]])
-        rates = _lockstep_logs(np.broadcast_to(a, (100_000, 2, 2)), 0).mean(axis=0)
+        rates = _lockstep_logs(np.broadcast_to(a[:, :, None], (2, 2, 100_000)), 0).mean(axis=0)
         assert rates == pytest.approx([math.log(1.01), 0.0], abs=1e-3)
         assert np.linalg.svd(a, compute_uv=False)[0] > 1.5
 
@@ -197,30 +203,30 @@ class TestLockstepLogs:
 class TestEstimateBundles:
     def test_cat_unstable_line(self):
         est = estimate_bundles_many(make_cat_map(), [[0.123, 0.456]], dim_f=1)
-        f = est.f_frames[0, :, 0]
+        f = est.f_frames[:, 0, 0]
         # sine of the angle (acos saturates at sqrt(eps) near alignment)
         angle = float(np.linalg.norm(f - (f @ _VU) * _VU))
         assert angle <= 1e-8
 
     def test_cat_stable_line(self):
         est = estimate_bundles_many(make_cat_map(), [[0.2, 0.9]], dim_f=1)
-        e = est.e_frames[0, :, 0]
+        e = est.e_frames[:, 0, 0]
         angle = float(np.linalg.norm(e - (e @ _VS) * _VS))
         assert angle <= 1e-8
 
     def test_full_space_trivial(self):
         est = estimate_bundles_many(make_manneville_pomeau(0.3), [[0.4]], dim_f=1)
         assert est.dim_e == 0
-        assert np.allclose(est.f_frames[0], np.eye(1))
+        assert np.allclose(est.f_frames[:, :, 0], np.eye(1))
 
     def test_frames_orthonormal(self):
         est = estimate_bundles_many(make_cat_block(2),
                                     np.random.default_rng(0).random((5, 4)),
                                     dim_f=2)
         for i in range(5):
-            f = est.f_frames[i]
+            f = est.f_frames[:, :, i]
             assert np.allclose(f.T @ f, np.eye(2), atol=1e-10)
-            e = est.e_frames[i]
+            e = est.e_frames[:, :, i]
             assert np.allclose(e.T @ e, np.eye(2), atol=1e-10)
 
     def test_noninvertible_with_e_requested(self):
@@ -235,7 +241,8 @@ def constant_cocycle(a):
     return DynamicalSystem(
         name="constant", space=PhaseSpace.torus(a.shape[0]), params={},
         eval_batch=lambda pts: pts.copy(),
-        differential_batch=lambda pts: np.broadcast_to(a, (pts.shape[0],) + a.shape).copy(),
+        differential_batch=lambda pts: np.broadcast_to(a[:, :, None],
+                                                       a.shape + (pts.shape[0],)).copy(),
     )
 
 
@@ -243,8 +250,8 @@ class TestDominationReport:
     def _cat_splitting(self, swapped=False):
         pts = np.array([[0.13, 0.57], [0.71, 0.22], [0.4, 0.9]])
         m = pts.shape[0]
-        vu = np.broadcast_to(_VU[:, None], (m, 2, 1)).copy()
-        vs = np.broadcast_to(_VS[:, None], (m, 2, 1)).copy()
+        vu = np.broadcast_to(_VU[:, None, None], (2, 1, m)).copy()
+        vs = np.broadcast_to(_VS[:, None, None], (2, 1, m)).copy()
         if swapped:
             return SplittingEstimate(pts, e_frames=vu, f_frames=vs)
         return SplittingEstimate(pts, e_frames=vs, f_frames=vu)
@@ -281,7 +288,7 @@ class TestDominationReport:
         theta = 0.7
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
-        frames = (q[:, :2] @ rot)[None]
+        frames = (q[:, :2] @ rot)[:, :, None]
         acc = WedgeAccumulatorBatch(frames)
         lo, hi = [], []
         walk = _cloud_walk(constant_cocycle(a), np.zeros((1, 4)), 0)
@@ -307,6 +314,17 @@ class TestDominationReport:
         system.differential_batch = counted
         domination_report(system, self._cat_splitting(), n_grid=[2, 5, 9])
         assert calls == [3] * 9
+
+    def test_frames_are_left_as_given(self):
+        # the accumulators read the caller's frames in place: a report must
+        # not write to them
+        cat4 = make_cat_block(2)
+        anchors = np.random.default_rng(12).random((4, 4))
+        for system, splitting in ((cat4, estimate_bundles_many(cat4, anchors, dim_f=2)),
+                                  (make_cat_map(), self._cat_splitting())):
+            before = (splitting.e_frames.tobytes(), splitting.f_frames.tobytes())
+            domination_report(system, splitting, n_grid=range(1, 13))
+            assert (splitting.e_frames.tobytes(), splitting.f_frames.tobytes()) == before
 
     def test_json_has_full_table(self):
         rep = domination_report(make_cat_map(), self._cat_splitting(),

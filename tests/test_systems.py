@@ -298,7 +298,8 @@ class TestDerivedFromAnosov:
         ev, dfb = _unscreened_da(t)
         pts = _bump_edge_points()
         assert sys.eval_batch(pts).tobytes() == ev(pts).tobytes()
-        assert sys.differential_batch(pts).tobytes() == dfb(pts).tobytes()
+        dfs = sys.differential_batch(pts)
+        assert np.ascontiguousarray(dfs.transpose(2, 0, 1)).tobytes() == dfb(pts).tobytes()
         for p in pts[::97]:  # one point at a time: subsets of size one
             assert sys.eval(p).tobytes() == ev(p[None, :])[0].tobytes()
             assert sys.differential(p).tobytes() == dfb(p[None, :])[0].tobytes()
@@ -311,7 +312,8 @@ class TestDerivedFromAnosov:
         pts = pts[np.hypot(wrapped[:, 0], wrapped[:, 1]) > 1.01 * DA_BUMP_RADIUS]
         assert np.array_equal(sys.eval_batch(pts), make_cat_map().eval_batch(pts))
         dfs = sys.differential_batch(pts)
-        assert np.array_equal(dfs, np.broadcast_to(np.asarray(CAT_MATRIX, float), dfs.shape))
+        cat = np.asarray(CAT_MATRIX, float)[:, :, None]
+        assert np.array_equal(dfs, np.broadcast_to(cat, dfs.shape))
 
     def test_orbit_matches_eval(self):
         sys = make_derived_from_anosov(0.35)
@@ -327,7 +329,7 @@ class TestStandardSkew:
         sys = make_standard_skew(0.5, 2)
         rng = np.random.default_rng(3)
         dfs = sys.differential_batch(rng.random((1000, 4)))
-        assert np.max(np.abs(np.abs(np.linalg.det(dfs)) - 1.0)) < 1e-10
+        assert np.max(np.abs(np.abs(np.linalg.det(dfs.transpose(2, 0, 1))) - 1.0)) < 1e-10
 
     def test_zero_coupling_is_shear(self):
         sys = make_standard_skew(0.0, 1)
@@ -415,7 +417,7 @@ def masked_walk(system, pts, dither_key):
         assert (~alive).sum() <= MAX_FAILURE_FRACTION * m
         dfs = system.differential_batch(np.where(alive[:, None], cur, pts))
         if not np.all(alive):
-            dfs[~alive] = np.eye(d)
+            dfs[:, :, ~alive] = np.eye(d)[:, :, None]
         yield dfs, alive
         cur[alive] = system.step_batch(cur[alive], dither)
 
@@ -583,6 +585,45 @@ class TestFamilies:
             p = s1.space.uniform(rng, 50) if fid == "viana" else pts2
             assert np.array_equal(s1.eval_batch(p), s2.eval_batch(p))
             assert np.array_equal(s1.differential_batch(p), s2.differential_batch(p))
+
+
+def _layout_points(name, system, rng, m=300):
+    """m points for the layout contract: DA's inside its bump (near the
+    lattice Z^2) or outside it, the rest uniform in the phase space."""
+    if name == "da-inside":
+        return np.mod(rng.normal(scale=0.04, size=(m, 2)), 1.0)
+    if name == "da-outside":
+        pts = rng.random((4 * m, 2))
+        wrapped = np.mod(pts + 0.5, 1.0) - 0.5
+        return pts[np.hypot(wrapped[:, 0], wrapped[:, 1]) > 1.01 * DA_BUMP_RADIUS][:m]
+    return system.space.uniform(rng, m)
+
+
+@pytest.mark.parametrize("name", ["cat", "cat4", "mp", "da-inside", "da-outside",
+                                  "skew", "viana"])
+def test_differential_batch_is_batch_last(name):
+    # every derivative stack is one C-contiguous (d, d, m) float array, and
+    # a point's slice is what the point alone gets, bit for bit
+    system = {"cat": make_cat_map, "cat4": lambda: make_cat_block(2),
+              "mp": lambda: make_manneville_pomeau(0.3),
+              "da-inside": lambda: make_derived_from_anosov(0.35),
+              "da-outside": lambda: make_derived_from_anosov(0.35),
+              "skew": lambda: make_standard_skew(0.5, 2), "viana": make_viana}[name]()
+    pts = _layout_points(name, system, np.random.default_rng(43))
+    m, d = pts.shape
+    dfs = system.differential_batch(pts)
+    assert dfs.shape == (d, d, m)
+    assert dfs.dtype == np.float64 and dfs.flags.c_contiguous
+    alone = np.concatenate([system.differential_batch(pts[i:i + 1]) for i in range(m)],
+                           axis=2)
+    if name != "da-inside":
+        assert dfs.tobytes() == alone.tobytes()
+        return
+    # inside the bump the eigenbasis projections y @ vu and y @ vs go
+    # through BLAS, whose last bits depend on the batch size
+    assert not np.array_equal(dfs, np.broadcast_to(
+        np.asarray(CAT_MATRIX, float)[:, :, None], dfs.shape))
+    assert np.allclose(dfs, alone, rtol=1e-14, atol=1e-15)
 
 
 class TestBuildSystem:
