@@ -175,13 +175,13 @@ def cmd_entropy(ns) -> int:
     if ns.no_early_stop and method != LEDRAPPIER_STRELCYN:
         raise ConfigError("--no-early-stop applies only to --method ls")
     methods = ESTIMATORS if method == "all" else (method,)
-    check_estimator_args(methods, ns.nmax, ns.dimf, system.space.dim)
     finite_nonnegative(ns.tol, "--tol")
     finite_nonnegative(ns.seed, "--seed")
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "method": method, "length": _steps(ns.length),
               "burn_in": _steps(ns.burn_in), "n_max": ns.nmax,
               "dim_f": ns.dimf, "tolerance": ns.tol}
+    check_estimator_args(methods, ns.nmax, ns.dimf, system.space.dim, config["length"])
     manifest = _Manifest("entropy", config, ns.out)
     measure = birkhoff_sample(system, seed=ns.seed,
                               burn_in=config["burn_in"],

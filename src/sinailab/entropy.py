@@ -29,7 +29,8 @@ import numpy as np
 from .matrixcore import (LOG_ZERO, WedgeAccumulatorBatch, _qr_step, _random_frames,
                          log_wedge_total_from_rows)
 from .measures import _masked_mean_se
-from .oseledets import FRAME_TRANSIENT, LyapunovSpectrum, benettin_spectrum
+from .oseledets import (FRAME_TRANSIENT, LyapunovSpectrum, benettin_spectrum,
+                        check_spectrum_length)
 from .systems import DynamicalSystem, _cloud_walk, finite_nonnegative
 
 PESIN = "pesin"
@@ -71,9 +72,16 @@ class EntropyEstimate:
         }
 
 
-def check_estimator_args(methods, n_max: int, dim_f: Optional[int], dim: int) -> None:
+def _runs_spectrum(methods, dim_f: Optional[int]) -> bool:
+    """Pesin runs the Benettin spectrum, and so does Jacobian-F without dim_f."""
+    return PESIN in methods or (JACOBIAN_F in methods and dim_f is None)
+
+
+def check_estimator_args(methods, n_max: int, dim_f: Optional[int], dim: int,
+                         length: Optional[int] = None) -> None:
     """ValueError when LS is among the methods and n_max lies outside
-    [1, LS_N_MAX], or Jacobian-F is and a given dim_f outside [1, dim].
+    [1, LS_N_MAX], Jacobian-F is and a given dim_f outside [1, dim], or a
+    given orbit length fails check_spectrum_length for a spectrum they run.
 
     It needs no orbit, so commands and sweep configs run it before they
     sample anything; the two estimators run it on their own arguments.
@@ -82,6 +90,8 @@ def check_estimator_args(methods, n_max: int, dim_f: Optional[int], dim: int) ->
         raise ValueError(f"n_max must be in [1, {LS_N_MAX}]")
     if JACOBIAN_F in methods and dim_f is not None and not 1 <= dim_f <= dim:
         raise ValueError(f"dim_f must be in [1, {dim}]")
+    if length is not None and _runs_spectrum(methods, dim_f):
+        check_spectrum_length(length, dim)
 
 
 def pesin_entropy(spectrum: LyapunovSpectrum) -> EntropyEstimate:
@@ -243,7 +253,7 @@ def run_estimators(system: DynamicalSystem, measure, methods, seed: int,
     points), else (Ulam clouds) along a fresh orbit from seed. dim_f
     defaults to its expanding dimension.
     """
-    if spectrum is None and (PESIN in methods or (JACOBIAN_F in methods and dim_f is None)):
+    if spectrum is None and _runs_spectrum(methods, dim_f):
         spectrum = benettin_spectrum(system, seed, burn_in, n_steps,
                                      orbit=measure.orbit)
     estimates = {}

@@ -1,12 +1,12 @@
 """Lyapunov spectra, invariant subbundles and domination.
 
 The spectrum comes from the discrete QR (Benettin) scheme run along a
-Birkhoff orbit. The orbit is cut into contiguous time blocks whose frames
-advance together, one map step per matrixcore._qr_step call; each
-block's frame first warms up over the WARM orbit steps before it. The
-per-step logs are put back in time order, so the batch means read them
-as one sequential run. For d = 1 the spectrum is the closed-form orbit
-average of log |f'|.
+Birkhoff orbit, cut into contiguous time blocks whose frames advance
+together: one matrixcore._qr_step per map step, on differential_batch at
+the blocks' points. Each block's frame first warms up over the WARM orbit
+steps before it. The per-step logs are put back in time order, so the
+batch means read them as one sequential run. For d = 1 the spectrum is
+the closed-form orbit average of log |f'|.
 """
 
 from __future__ import annotations
@@ -59,19 +59,18 @@ WARM = 200
 MAX_BLOCKS = 1000
 
 
-def _lockstep_logs(dfs: np.ndarray, burn_in: int) -> np.ndarray:
-    """Per-step log diag(R) of the QR scheme over dfs[:, :, burn_in:], in time order.
+def _lockstep_logs(system: DynamicalSystem, orbit: np.ndarray, burn_in: int) -> np.ndarray:
+    """Per-step log diag(R) of the QR scheme along orbit[burn_in:], (d, n_steps).
 
     The live steps are cut into contiguous time blocks (the first
-    n_steps % n_blocks of them one step longer) that advance together, one
-    map step per _qr_step call. Each block's frame starts at the identity
-    WARM steps before the block, or at step 0 if that comes later, and is
-    not logged until the block begins: by then it has forgotten its start,
-    since the QR frame converges exponentially fast onto the Oseledets flag
-    when the exponents are separated.
+    n_steps % n_blocks one step longer) that advance together: one
+    _qr_step per map step, on differential_batch at the blocks' points.
+    Each block's frame starts at the identity WARM steps before the block,
+    or at step 0 if later, and is not logged until the block begins: by
+    then it has forgotten its start, since the QR frame converges
+    exponentially fast onto the Oseledets flag when exponents separate.
     """
-    n_steps = dfs.shape[2] - burn_in
-    d = dfs.shape[0]
+    n_steps, d = orbit.shape[0] - burn_in, orbit.shape[1]
     n_blocks = max(1, min(MAX_BLOCKS, n_steps // WARM))
     length, extra = divmod(n_steps, n_blocks)
     blocks = np.arange(n_blocks)
@@ -81,10 +80,17 @@ def _lockstep_logs(dfs: np.ndarray, burn_in: int) -> np.ndarray:
     for t in range(-min(WARM, int(starts[-1])), length + (extra > 0)):
         live = slice(0 if starts[0] + t >= 0 else 1, n_blocks if t < length else extra)
         idx = starts[live] + t
-        q[:, :, live], step_logs = _qr_step(dfs.take(idx, axis=2), q[:, :, live])
+        q[:, :, live], step_logs = _qr_step(system.differential_batch(orbit[idx]), q[:, :, live])
         if t >= 0:
             logs[:, idx - burn_in] = step_logs
-    return logs.T
+    return logs
+
+
+def check_spectrum_length(n_steps: int, d: int, blocks: int = 20) -> None:
+    """ValueError unless n_steps >= max(10 d, blocks); it needs no orbit."""
+    if n_steps < max(10 * d, blocks):
+        raise ValueError(f"n_steps = {n_steps} must be >= {max(10 * d, blocks)} "
+                         f"(10 per dimension, one per error block)")
 
 
 def benettin_spectrum(system: DynamicalSystem, seed: int, burn_in: int,
@@ -94,43 +100,36 @@ def benettin_spectrum(system: DynamicalSystem, seed: int, burn_in: int,
 
     The orbit is the one birkhoff_sample draws for (seed, burn_in,
     n_steps); a caller that holds that cloud passes orbit=measure.orbit
-    instead of having it drawn again. Standard errors are the batch
-    standard errors over `blocks` (at least 2) contiguous orbit segments.
-    n_steps must be at least 10 per dimension and one per block.
-    Exponents are sorted descending with stable tie order.
+    instead of having it drawn again; no derivative stack the length of the
+    orbit is built. Standard errors are the batch standard errors over
+    `blocks` (at least 2) contiguous orbit segments, and n_steps must pass
+    check_spectrum_length. Exponents are sorted descending, stable ties.
     """
     d = system.space.dim
     if blocks < 2:
         raise ValueError(f"blocks = {blocks} must be >= 2")
-    if n_steps < max(10 * d, blocks):
-        raise ValueError(f"n_steps = {n_steps} must be >= {max(10 * d, blocks)} "
-                         f"(10 per dimension, one per error block)")
+    check_spectrum_length(n_steps, d, blocks)
     if orbit is None:
         orbit, _ = _sample_orbit(system, seed, burn_in, n_steps)
     elif orbit.shape[0] != burn_in + n_steps:
         raise ValueError(f"orbit has {orbit.shape[0]} points, "
                          f"expected burn_in + n_steps = {burn_in + n_steps}")
-    first = burn_in if d == 1 else max(0, burn_in - WARM)
-    dfs = system.differential_batch(orbit[first:])
     if d == 1:
-        logs = np.log(np.abs(dfs[0, 0]))[:, None]
+        logs = np.log(np.abs(system.differential_batch(orbit[burn_in:])[0]))
     else:
-        logs = _lockstep_logs(dfs, burn_in - first)
+        logs = _lockstep_logs(system, orbit, burn_in)
     return _spectrum_from_logs(logs, n_steps, blocks)
 
 
 def _spectrum_from_logs(logs: np.ndarray, n_steps: int, blocks: int) -> LyapunovSpectrum:
-    """Exponents and batch standard errors from one log row per step."""
-    exponents = logs.sum(axis=0) / n_steps
+    """Exponents and batch standard errors from one log column per step."""
+    exponents = logs.sum(axis=1) / n_steps
     order = np.argsort(-exponents, kind="stable")
     edges = np.linspace(0, n_steps, blocks + 1).astype(int)
-    rates = np.array([logs[a:b].sum(axis=0) / (b - a) for a, b in zip(edges, edges[1:])])
+    rates = np.array([logs[:, a:b].sum(axis=1) / (b - a) for a, b in zip(edges, edges[1:])])
     se = rates.std(axis=0, ddof=1) / math.sqrt(blocks)
-    return LyapunovSpectrum(
-        exponents=exponents[order],
-        n_steps=n_steps,
-        std_error=se[order],
-    )
+    return LyapunovSpectrum(exponents=exponents[order], n_steps=n_steps,
+                            std_error=se[order])
 
 
 # ---------------------------------------------------------------------------

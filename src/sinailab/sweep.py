@@ -18,9 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .entropy import ESTIMATORS, JACOBIAN_F, PESIN, check_estimator_args, run_estimators
+from .entropy import ESTIMATORS, PESIN, check_estimator_args, run_estimators
 from .errors import SinaiLabError, SweepAbortError
 from .measures import (
+    MAX_ULAM_CELLS,
     birkhoff_sample,
     dictionary_moments,
     moment_gap,
@@ -81,10 +82,14 @@ class SweepConfig:
             if e not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {e!r}; valid: {ESTIMATORS}")
         object.__setattr__(self, "estimators", ests)
-        dim = None
-        if JACOBIAN_F in ests and self.dim_f is not None:
+        try:
             dim = family.build(family.lo).space.dim
-        check_estimator_args(ests, self.n_max, self.dim_f, dim)
+        except (SinaiLabError, ValueError):
+            # no dimension to check against: the points record the failure
+            return check_estimator_args(ests, self.n_max, None, None)
+        if (self.ulam_resolution or 0) ** dim > MAX_ULAM_CELLS:
+            raise ValueError(f"ulam_resolution ** {dim} exceeds {MAX_ULAM_CELLS} cells")
+        check_estimator_args(ests, self.n_max, self.dim_f, dim, self.length)
 
     def point_seed(self, index: int) -> int:
         ss = np.random.SeedSequence([int(self.seed), int(index)])

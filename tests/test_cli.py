@@ -444,10 +444,12 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["entropy", "--system", "skew", "--nmax", "100"],
         ["entropy", "--system", "skew", "--method", "jacobian", "--dimf", "5"],
-    ], ids=["nmax", "dimf"])
+        ["entropy", "--system", "mp", "--length", "15", "--method", "pesin"],
+    ], ids=["nmax", "dimf", "length-short-for-spectrum"])
     def test_entropy_range_checked_before_sampling(self, tmp_path, capsys,
                                                    orbit_calls, argv):
-        # n_max and dim_f are checked against the system before any orbit
+        # n_max, dim_f and the spectrum's orbit length are checked against
+        # the system before any orbit
         code = main(argv + ["--out", str(tmp_path / "x")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -468,9 +470,14 @@ class TestUsageErrors:
         "family = mp\ngrid = 0.1,0.2,0.3\nlength = inf\n",
         "family = mp\ngrid = 0.1,0.2,0.3\nlength = 2000.5\n",
         "family = mp\ngrid = 0.1,0.2,0.3\nseed = -1\n",
+        "family = mp\ngrid = 0.1,0.2,0.3\nlength = 10\n",
+        "family = skew\ngrid = 0.1,0.2,0.3\nestimators = jacobian\nlength = 30\n",
+        "family = da\ngrid = 0.1,0.2,0.3\nulam_resolution = 4000\n",
     ], ids=["nmax", "dimf", "family", "burn_in", "burn_in-fractional", "length",
             "ulam_resolution", "grid-above", "grid-range-above", "grid-nan",
-            "length-inf", "length-fractional", "seed-negative"])
+            "length-inf", "length-fractional", "seed-negative",
+            "length-short-for-pesin", "length-short-for-jacobian-dim",
+            "ulam_resolution-too-many-cells"])
     def test_sweep_range_checked_before_sampling(self, tmp_path, capsys,
                                                  orbit_calls, body):
         # burn_in and length are added unless the body sets them: a

@@ -1,6 +1,7 @@
 """Lyapunov spectra, subbundle estimation, domination, restricted Jacobians."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,10 +146,39 @@ class TestBenettinSpectrum:
                                  n_steps=10_000)
         assert np.all(spec.std_error < 1e-12)
 
+    @pytest.mark.parametrize("make, n_steps", [
+        (make_cat_map, 200_000),
+        (lambda: make_standard_skew(0.5, 2), 100_000),
+    ], ids=["cat", "skew"])
+    def test_peak_memory_is_the_log_table(self, make, n_steps):
+        # the derivatives come one lockstep step at a time, so the spectrum
+        # allocates little beyond its (d, n_steps) table of per-step logs
+        system = make()
+        burn_in = 1_000
+        orbit = birkhoff_sample(system, seed=5, burn_in=burn_in, length=n_steps).orbit
+        tracemalloc.start()
+        try:
+            benettin_spectrum(system, 5, burn_in, n_steps, orbit=orbit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * system.space.dim * n_steps * 8
 
-def _batch_last(mats):
-    """A contiguous (d, d, n) copy of an (n, d, d) sequence of steps."""
-    return np.ascontiguousarray(mats.transpose(1, 2, 0))
+
+def step_table(mats):
+    """A system and orbit whose differential at an orbit point is the step
+    matrix of an (n, d, d) sequence indexed by the point's first
+    coordinate: _lockstep_logs reads exactly that step's matrix."""
+    n, d = mats.shape[:2]
+    orbit = np.zeros((n, d))
+    orbit[:, 0] = np.arange(n)
+    system = DynamicalSystem(
+        name="steps", space=PhaseSpace.torus(d), params={},
+        eval_batch=lambda pts: pts.copy(),
+        differential_batch=lambda pts: np.ascontiguousarray(
+            mats[pts[:, 0].astype(int)].transpose(1, 2, 0)),
+    )
+    return system, orbit
 
 
 def _sequential_qr_logs(mats):
@@ -166,14 +196,14 @@ def _sequential_qr_logs(mats):
 
 class TestLockstepLogs:
     def test_every_step_logged_once_in_time_order(self):
-        # a row's logs sum to log |det| of exactly that step's matrix
+        # a column's logs sum to log |det| of exactly that step's matrix
         rng = np.random.default_rng(3)
         for burn_in, n_steps in [(0, 1_234), (70, 2_001), (500, 40_013)]:
             mats = rng.standard_normal((burn_in + n_steps, 3, 3))
-            logs = _lockstep_logs(_batch_last(mats), burn_in)
-            assert logs.shape == (n_steps, 3)
+            logs = _lockstep_logs(*step_table(mats), burn_in)
+            assert logs.shape == (3, n_steps)
             logdet = np.linalg.slogdet(mats[burn_in:])[1]
-            assert np.allclose(logs.sum(axis=1), logdet, atol=1e-10)
+            assert np.allclose(logs.sum(axis=0), logdet, atol=1e-10)
 
     @pytest.mark.parametrize("burn_in", [0, 70, WARM + 30])
     def test_blocks_warm_up_over_the_steps_before_them(self, burn_in):
@@ -181,7 +211,7 @@ class TestLockstepLogs:
         # up from max(0, burn_in - WARM), block 3 from its start - WARM
         rng = np.random.default_rng(4)
         mats = rng.standard_normal((burn_in + 1_001, 2, 2))
-        logs = _lockstep_logs(_batch_last(mats), burn_in)
+        logs = _lockstep_logs(*step_table(mats), burn_in).T
         first = max(0, burn_in - WARM)
         ref0 = _sequential_qr_logs(mats[first:burn_in + 201])[burn_in - first:]
         assert np.allclose(logs[:201], ref0, atol=1e-10)
@@ -195,7 +225,7 @@ class TestLockstepLogs:
         # leaves each 200-step block a start-up bias of about
         # exp(-0.01 * WARM) / 200 ~ 7e-4.
         a = np.array([[1.0, 0.0], [1.0, 1.01]])
-        rates = _lockstep_logs(np.broadcast_to(a[:, :, None], (2, 2, 100_000)), 0).mean(axis=0)
+        rates = _lockstep_logs(constant_cocycle(a), np.zeros((100_000, 2)), 0).mean(axis=1)
         assert rates == pytest.approx([math.log(1.01), 0.0], abs=1e-3)
         assert np.linalg.svd(a, compute_uv=False)[0] > 1.5
 

@@ -101,6 +101,23 @@ class TestSweepConfig:
         # each value is checked only for the estimator that reads it
         SweepConfig(family="skew", grid=(0.5,), estimators=(PESIN,), n_max=61, dim_f=5)
 
+    def test_orbit_length_checked_where_the_spectrum_runs(self):
+        # the spectrum runs for Pesin and for Jacobian-F without dim_f, and
+        # needs 10 steps per dimension (40 on skew) and one per error block
+        with pytest.raises(ValueError, match="n_steps = 30 must be >= 40"):
+            SweepConfig(family="skew", grid=(0.5,), estimators=(JACOBIAN_F,), length=30)
+        with pytest.raises(ValueError, match="n_steps = 10 must be >= 20"):
+            SweepConfig(family="mp", grid=(0.5,), estimators=(PESIN,), length=10)
+        SweepConfig(family="skew", grid=(0.5,), estimators=(JACOBIAN_F,), length=30,
+                    dim_f=2)
+        SweepConfig(family="mp", grid=(0.5,), estimators=(LEDRAPPIER_STRELCYN,), length=10)
+
+    def test_ulam_cells_checked_against_the_guard(self):
+        # 4000 ** 2 cells would make ulam_matrix raise MemoryError at a point
+        with pytest.raises(ValueError, match="ulam_resolution"):
+            SweepConfig(family="da", grid=(0.2,), ulam_resolution=4000)
+        SweepConfig(family="mp", grid=(0.2,), ulam_resolution=4000)
+
     def test_point_seeds_differ(self):
         cfg = SweepConfig(family="mp", grid=(0.0, 0.1, 0.2))
         seeds = [cfg.point_seed(i) for i in range(3)]
