@@ -115,7 +115,8 @@ def benettin_spectrum(system: DynamicalSystem, seed: int, burn_in: int,
         raise ValueError(f"orbit has {orbit.shape[0]} points, "
                          f"expected burn_in + n_steps = {burn_in + n_steps}")
     if d == 1:
-        logs = np.log(np.abs(system.differential_batch(orbit[burn_in:])[0]))
+        logs = system.differential_batch(orbit[burn_in:])[0]
+        np.log(np.abs(logs, out=logs), out=logs)
     else:
         logs = _lockstep_logs(system, orbit, burn_in)
     return _spectrum_from_logs(logs, n_steps, blocks)

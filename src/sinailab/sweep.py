@@ -12,7 +12,9 @@ in measures.
 
 from __future__ import annotations
 
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -198,19 +200,25 @@ def _sweep_point(config: SweepConfig, index: int) -> SweepRow:
     return row
 
 
-#: thread-count setters exported by a stock OpenBLAS and by the
-#: scipy_openblas builds in numpy's and scipy's wheels (64_: the ILP64 one)
-_OPENBLAS_SET_THREADS = tuple(f"{prefix}openblas_set_num_threads{suffix}"
-                              for prefix in ("", "scipy_") for suffix in ("", "64_"))
+#: (prefix, suffix) of the thread-count getter and setter exported by a
+#: stock OpenBLAS and by the scipy_openblas builds in numpy's and scipy's
+#: wheels (64_: the ILP64 one)
+_OPENBLAS_NAMES = tuple((prefix, suffix) for prefix in ("", "scipy_") for suffix in ("", "64_"))
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: cap every OpenBLAS loaded in the worker at one thread.
+@contextmanager
+def _one_blas_thread():
+    """Cap every OpenBLAS loaded in this process at one thread for the block.
 
-    A forked worker otherwise keeps OpenBLAS's default pool, whose helper
-    threads busy-wait after each threaded call on cores the other workers
-    need. The libraries are found in /proc/self/maps; without /proc, or
-    under another BLAS, nothing changes.
+    run_sweep opens it around its fork pool, so the workers start with the
+    cap and never run OpenBLAS's default pool, whose helper threads
+    busy-wait after each threaded call on cores the other workers need.
+    Setting the count inside a fresh fork would itself start a spinning
+    helper, since OpenBLAS's fork handler has shut the pool down. Each
+    library's count is read through its getter and set back on exit, also
+    on an exception; raising it again restarts the caller's pool once.
+    The libraries are found in /proc/self/maps; without /proc, or under
+    another BLAS, nothing changes.
     """
     import ctypes
 
@@ -219,17 +227,28 @@ def _one_blas_thread() -> None:
             paths = {fields[5].strip() for fields in (line.split(None, 5) for line in maps)
                      if len(fields) == 6 and "openblas" in fields[5].rsplit("/", 1)[-1]}
     except OSError:
-        return
+        paths = set()
+    saved = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _OPENBLAS_SET_THREADS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
+        for prefix, suffix in _OPENBLAS_NAMES:
+            getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
                 setter.argtypes, setter.restype = [ctypes.c_int], None
+                saved.append((setter, getter()))
                 setter(1)
+    try:
+        yield
+    finally:
+        # in reverse, so a library reached under two names ends at the
+        # count read before the first of them capped it
+        for setter, count in reversed(saved):
+            setter(count)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -239,9 +258,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     assembled in grid order and every point derives its own seed). Raises
     SweepAbortError when more than 20% of the points fail; individual
     failures are recorded in their rows and the sweep continues. Pool
-    workers run OpenBLAS on one thread each (_one_blas_thread) and get the
-    points longest orbit first, grid order among equal lengths, so no long
-    point starts last.
+    workers are forked with every loaded OpenBLAS capped at one thread
+    (_one_blas_thread), which the caller gets back at its own count when
+    the pool has shut down; fork is pinned so the workers inherit the cap
+    whatever the platform's default start method. They get the points
+    longest orbit first, grid order among equal lengths, so no long point
+    starts last. The serial path keeps OpenBLAS's default.
     """
     n = len(config.grid)
     if config.workers > 1 and n > 1:
@@ -250,8 +272,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             # here, before the fork, spares each worker the import
             import scipy.sparse  # noqa: F401
         order = sorted(range(n), key=lambda i: -_orbit_length(config, config.grid[i]))
-        with ProcessPoolExecutor(max_workers=min(config.workers, n),
-                                 initializer=_one_blas_thread) as pool:
+        with _one_blas_thread(), ProcessPoolExecutor(
+                max_workers=min(config.workers, n),
+                mp_context=multiprocessing.get_context("fork")) as pool:
             rows = list(pool.map(_sweep_point, [config] * n, order))
     else:
         rows = [_sweep_point(config, i) for i in range(n)]

@@ -145,7 +145,8 @@ class DynamicalSystem:
     """A map with its exact differential on a concrete phase space.
 
     eval_batch / differential_batch are vectorized over (n, d) point
-    arrays; differential_batch returns a C-contiguous (d, d, n) stack.
+    arrays; differential_batch returns a new C-contiguous (d, d, n) stack,
+    which the caller may overwrite.
     Systems are immutable after construction and all evaluation is pure,
     so instances are safe to share across threads and processes.
     """
@@ -394,9 +395,14 @@ def make_manneville_pomeau(alpha: float) -> DynamicalSystem:
         return np.clip(np.where(x <= 0.5, left, right), 0.0, 1.0)[:, None]
 
     def dfb(pts):
+        # one buffer: 1 + 2^a (1 + a) x^a on the left branch, 2 elsewhere
+        # (NaN included)
         x = np.atleast_2d(pts)[:, 0]
-        left = 1.0 + pow2a * (1.0 + alpha) * np.power(x, alpha)
-        return np.where(x <= 0.5, left, 2.0)[None, None, :]
+        out = np.power(x, alpha)
+        out *= pow2a * (1.0 + alpha)
+        out += 1.0
+        out[~(x <= 0.5)] = 2.0
+        return out[None, None, :]
 
     singular = [SingularHyperplane(0, 0.5, "branch")]
     if alpha > 0.0:
@@ -472,11 +478,16 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
 
         A point is a candidate when both coordinates lie within
         DA_BUMP_RADIUS * (1 + 1e-9) of an integer: x - round(x) is exact,
-        and the margin covers the rounding of the wrap and of q. Only the
+        and the margin covers the rounding of the wrap and of q. The first
+        coordinate is tested on every point and the second only on the
+        ~20% that pass, which keeps the candidates in index order. Only the
         candidates are wrapped and given the exact test q < r2.
         """
-        near = np.abs(pts - np.round(pts)) < DA_BUMP_RADIUS * (1.0 + 1e-9)
-        cand = np.flatnonzero(near[:, 0] & near[:, 1])
+        lim = DA_BUMP_RADIUS * (1.0 + 1e-9)
+        x = pts[:, 0]
+        cand = np.flatnonzero(np.abs(x - np.round(x)) < lim)
+        x = pts[cand, 1]
+        cand = cand[np.abs(x - np.round(x)) < lim]
         y = _wrap_unit(pts[cand] + 0.5) - 0.5  # wrap to the cell centered at 0
         u = y @ vu
         s = y @ vs

@@ -149,10 +149,12 @@ class TestBenettinSpectrum:
     @pytest.mark.parametrize("make, n_steps", [
         (make_cat_map, 200_000),
         (lambda: make_standard_skew(0.5, 2), 100_000),
-    ], ids=["cat", "skew"])
+        (lambda: make_manneville_pomeau(0.5), 200_000),
+    ], ids=["cat", "skew", "mp"])
     def test_peak_memory_is_the_log_table(self, make, n_steps):
-        # the derivatives come one lockstep step at a time, so the spectrum
-        # allocates little beyond its (d, n_steps) table of per-step logs
+        # the derivatives come one lockstep step at a time (d = 1: the
+        # whole orbit's, in one buffer that becomes the logs), so the
+        # spectrum allocates little beyond its (d, n_steps) table of logs
         system = make()
         burn_in = 1_000
         orbit = birkhoff_sample(system, seed=5, burn_in=burn_in, length=n_steps).orbit

@@ -2,7 +2,7 @@
 
 import ctypes
 import math
-import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -23,7 +23,6 @@ from sinailab.sweep import (
     SweepConfig,
     SweepResult,
     SweepRow,
-    _one_blas_thread,
     _sweep_point,
     continuity_modulus,
     run_sweep,
@@ -54,6 +53,26 @@ def openblas_thread_counts():
                     getter.argtypes, getter.restype = [], ctypes.c_int
                     counts.append(getter())
     return counts
+
+
+def report_blas_threads(config, index):
+    """Stand-in sweep point: this process's OS thread count and every
+    OpenBLAS count, at its start and after a product large enough for
+    OpenBLAS to thread."""
+    seen = [(len(os.listdir("/proc/self/task")), openblas_thread_counts())]
+    np.ones((2**18, 2)) @ np.ones((2, 2))
+    seen.append((len(os.listdir("/proc/self/task")), openblas_thread_counts()))
+    row = SweepRow(index=index, t=config.grid[index])
+    row.estimates["seen"] = seen
+    return row
+
+
+def failed_point(config, index):
+    return SweepRow(index=index, t=config.grid[index], error="ValueError: stand-in")
+
+
+def raising_point(config, index):
+    raise RuntimeError("stand-in")
 
 
 def staircase_result(values, slack_se=0.0):
@@ -279,13 +298,39 @@ class TestRunSweep:
         assert sizes == [2]
         assert rows[3] == rows[1]
 
-    def test_one_blas_thread_in_a_forked_worker(self):
-        if not openblas_thread_counts():
+    def test_one_blas_thread_in_a_forked_worker(self, monkeypatch):
+        # the cap is set before the fork: a worker that set it itself would
+        # start a spinning helper thread, as would OpenBLAS's default count
+        # on a product it threads; the caller's counts come back afterwards
+        import sinailab.sweep as sweep_mod
+
+        before = openblas_thread_counts()
+        if not before:
             pytest.skip("no OpenBLAS with a thread-count getter is loaded")
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_one_blas_thread) as pool:
-            counts = pool.submit(openblas_thread_counts).result()
-        assert counts and all(c == 1 for c in counts)
+        monkeypatch.setattr(sweep_mod, "_sweep_point", report_blas_threads)
+        cfg = SweepConfig(family="mp", grid=(0.0, 0.3), workers=2)
+        rows = run_sweep(cfg).rows
+        assert openblas_thread_counts() == before
+        for row in rows:
+            for threads, counts in row.estimates["seen"]:
+                assert threads == 1
+                assert counts and all(c == 1 for c in counts)
+
+    @pytest.mark.parametrize("point, error", [
+        (failed_point, SweepAbortError),
+        (raising_point, RuntimeError),
+    ], ids=["abort", "raise"])
+    def test_caller_blas_counts_restored_on_failure(self, monkeypatch, point, error):
+        import sinailab.sweep as sweep_mod
+
+        before = openblas_thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS with a thread-count getter is loaded")
+        monkeypatch.setattr(sweep_mod, "_sweep_point", point)
+        cfg = SweepConfig(family="mp", grid=(0.0, 0.3), workers=2)
+        with pytest.raises(error):
+            run_sweep(cfg)
+        assert openblas_thread_counts() == before
 
     def test_pesin_point_draws_one_orbit(self, orbit_calls):
         cfg = SweepConfig(family="mp", grid=(0.0, 0.3), estimators=(PESIN,),
