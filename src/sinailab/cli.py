@@ -113,12 +113,15 @@ def _steps(text) -> int:
 
 
 class _Manifest:
-    def __init__(self, command: str, config: dict, out_dir):
+    """The run's manifest.json; wall_clock_s counts from started, the
+    perf_counter reading main took on entry."""
+
+    def __init__(self, command: str, config: dict, out_dir, started: float):
         self.command = command
         self.config = config
         self.out_dir = Path(out_dir)
         self.outputs = {}
-        self.t0 = time.perf_counter()
+        self.t0 = started
 
     def open(self) -> Path:
         """Create the output directory, once the results are ready."""
@@ -149,7 +152,7 @@ def cmd_lyapunov(ns) -> int:
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "steps": _steps(ns.steps), "burn_in": _steps(ns.burn_in),
               "blocks": ns.blocks}
-    manifest = _Manifest("lyapunov", config, ns.out)
+    manifest = _Manifest("lyapunov", config, ns.out, ns.started)
     spectrum = benettin_spectrum(system, seed=ns.seed,
                                  burn_in=config["burn_in"],
                                  n_steps=config["steps"], blocks=ns.blocks)
@@ -182,7 +185,7 @@ def cmd_entropy(ns) -> int:
               "burn_in": _steps(ns.burn_in), "n_max": ns.nmax,
               "dim_f": ns.dimf, "tolerance": ns.tol}
     check_estimator_args(methods, ns.nmax, ns.dimf, system.space.dim, config["length"])
-    manifest = _Manifest("entropy", config, ns.out)
+    manifest = _Manifest("entropy", config, ns.out, ns.started)
     measure = birkhoff_sample(system, seed=ns.seed,
                               burn_in=config["burn_in"],
                               length=config["length"])
@@ -289,7 +292,7 @@ def load_sweep_config(path, workers=None) -> tuple:
 def cmd_sweep(ns) -> int:
     config, checks = load_sweep_config(ns.config, workers=ns.workers)
     manifest = _Manifest("sweep", {"config_file": str(ns.config), **config.to_json_dict(),
-                                   "workers": config.workers}, ns.out)
+                                   "workers": config.workers}, ns.out, ns.started)
     result = run_sweep(config)
     payload = result.to_json_dict()
     n_ok = sum(1 for r in result.rows if r.ok)
@@ -340,7 +343,7 @@ def cmd_diagnose(ns) -> int:
     config = {"system": ns.system, "params": params, "seed": ns.seed,
               "length": _steps(ns.length), "burn_in": _steps(ns.burn_in),
               "dim_f": ns.dimf, "bound": ns.bound, "delta": ns.delta}
-    manifest = _Manifest("diagnose", config, ns.out)
+    manifest = _Manifest("diagnose", config, ns.out, ns.started)
     measure = birkhoff_sample(system, seed=ns.seed,
                               burn_in=config["burn_in"],
                               length=config["length"])
@@ -448,8 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     parser = build_parser()
     ns = parser.parse_args(argv)
+    ns.started = started
     try:
         return ns.func(ns)
     except (ConfigError, ValueError) as exc:

@@ -12,8 +12,12 @@ estimator gets; the spectrum runs along the measure's orbit when it
 keeps one. The LS table and Jacobian-along-F read a measure as its
 (points, weights), advance the points through systems._cloud_walk (one
 rule for dead points, dither and the failure limit) and average over
-them with measures._masked_mean_se, the package's one weighted cloud
-mean and standard error. Jacobian-F pushes its frames batch-last with
+them with measures._weighted_mean, the package's one weighted cloud
+mean. The LS table takes each row's mean alone, under normalized weights
+it forms again only when a point dies, and masks nothing while every
+point lives; its standard error and Jacobian-F's (mean, error) come from
+measures._masked_mean_se, which takes its mean from the same routine.
+Jacobian-F pushes its frames batch-last with
 matrixcore._qr_step, the QR step the Benettin spectrum runs on.
 """
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from .matrixcore import (LOG_ZERO, WedgeAccumulatorBatch, _qr_step, _random_frames,
                          log_wedge_total_from_rows)
-from .measures import _masked_mean_se
+from .measures import _kept_weights, _masked_mean_se, _weighted_mean
 from .oseledets import (FRAME_TRANSIENT, LyapunovSpectrum, benettin_spectrum,
                         check_spectrum_length)
 from .systems import DynamicalSystem, _cloud_walk, finite_nonnegative
@@ -118,19 +122,26 @@ def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
     stopping cuts the table when STOP_WINDOW consecutive n gain less than
     STOP_DELTA; pass early_stop=False for the full table. std_error is the
     weighted spread of the per-point values at the minimizing n over the
-    surviving points. The diagnostics hold the table (a_n, index k for
-    a_{k+1}), the minimizing n (argmin_n, 1-based) and skipped_points.
+    surviving points. Each row's mean is measures._weighted_mean under
+    weights renormalized over the live points, formed again only when a
+    point dies; a row is masked only once a point has died. The
+    diagnostics hold the table (a_n, index k for a_{k+1}), the minimizing
+    n (argmin_n, 1-based) and skipped_points.
     """
     check_estimator_args((LEDRAPPIER_STRELCYN,), n_max, None, system.space.dim)
     pts, weights = measure.points, measure.weights
     m, d = pts.shape
     acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d)[:, :, None], (d, d, m)))
     totals = []
+    live = -1
     for n, (dfs, alive) in zip(range(1, n_max + 1),
                                _cloud_walk(system, pts, [seed, 0xD17A])):
         acc.step(dfs)
         row = log_wedge_total_from_rows(acc.log_wedge_all())
-        totals.append(_masked_mean_se(row, weights, alive)[0] / n)
+        count = np.count_nonzero(alive)
+        if count != live:  # alive only loses points: a new count is a new set
+            live, w = count, _kept_weights(weights, alive)
+        totals.append(_weighted_mean(row, w, None if live == m else alive) / n)
         if totals[-1] <= min(totals):
             best_row = row / n
         if early_stop and n > STOP_WINDOW:

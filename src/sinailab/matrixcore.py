@@ -234,22 +234,46 @@ class WedgeAccumulatorBatch:
         self._starts = [None] * k
 
     def step(self, dfs: np.ndarray) -> None:
-        """Multiply the compounds of a (d, d, m) stack onto the products."""
+        """Multiply the compounds of a (d, d, m) stack onto the products.
+
+        A 1x1 order (every order at d = 1, the top order of a square
+        frame) multiplies element-wise and its scale is the absolute
+        value. While no product of an order has scale 0, the step divides
+        by the scale and adds its log with no dead-point masks and no
+        LOG_ZERO clamp: each log is above -745, so no sum falls below
+        LOG_ZERO. A zero product keeps scale 1 and logs LOG_ZERO, clamped.
+        """
         for i, cj in enumerate(compounds(dfs)[:len(self.orders)]):
-            prod = np.einsum("akm,kbm->abm", cj, self._mats[i])
-            scale = np.abs(prod).max(axis=(0, 1))
-            dead = scale == 0.0
-            safe = np.where(dead, 1.0, scale)
-            prod /= safe
-            with np.errstate(divide="ignore", over="ignore"):
-                self._logs[i] += np.where(dead, LOG_ZERO, np.log(safe))
-            self._logs[i][self._logs[i] < LOG_ZERO] = LOG_ZERO
+            if cj.shape[0] == 1:  # j = d, so the frame is square too
+                prod = cj * self._mats[i]
+                scale = np.abs(prod[0, 0])
+            else:
+                prod = np.einsum("akm,kbm->abm", cj, self._mats[i])
+                scale = np.abs(prod).max(axis=(0, 1))
+            if scale.all():
+                prod /= scale
+                self._logs[i] += np.log(scale, out=scale)
+            else:
+                dead = scale == 0.0
+                safe = np.where(dead, 1.0, scale)
+                prod /= safe
+                with np.errstate(divide="ignore", over="ignore"):
+                    self._logs[i] += np.where(dead, LOG_ZERO, np.log(safe))
+                self._logs[i][self._logs[i] < LOG_ZERO] = LOG_ZERO
             self._mats[i] = prod
 
     def log_wedge(self, j: int) -> np.ndarray:
-        """log ||P^(wedge j)|| per point for the current product P."""
+        """log ||P^(wedge j)|| per point for the current product P.
+
+        When every top singular value is >= 1e-320 its log is taken
+        directly: each is above -737, so no sum falls below LOG_ZERO.
+        """
         top, self._starts[j - 1] = top_singular_values(self._mats[j - 1],
                                                        self._starts[j - 1])
+        if np.all(top >= 1e-320):  # top is a new array: log in place
+            lw = np.log(top, out=top)
+            lw += self._logs[j - 1]
+            return lw
         with np.errstate(divide="ignore", over="ignore"):  # LOG_ZERO twice is -inf
             lw = np.where(top > 0.0, np.log(np.maximum(top, 1e-320)), LOG_ZERO)
             lw = lw + self._logs[j - 1]
@@ -276,11 +300,17 @@ def log_singular_values_from_wedges(log_wedges: np.ndarray) -> np.ndarray:
 def log_wedge_total_from_rows(log_wedges: np.ndarray) -> np.ndarray:
     """Vectorized log(1 + sum_j exp(lw_j)) per point of a (k, m) array of
     wedge logs, one row per order: top + log(exp(-top) + sum_j
-    exp(lw_j - top)) with top = max(0, max_j lw_j).
+    exp(lw_j - top)) with top = max(0, max_j lw_j). Past top, it works in
+    two buffers the length of a row: every exp and the log run in place.
     """
     top = log_wedges.max(axis=0, initial=0.0)
-    total = np.exp(-top)
+    total = np.negative(top)
+    np.exp(total, out=total)
+    term = np.empty_like(total)
     for row in log_wedges:
-        total += np.exp(row - top)
-    return top + np.log(total)
+        np.subtract(row, top, out=term)
+        total += np.exp(term, out=term)
+    np.log(total, out=total)
+    total += top
+    return total
 

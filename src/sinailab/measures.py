@@ -7,9 +7,11 @@ stationary density of the Ulam transfer-operator discretization on the
 grid cell centers. Diagnostics cover singular-set mass scaling, log-norm
 integrability, parameter Hölder regularity of log |det Df|, Jacobian
 boundedness, and the split of <log |det Df|> at the singular set. One
-routine, _masked_mean_se, sums every cloud integral: the estimators'
-means, the diagnose integrals, the singular-neighborhood masses and the
-weak* dictionary moments.
+routine, _weighted_mean, sums every cloud integral, under weights that
+_kept_weights renormalizes once per set of kept points. The LS table's
+rows, the diagnose integrals, the singular-neighborhood masses and the
+weak* dictionary moments take the mean alone; _masked_mean_se adds the
+standard error to it for the estimators' values.
 """
 
 from __future__ import annotations
@@ -78,23 +80,41 @@ class EmpiricalMeasure:
             raise ValueError("measure has points outside the phase space")
 
 
-def _masked_mean_se(values: np.ndarray, weights: np.ndarray, keep: np.ndarray):
-    """(mean, std_error) of values under the weights renormalized over the
-    kept points; std_error = sqrt(weighted variance / number kept). Values
-    at dropped points are ignored, finite or not.
-
-    The one place a cloud integral is summed. The sums are numpy
-    reductions, never BLAS products: a threaded BLAS splits a long dot
-    into per-thread partial sums, so its last bits would depend on the
-    host's thread count.
-    """
+def _kept_weights(weights: np.ndarray, keep=True) -> np.ndarray:
+    """The weights renormalized over the kept points (a bool mask; True
+    keeps every point), 0 at the dropped ones. SamplingFailureError when
+    the kept points carry no weight."""
     w = weights * keep
     total = w.sum()
     if total <= 0.0:
         raise SamplingFailureError("no usable points in the cloud")
-    w = w / total
+    return w / total
+
+
+def _weighted_mean(values: np.ndarray, w: np.ndarray, keep=None) -> float:
+    """Mean of values under the normalized weights w (from _kept_weights).
+    Values where keep is False are ignored, finite or not; keep=None
+    means every point is kept, and nothing is masked.
+
+    The one place a cloud integral is summed. The sum is a numpy
+    reduction, never a BLAS product: a threaded BLAS splits a long dot
+    into per-thread partial sums, so its last bits would depend on the
+    host's thread count.
+    """
+    if keep is not None:
+        values = np.where(keep, values, 0.0)
+    return float(np.sum(w * values))
+
+
+def _masked_mean_se(values: np.ndarray, weights: np.ndarray, keep: np.ndarray):
+    """(mean, std_error) of values under the weights renormalized over the
+    kept points; std_error = sqrt(weighted variance / number kept). Values
+    at dropped points are ignored, finite or not. The mean is
+    _weighted_mean's; the variance is a numpy reduction too.
+    """
+    w = _kept_weights(weights, keep)
     values = np.where(keep, values, 0.0)
-    mean = float(np.sum(w * values))
+    mean = _weighted_mean(values, w)
     var = float(np.sum(w * (values - mean) ** 2))
     return mean, math.sqrt(max(var, 0.0) / max(int(keep.sum()), 1))
 
@@ -108,7 +128,8 @@ def _cloud_integral(system: DynamicalSystem, measure, integrand):
     usable = ~system.unusable(measure.points)
     values = integrand(measure.points[usable])
     finite = np.all(np.isfinite(values), axis=0)
-    means = [_masked_mean_se(row, measure.weights[usable], finite)[0] for row in values]
+    w = _kept_weights(measure.weights[usable], finite)
+    means = [_weighted_mean(row, w, finite) for row in values]
     return means, int(usable.size - finite.sum())
 
 
@@ -385,9 +406,8 @@ def _dictionary(space: PhaseSpace, pts: np.ndarray, cutoff: int):
 def dictionary_moments(measure, cutoff: int) -> np.ndarray:
     """Integrals of the test dictionary (see _dictionary) against the
     measure, every point counted."""
-    w = measure.weights
-    keep = np.ones(w.shape[0], dtype=bool)
-    return np.array([_masked_mean_se(f, w, keep)[0]
+    w = _kept_weights(measure.weights)
+    return np.array([_weighted_mean(f, w)
                      for block in _dictionary(measure.space, measure.points, cutoff)
                      for f in block])
 
@@ -424,9 +444,8 @@ def ls1_fit(system: DynamicalSystem, measure, eps_grid) -> dict:
     if np.any(eps_grid <= 0.0):
         raise ValueError("eps values must be positive")
     dist = system.singular_distance(measure.points)
-    keep = np.ones(dist.shape[0], dtype=bool)
-    masses = np.array([_masked_mean_se(dist < e, measure.weights, keep)[0]
-                       for e in eps_grid])
+    w = _kept_weights(measure.weights)
+    masses = np.array([_weighted_mean(dist < e, w) for e in eps_grid])
     positive = masses > 0.0
     if not np.any(positive):
         return {"C": 0.0, "beta": math.inf, "residual": 0.0,

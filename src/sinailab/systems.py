@@ -389,10 +389,22 @@ def make_manneville_pomeau(alpha: float) -> DynamicalSystem:
     pow2a = 2.0 ** alpha
 
     def ev(pts):
+        # 2x - 1 everywhere (NaN included), the left branch x(1 + 2^a x^a)
+        # in one buffer only on the points that take it, then one clip.
+        # The left points go by index: a boolean gather or scatter on a
+        # mask that alternates at random costs several times a take.
         x = np.atleast_2d(pts)[:, 0]
-        left = x * (1.0 + pow2a * np.power(x, alpha))
-        right = 2.0 * x - 1.0
-        return np.clip(np.where(x <= 0.5, left, right), 0.0, 1.0)[:, None]
+        out = 2.0 * x
+        out -= 1.0
+        left = np.flatnonzero(x <= 0.5)
+        xl = x.take(left)
+        branch = np.power(xl, alpha)
+        branch *= pow2a
+        branch += 1.0
+        branch *= xl
+        out[left] = branch
+        np.clip(out, 0.0, 1.0, out=out)
+        return out[:, None]
 
     def dfb(pts):
         # one buffer: 1 + 2^a (1 + a) x^a on the left branch, 2 elsewhere

@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import sinailab
+import sinailab.cli as cli
 from sinailab.cli import load_sweep_config, main
 from sinailab.entropy import ESTIMATORS
 from sinailab.measures import birkhoff_sample, split_log_det_integral
@@ -36,6 +38,19 @@ class TestLyapunovCommand:
         assert (out / "spectrum.csv").exists()
         manifest = read_json(out / "manifest.json")
         assert manifest["outputs"]["spectrum.json"] == sha256_file(out / "spectrum.json")
+
+    def test_manifest_clock_starts_at_main(self, tmp_path, monkeypatch):
+        # wall_clock_s counts from cli.main's entry, so the system build
+        # and the argument checks before the run are in it
+        def slow_build(name, params):
+            time.sleep(0.05)
+            return build_system(name, params)
+
+        monkeypatch.setattr(cli, "build_system", slow_build)
+        out = tmp_path / "run"
+        assert main(["lyapunov", "--system", "cat", "--steps", "1000",
+                     "--burn-in", "10", "--out", str(out)]) == 0
+        assert read_json(out / "manifest.json")["wall_clock_s"] >= 0.05
 
     def test_mp_alpha_zero(self, tmp_path):
         out = tmp_path / "run"

@@ -14,8 +14,8 @@ from sinailab.entropy import (
     pesin_entropy,
 )
 from sinailab.errors import SamplingFailureError
-from sinailab.matrixcore import WedgeAccumulatorBatch
-from sinailab.measures import EmpiricalMeasure, birkhoff_sample
+from sinailab.matrixcore import WedgeAccumulatorBatch, log_wedge_total_from_rows
+from sinailab.measures import EmpiricalMeasure, _masked_mean_se, birkhoff_sample
 from sinailab.oseledets import LyapunovSpectrum, benettin_spectrum
 from sinailab.systems import (
     DynamicalSystem,
@@ -179,6 +179,30 @@ class TestLSSequence:
             ls_entropy(sys, mu, n_max=10)
         with pytest.raises(SamplingFailureError):
             jacobian_formula_entropy(sys, mu, dim_f=1)
+
+    def test_row_means_bits_as_points_die(self):
+        # ls_entropy forms its normalized weights once and again only when
+        # a point dies: 0.75 reaches the branch point 0.5 after one step,
+        # 0.875 after two. Each a_n must be the masked mean of its row over
+        # the points alive at that step, bit for bit.
+        sys = make_manneville_pomeau(0.4)
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(0.01, 0.99, (400, 1))
+        pts[[17, 230], 0] = 0.75, 0.875
+        w = rng.uniform(0.5, 1.5, 400)
+        w /= w.sum()
+        est = ls_entropy(sys, EmpiricalMeasure(sys.space, pts, w), 12,
+                         early_stop=False)
+        acc = WedgeAccumulatorBatch(np.ones((1, 1, 400)))
+        reference, dead = [], []
+        for n, (dfs, alive) in zip(range(1, 13), _cloud_walk(sys, pts, 0)):
+            acc.step(dfs)
+            row = log_wedge_total_from_rows(acc.log_wedge_all())
+            reference.append(_masked_mean_se(row, w, alive)[0] / n)
+            dead.append(int((~alive).sum()))
+        assert dead == [0, 1] + [2] * 10
+        assert est.diagnostics["skipped_points"] == 2
+        assert np.array(est.diagnostics["a_n"]).tobytes() == np.array(reference).tobytes()
 
 
 class TestExponentFunction:

@@ -303,21 +303,76 @@ def _batch_first_compounds(mats):
     return out
 
 
-class _BatchFirstAccumulator(WedgeAccumulatorBatch):
+class _MaskedAccumulator(WedgeAccumulatorBatch):
+    """The accumulator without its fast paths: every order multiplied by
+    the einsum, every step through the dead-point masks and the LOG_ZERO
+    clamp, every log_wedge through the 1e-320 floor and the clamp."""
+
+    def step(self, dfs):
+        for i, cj in enumerate(compounds(dfs)[:len(self.orders)]):
+            prod = np.einsum("akm,kbm->abm", cj, self._mats[i])
+            scale = np.abs(prod).max(axis=(0, 1))
+            self._rescale(i, prod, scale)
+
+    def _rescale(self, i, prod, scale):
+        dead = scale == 0.0
+        safe = np.where(dead, 1.0, scale)
+        prod /= safe
+        with np.errstate(divide="ignore", over="ignore"):
+            self._logs[i] += np.where(dead, LOG_ZERO, np.log(safe))
+        self._logs[i][self._logs[i] < LOG_ZERO] = LOG_ZERO
+        self._mats[i] = prod
+
+    def log_wedge(self, j):
+        top, self._starts[j - 1] = top_singular_values(self._mats[j - 1],
+                                                       self._starts[j - 1])
+        with np.errstate(divide="ignore", over="ignore"):
+            lw = np.where(top > 0.0, np.log(np.maximum(top, 1e-320)), LOG_ZERO)
+            lw = lw + self._logs[j - 1]
+        lw[lw < LOG_ZERO] = LOG_ZERO
+        return lw
+
+
+class _BatchFirstAccumulator(_MaskedAccumulator):
     """Products multiplied batch-first with np.matmul and rescaled per
     matrix; each is stored batch-last only for log_wedge to read."""
 
     def step(self, dfs):
         for i, cj in enumerate(_batch_first_compounds(_batch_first(dfs))[:len(self.orders)]):
             prod = np.matmul(cj, np.ascontiguousarray(_batch_first(self._mats[i])))
-            scale = np.max(np.abs(prod), axis=(1, 2))
-            dead = scale == 0.0
-            safe = np.where(dead, 1.0, scale)
-            prod /= safe[:, None, None]
-            with np.errstate(divide="ignore", over="ignore"):
-                self._logs[i] += np.where(dead, LOG_ZERO, np.log(safe))
-            self._logs[i][self._logs[i] < LOG_ZERO] = LOG_ZERO
-            self._mats[i] = _batch_last(prod)
+            self._rescale(i, _batch_last(prod), np.max(np.abs(prod), axis=(1, 2)))
+
+
+@pytest.mark.parametrize("d, dies_at", [(1, None), (2, None), (2, 3)],
+                         ids=["d1", "d2", "d2-dies-at-step-3"])
+def test_fast_paths_change_no_bit(d, dies_at):
+    # the 1x1 orders (every order at d = 1, the determinant at d = 2)
+    # multiply element-wise and, while no product has scale 0, step and
+    # log_wedge skip their masks and clamps. Against the accumulator
+    # without them every log is the same bit for bit, on every order, and
+    # against the batch-first kernel on the 1x1 orders (its 2x2 matmul
+    # rounds otherwise). In the last stack one point's derivative is 0 at
+    # step 3, so its products die after two live steps.
+    m = 300
+    steps = np.random.default_rng(40 + d).standard_normal((8, d, d, m))
+    if dies_at:
+        steps[dies_at - 1, :, :, 7] = 0.0
+    frames = np.broadcast_to(np.eye(d)[:, :, None], (d, d, m))
+    fast, masked, batch_first = (kind(frames) for kind in (
+        WedgeAccumulatorBatch, _MaskedAccumulator, _BatchFirstAccumulator))
+    for dfs in steps:
+        for acc in (fast, masked, batch_first):
+            acc.step(dfs)
+        lw = fast.log_wedge_all()
+        assert lw.tobytes() == masked.log_wedge_all().tobytes()
+        assert lw[-1].tobytes() == batch_first.log_wedge_all()[-1].tobytes()
+        for i in range(d):
+            assert fast._logs[i].tobytes() == masked._logs[i].tobytes()
+            assert np.array_equal(fast._mats[i], masked._mats[i])
+        assert fast._logs[-1].tobytes() == batch_first._logs[-1].tobytes()
+    if dies_at:
+        assert np.all(lw[:, 7] == LOG_ZERO)
+        assert np.all(lw[:, np.arange(m) != 7] > LOG_ZERO)
 
 
 def cocycle_wedge(system, x, n):

@@ -237,6 +237,25 @@ class TestMannevillePomeau:
         for alpha in (0.0, 0.3, 0.7):
             _assert_differential_matches_fd(make_manneville_pomeau(alpha))
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.7, 0.95])
+    def test_eval_batch_bits_equal_both_branches_joined(self, alpha):
+        # eval_batch works the left branch out only on the points that take
+        # it, so every element must get the bits it gets when both branches
+        # run on the whole array, in a batch and alone
+        rng = np.random.default_rng(23)
+        edges = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0, -0.0,
+                 np.nan, np.inf, -np.inf, 1.5, -0.2]
+        x = np.concatenate([rng.random(200_000), edges])
+        sys = make_manneville_pomeau(alpha)
+        with np.errstate(invalid="ignore"):
+            left = x * (1.0 + 2.0 ** alpha * np.power(x, alpha))
+            ref = np.clip(np.where(x <= 0.5, left, 2.0 * x - 1.0), 0.0, 1.0)
+            got = sys.eval_batch(x[:, None])
+            assert got.shape == (x.size, 1)
+            assert got[:, 0].tobytes() == ref.tobytes()
+            for i in [*range(0, 200_000, 1000), *range(200_000, x.size)]:
+                assert sys.eval_batch(x[i:i + 1, None]).tobytes() == got[i].tobytes()
+
     def test_dithered_orbit_escapes_float_collapse(self):
         # Pure float doubling hits 0 exactly within ~53 steps and freezes;
         # the dithered driver must keep the orbit alive.
