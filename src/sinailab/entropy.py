@@ -17,13 +17,17 @@ mean. The LS table takes each row's mean alone, under normalized weights
 it forms again only when a point dies, and masks nothing while every
 point lives; its standard error and Jacobian-F's (mean, error) come from
 measures._masked_mean_se, which takes its mean from the same routine.
-Jacobian-F pushes its frames batch-last with
-matrixcore._qr_step, the QR step the Benettin spectrum runs on.
+A cloud large enough keeps its LS products in contiguous blocks, one
+thread each, with the same bits as one block. Jacobian-F pushes its
+frames batch-last with matrixcore._qr_step, the QR step the Benettin
+spectrum runs on.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
@@ -50,6 +54,17 @@ LS_N_MAX = 60
 #: lowered it by less than STOP_DELTA in all
 STOP_WINDOW = 5
 STOP_DELTA = 1e-4
+
+#: least work of an LS block: its points times the sum_j C(d, j)^2
+#: compound entries each point carries per step. Two threads against one
+#: break even near 2^17.4 of work in all (2 vCPU: a 2000-point skew
+#: cloud, 69 entries a point, ran 0.8-0.9x as fast, 3000 points 1.1-1.3x,
+#: 4000 points 1.4x), so a second block starts at twice this.
+LS_BLOCK_WORK = 2 ** 17
+
+#: LS threads this process may run; None: one per core it may run on.
+#: run_sweep sets it to 1 around its fork pool.
+_ls_threads = None
 
 
 @dataclass
@@ -111,6 +126,39 @@ def pesin_entropy(spectrum: LyapunovSpectrum) -> EntropyEstimate:
     )
 
 
+def _ls_blocks(m: int, d: int) -> list:
+    """Contiguous (lo, hi) blocks of the LS table's m points: one per
+    thread of the budget (the cores this process may run on unless
+    _ls_threads is set), but no more than leave each LS_BLOCK_WORK of
+    work, and at least one."""
+    threads = _ls_threads
+    if threads is None:
+        try:
+            threads = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            threads = os.cpu_count() or 1
+    work = m * sum(math.comb(d, j) ** 2 for j in range(1, d + 1))
+    blocks = max(1, min(threads, work // LS_BLOCK_WORK))
+    cuts = [m * b // blocks for b in range(blocks + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _block_pool(blocks: int):
+    """For a with around the LS table: a thread for each block but the
+    first, which the caller steps itself; no pool for one block."""
+    if blocks == 1:
+        return nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(blocks - 1)
+
+
+def _wedge_row(acc: WedgeAccumulatorBatch, dfs: np.ndarray) -> np.ndarray:
+    """Step a block's products by dfs; its log(1 + sum_j ||wedge_j||) row."""
+    acc.step(dfs)
+    return log_wedge_total_from_rows(acc.log_wedge_all())
+
+
 def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
                early_stop: bool = True, seed: int = 0) -> EntropyEstimate:
     """Ledrappier-Strelcyn entropy: the minimum over n <= n_max of the
@@ -122,36 +170,56 @@ def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
     stopping cuts the table when STOP_WINDOW consecutive n gain less than
     STOP_DELTA; pass early_stop=False for the full table. std_error is the
     weighted spread of the per-point values at the minimizing n over the
-    surviving points. Each row's mean is measures._weighted_mean under
-    weights renormalized over the live points, formed again only when a
-    point dies; a row is masked only once a point has died. The
+    points alive at that n. Each row's mean is measures._weighted_mean
+    under weights renormalized over the live points, formed again only
+    when a point dies; a row is masked only once a point has died. The
     diagnostics hold the table (a_n, index k for a_{k+1}), the minimizing
     n (argmin_n, 1-based) and skipped_points.
+
+    One _cloud_walk advances the whole cloud, so the dither draws and the
+    dead points do not depend on the blocks (_ls_blocks) its products are
+    kept in. Each block has its own WedgeAccumulatorBatch and steps on its
+    slice of each (d, d, m) stack. With more than one block, the caller
+    steps the first and a thread pool, which closes before this returns,
+    the others; their rows are joined in block order before the mean.
+    Every point's row has the same bits in any block, so every number does
+    too.
     """
     check_estimator_args((LEDRAPPIER_STRELCYN,), n_max, None, system.space.dim)
     pts, weights = measure.points, measure.weights
     m, d = pts.shape
-    acc = WedgeAccumulatorBatch(np.broadcast_to(np.eye(d)[:, :, None], (d, d, m)))
+    blocks = _ls_blocks(m, d)
+    eye = np.broadcast_to(np.eye(d)[:, :, None], (d, d, m))
+    accs = [WedgeAccumulatorBatch(eye[:, :, lo:hi]) for lo, hi in blocks]
     totals = []
     live = -1
-    for n, (dfs, alive) in zip(range(1, n_max + 1),
-                               _cloud_walk(system, pts, [seed, 0xD17A])):
-        acc.step(dfs)
-        row = log_wedge_total_from_rows(acc.log_wedge_all())
-        count = np.count_nonzero(alive)
-        if count != live:  # alive only loses points: a new count is a new set
-            live, w = count, _kept_weights(weights, alive)
-        totals.append(_weighted_mean(row, w, None if live == m else alive) / n)
-        if totals[-1] <= min(totals):
-            best_row = row / n
-        if early_stop and n > STOP_WINDOW:
-            if totals[-1 - STOP_WINDOW] - totals[-1] < STOP_DELTA:
-                break
+    with _block_pool(len(blocks)) as pool:
+        for n, (dfs, alive) in zip(range(1, n_max + 1),
+                                   _cloud_walk(system, pts, [seed, 0xD17A])):
+            if pool is None:
+                row = _wedge_row(accs[0], dfs)
+            else:
+                # every thread allocates from its own malloc arena: the
+                # caller's block reuses the memory this process already holds
+                rest = [pool.submit(_wedge_row, acc, dfs[:, :, lo:hi])
+                        for acc, (lo, hi) in zip(accs[1:], blocks[1:])]
+                row = np.concatenate([_wedge_row(accs[0], dfs[:, :, :blocks[0][1]])]
+                                     + [f.result() for f in rest])
+            count = np.count_nonzero(alive)
+            if count != live:  # alive only loses points: a new count is a new set
+                live, w = count, _kept_weights(weights, alive)
+            totals.append(_weighted_mean(row, w, None if live == m else alive) / n)
+            if totals[-1] <= min(totals):
+                # the walk updates alive in place: keep the set of this n
+                best_row, best_alive = row / n, alive.copy()
+            if early_stop and n > STOP_WINDOW:
+                if totals[-1 - STOP_WINDOW] - totals[-1] < STOP_DELTA:
+                    break
     k = int(np.argmin(totals))
     return EntropyEstimate(
         value=max(totals[k], 0.0),
         method=LEDRAPPIER_STRELCYN,
-        std_error=_masked_mean_se(best_row, weights, alive)[1],
+        std_error=_masked_mean_se(best_row, weights, best_alive)[1],
         diagnostics={
             "a_n": totals,
             "argmin_n": k + 1,

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import entropy
 from .entropy import ESTIMATORS, PESIN, check_estimator_args, run_estimators
 from .errors import SinaiLabError, SweepAbortError
 from .measures import (
@@ -207,18 +208,21 @@ _OPENBLAS_NAMES = tuple((prefix, suffix) for prefix in ("", "scipy_") for suffix
 
 
 @contextmanager
-def _one_blas_thread():
-    """Cap every OpenBLAS loaded in this process at one thread for the block.
+def _one_thread():
+    """Run every OpenBLAS loaded in this process, and the LS table, on one
+    thread for the block.
 
     run_sweep opens it around its fork pool, so the workers start with the
-    cap and never run OpenBLAS's default pool, whose helper threads
-    busy-wait after each threaded call on cores the other workers need.
-    Setting the count inside a fresh fork would itself start a spinning
-    helper, since OpenBLAS's fork handler has shut the pool down. Each
-    library's count is read through its getter and set back on exit, also
-    on an exception; raising it again restarts the caller's pool once.
-    The libraries are found in /proc/self/maps; without /proc, or under
-    another BLAS, nothing changes.
+    cap and run no more threads than their core: the LS table keeps its
+    cloud in one block (entropy._ls_threads = 1), and OpenBLAS never runs
+    its default pool, whose helper threads busy-wait after each threaded
+    call on cores the other workers need. Setting the OpenBLAS count inside
+    a fresh fork would itself start a spinning helper, since OpenBLAS's
+    fork handler has shut the pool down. Each library's count is read
+    through its getter, and both it and the LS budget are set back on
+    exit, also on an exception; raising the OpenBLAS count again restarts
+    the caller's pool once. The libraries are found in /proc/self/maps;
+    without /proc, or under another BLAS, only the LS budget changes.
     """
     import ctypes
 
@@ -242,9 +246,11 @@ def _one_blas_thread():
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 saved.append((setter, getter()))
                 setter(1)
+    ls_threads, entropy._ls_threads = entropy._ls_threads, 1
     try:
         yield
     finally:
+        entropy._ls_threads = ls_threads
         # in reverse, so a library reached under two names ends at the
         # count read before the first of them capped it
         for setter, count in reversed(saved):
@@ -258,12 +264,15 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     assembled in grid order and every point derives its own seed). Raises
     SweepAbortError when more than 20% of the points fail; individual
     failures are recorded in their rows and the sweep continues. Pool
-    workers are forked with every loaded OpenBLAS capped at one thread
-    (_one_blas_thread), which the caller gets back at its own count when
-    the pool has shut down; fork is pinned so the workers inherit the cap
-    whatever the platform's default start method. They get the points
-    longest orbit first, grid order among equal lengths, so no long point
-    starts last. The serial path keeps OpenBLAS's default.
+    workers are forked with every loaded OpenBLAS and the LS table capped
+    at one thread each (_one_thread), which the caller gets back at its
+    own counts when the pool has shut down; fork is pinned so the workers
+    inherit the cap whatever the platform's default start method. The
+    cap changes no number: the LS table's blocks and OpenBLAS's threads
+    leave every bit as it is. Workers get the points longest orbit first,
+    grid order among equal lengths, so no long point starts last. The
+    serial path keeps the defaults: OpenBLAS's count, and an LS table
+    split across the cores this process may run on.
     """
     n = len(config.grid)
     if config.workers > 1 and n > 1:
@@ -272,7 +281,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             # here, before the fork, spares each worker the import
             import scipy.sparse  # noqa: F401
         order = sorted(range(n), key=lambda i: -_orbit_length(config, config.grid[i]))
-        with _one_blas_thread(), ProcessPoolExecutor(
+        with _one_thread(), ProcessPoolExecutor(
                 max_workers=min(config.workers, n),
                 mp_context=multiprocessing.get_context("fork")) as pool:
             rows = list(pool.map(_sweep_point, [config] * n, order))

@@ -408,12 +408,12 @@ def make_manneville_pomeau(alpha: float) -> DynamicalSystem:
 
     def dfb(pts):
         # one buffer: 1 + 2^a (1 + a) x^a on the left branch, 2 elsewhere
-        # (NaN included)
+        # (NaN included), put by index as in ev
         x = np.atleast_2d(pts)[:, 0]
         out = np.power(x, alpha)
         out *= pow2a * (1.0 + alpha)
         out += 1.0
-        out[~(x <= 0.5)] = 2.0
+        out[np.flatnonzero(~(x <= 0.5))] = 2.0
         return out[None, None, :]
 
     singular = [SingularHyperplane(0, 0.5, "branch")]

@@ -1,10 +1,12 @@
 """The three entropy estimators and their cross-validation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import sinailab.entropy as entropy_mod
 from sinailab.entropy import (
     EntropyEstimate,
     combine_estimates,
@@ -20,12 +22,14 @@ from sinailab.oseledets import LyapunovSpectrum, benettin_spectrum
 from sinailab.systems import (
     DynamicalSystem,
     PhaseSpace,
+    SingularHyperplane,
     _cloud_walk,
     make_cat_block,
     make_cat_map,
     make_derived_from_anosov,
     make_manneville_pomeau,
     make_standard_skew,
+    make_viana,
 )
 
 LAM = (3.0 + math.sqrt(5.0)) / 2.0
@@ -203,6 +207,147 @@ class TestLSSequence:
         assert dead == [0, 1] + [2] * 10
         assert est.diagnostics["skipped_points"] == 2
         assert np.array(est.diagnostics["a_n"]).tobytes() == np.array(reference).tobytes()
+
+
+    def test_error_bar_over_the_points_alive_at_argmin(self):
+        # a_n bottoms out at n = 2 (the derivative is 1 + x, then 1e6 at
+        # the third step), and the point at 0.05 reaches the wall at the
+        # fourth: the error bar must cover the points its row's mean does
+        def ev(pts):
+            return np.atleast_2d(pts) + 0.2
+
+        def dfb(pts):
+            x = np.atleast_2d(pts)[:, 0]
+            out = np.where(x < 0.4, 1.0 + x, np.where(x < 0.6, 1e6, 1.0))
+            return out[None, None, :].copy()
+
+        wall = 0.05 + 0.2 + 0.2 + 0.2
+        sys = DynamicalSystem(name="drift", space=PhaseSpace.unit_interval(), params={},
+                              eval_batch=ev, differential_batch=dfb,
+                              singular_set=[SingularHyperplane(0, wall, "wall")])
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(0.0, 0.1, (400, 1))
+        pts[9, 0] = 0.05
+        w = rng.uniform(0.5, 1.5, 400)
+        w /= w.sum()
+        est = ls_entropy(sys, EmpiricalMeasure(sys.space, pts, w), 5, early_stop=False)
+        assert est.diagnostics["argmin_n"] == 2
+        assert est.diagnostics["skipped_points"] == 1
+        row = np.log1p((1.0 + pts[:, 0]) * (1.2 + pts[:, 0])) / 2
+        alive = np.ones(400, dtype=bool)
+        assert est.std_error == _masked_mean_se(row, w, alive)[1]
+        alive[9] = False
+        assert est.std_error != _masked_mean_se(row, w, alive)[1]
+
+
+@pytest.fixture(scope="module")
+def skew_cloud():
+    sys = make_standard_skew(0.5, 2)
+    return sys, birkhoff_sample(sys, seed=5, burn_in=2000, length=4000)
+
+
+def ls_bits(est):
+    return (np.array(est.diagnostics["a_n"]).tobytes(), est.value, est.std_error,
+            est.diagnostics["argmin_n"], est.diagnostics["skipped_points"])
+
+
+class TestLSBlocks:
+    # the LS table keeps its products in contiguous blocks, one thread
+    # each; every number must have the bits of one block, whatever the
+    # block count (4000 or 400 points cut 3 or 7 ways: uneven blocks)
+
+    @pytest.mark.parametrize("early_stop", [True, False])
+    def test_skew_bits_independent_of_blocks(self, skew_cloud, monkeypatch, early_stop):
+        sys, mu = skew_cloud
+        monkeypatch.setattr(entropy_mod, "LS_BLOCK_WORK", 1)
+        seen = {}
+        for threads in (1, 2, 3, 7):
+            monkeypatch.setattr(entropy_mod, "_ls_threads", threads)
+            assert len(entropy_mod._ls_blocks(4000, 4)) == threads
+            seen[threads] = ls_bits(ls_entropy(sys, mu, 30, early_stop=early_stop, seed=5))
+        assert seen[2] == seen[1] and seen[3] == seen[1] and seen[7] == seen[1]
+
+    def test_early_stop_bits_independent_of_blocks(self, monkeypatch):
+        # the dithered viana cloud stops its table early, past its minimum
+        sys = make_viana()
+        mu = birkhoff_sample(sys, seed=5, burn_in=2000, length=4000)
+        monkeypatch.setattr(entropy_mod, "LS_BLOCK_WORK", 1)
+        seen = {}
+        for threads in (1, 2, 3, 7):
+            monkeypatch.setattr(entropy_mod, "_ls_threads", threads)
+            seen[threads] = ls_bits(ls_entropy(sys, mu, 60, seed=5))
+        assert seen[1][3] < len(np.frombuffer(seen[1][0])) < 60
+        assert seen[2] == seen[1] and seen[3] == seen[1] and seen[7] == seen[1]
+
+    def test_dying_points_bits_independent_of_blocks(self, monkeypatch):
+        # the cloud of test_row_means_bits_as_points_die: its two dying
+        # points fall in different blocks
+        sys = make_manneville_pomeau(0.4)
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(0.01, 0.99, (400, 1))
+        pts[[17, 230], 0] = 0.75, 0.875
+        w = rng.uniform(0.5, 1.5, 400)
+        w /= w.sum()
+        mu = EmpiricalMeasure(sys.space, pts, w)
+        monkeypatch.setattr(entropy_mod, "LS_BLOCK_WORK", 1)
+        seen = {}
+        for threads in (1, 2, 3, 7):
+            monkeypatch.setattr(entropy_mod, "_ls_threads", threads)
+            seen[threads] = ls_bits(ls_entropy(sys, mu, 12, early_stop=False))
+        assert seen[1][4] == 2
+        assert seen[2] == seen[1] and seen[3] == seen[1] and seen[7] == seen[1]
+
+    @pytest.mark.parametrize("m, threads", [(4000, 3), (4001, 7), (10, 7)])
+    def test_blocks_tile_the_cloud(self, monkeypatch, m, threads):
+        monkeypatch.setattr(entropy_mod, "LS_BLOCK_WORK", 1)
+        monkeypatch.setattr(entropy_mod, "_ls_threads", threads)
+        blocks = entropy_mod._ls_blocks(m, 4)
+        assert len(blocks) == threads
+        assert blocks[0][0] == 0 and blocks[-1][1] == m
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        sizes = {hi - lo for lo, hi in blocks}
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_block_count_rule(self, monkeypatch):
+        # min(cores this process may run on, work // LS_BLOCK_WORK), at
+        # least 1; work is points x sum_j C(d, j)^2 (69 at d = 4)
+        monkeypatch.setattr(entropy_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        unit = entropy_mod.LS_BLOCK_WORK
+        assert len(entropy_mod._ls_blocks(10**6, 4)) == 3
+        assert len(entropy_mod._ls_blocks(2 * unit // 69 + 1, 4)) == 2
+        assert len(entropy_mod._ls_blocks(2 * unit // 69 - 1, 4)) == 1
+        assert len(entropy_mod._ls_blocks(2 * unit, 1)) == 2
+        assert len(entropy_mod._ls_blocks(1, 1)) == 1
+        monkeypatch.setattr(entropy_mod.os, "sched_getaffinity", lambda pid: {0})
+        assert len(entropy_mod._ls_blocks(10**6, 4)) == 1
+        monkeypatch.setattr(entropy_mod, "_ls_threads", 2)
+        assert len(entropy_mod._ls_blocks(10**6, 4)) == 2
+
+    def test_small_cloud_starts_no_thread(self, monkeypatch):
+        # under twice the work constant the table runs one block in the
+        # calling thread, whatever the budget: no pool is opened
+        import concurrent.futures
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread pool was opened")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(entropy_mod, "_ls_threads", 7)
+        sys = make_standard_skew(0.5, 2)
+        mu = birkhoff_sample(sys, seed=5, burn_in=500, length=1000)
+        assert len(entropy_mod._ls_blocks(1000, 4)) == 1
+        before = threading.active_count()
+        ls_entropy(sys, mu, 5)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_the_table(self, skew_cloud, monkeypatch):
+        sys, mu = skew_cloud
+        monkeypatch.setattr(entropy_mod, "_ls_threads", 2)
+        assert len(entropy_mod._ls_blocks(4000, 4)) == 2
+        before = set(threading.enumerate())
+        ls_entropy(sys, mu, 5)
+        assert set(threading.enumerate()) == before
 
 
 class TestExponentFunction:

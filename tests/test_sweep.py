@@ -8,6 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+import sinailab.entropy as entropy_mod
 from sinailab.entropy import (
     ESTIMATORS,
     JACOBIAN_F,
@@ -58,12 +59,14 @@ def openblas_thread_counts():
 def report_blas_threads(config, index):
     """Stand-in sweep point: this process's OS thread count and every
     OpenBLAS count, at its start and after a product large enough for
-    OpenBLAS to thread."""
+    OpenBLAS to thread, and the LS thread budget with the block count of a
+    cloud large enough to split."""
     seen = [(len(os.listdir("/proc/self/task")), openblas_thread_counts())]
     np.ones((2**18, 2)) @ np.ones((2, 2))
     seen.append((len(os.listdir("/proc/self/task")), openblas_thread_counts()))
     row = SweepRow(index=index, t=config.grid[index])
     row.estimates["seen"] = seen
+    row.estimates["ls"] = (entropy_mod._ls_threads, len(entropy_mod._ls_blocks(10**6, 4)))
     return row
 
 
@@ -277,6 +280,21 @@ class TestRunSweep:
             rows.append(path.read_bytes())
         assert rows[0] == rows[1]
 
+    def test_threaded_ls_rows_match_the_workers(self, tmp_path, monkeypatch):
+        # 4000 d = 4 points: the serial sweep's LS table runs two blocks on
+        # two threads, each pool worker's one block on its own thread
+        monkeypatch.setattr(entropy_mod, "_ls_threads", 2)
+        assert len(entropy_mod._ls_blocks(4000, 4)) == 2
+        rows = []
+        for workers in (1, 2):
+            cfg = SweepConfig(family="skew", grid=(0.3, 0.5),
+                              estimators=(LEDRAPPIER_STRELCYN,), seed=4, burn_in=2000,
+                              length=4000, n_max=10, workers=workers)
+            path = tmp_path / f"{workers}.json"
+            write_json(path, [r.to_json_dict() for r in run_sweep(cfg).rows])
+            rows.append(path.read_bytes())
+        assert rows[0] == rows[1]
+
     def test_pool_no_larger_than_the_grid(self, monkeypatch):
         # a fork pool starts all of its workers at once: a 2-point grid on
         # 3 workers gets a pool of 2, and the rows of the serial sweep
@@ -309,12 +327,17 @@ class TestRunSweep:
             pytest.skip("no OpenBLAS with a thread-count getter is loaded")
         monkeypatch.setattr(sweep_mod, "_sweep_point", report_blas_threads)
         cfg = SweepConfig(family="mp", grid=(0.0, 0.3), workers=2)
-        rows = run_sweep(cfg).rows
-        assert openblas_thread_counts() == before
-        for row in rows:
-            for threads, counts in row.estimates["seen"]:
-                assert threads == 1
-                assert counts and all(c == 1 for c in counts)
+        for caller in (None, 3):
+            monkeypatch.setattr(entropy_mod, "_ls_threads", caller)
+            rows = run_sweep(cfg).rows
+            assert openblas_thread_counts() == before
+            assert entropy_mod._ls_threads == caller
+            for row in rows:
+                for threads, counts in row.estimates["seen"]:
+                    assert threads == 1
+                    assert counts and all(c == 1 for c in counts)
+                # the worker's LS table keeps even a 1e6-point cloud in one block
+                assert row.estimates["ls"] == (1, 1)
 
     @pytest.mark.parametrize("point, error", [
         (failed_point, SweepAbortError),
@@ -327,10 +350,12 @@ class TestRunSweep:
         if not before:
             pytest.skip("no OpenBLAS with a thread-count getter is loaded")
         monkeypatch.setattr(sweep_mod, "_sweep_point", point)
+        monkeypatch.setattr(entropy_mod, "_ls_threads", 3)
         cfg = SweepConfig(family="mp", grid=(0.0, 0.3), workers=2)
         with pytest.raises(error):
             run_sweep(cfg)
         assert openblas_thread_counts() == before
+        assert entropy_mod._ls_threads == 3
 
     def test_pesin_point_draws_one_orbit(self, orbit_calls):
         cfg = SweepConfig(family="mp", grid=(0.0, 0.3), estimators=(PESIN,),

@@ -256,6 +256,25 @@ class TestMannevillePomeau:
             for i in [*range(0, 200_000, 1000), *range(200_000, x.size)]:
                 assert sys.eval_batch(x[i:i + 1, None]).tobytes() == got[i].tobytes()
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.8, 0.95])
+    def test_differential_batch_bits_equal_both_branches_joined(self, alpha):
+        # differential_batch puts the right branch's 2 by index: every
+        # element must get the bits of the two-branch formula, in a batch
+        # and alone
+        rng = np.random.default_rng(29)
+        edges = [0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0, -0.0,
+                 np.nan, np.inf, -np.inf, 1.5, -0.2]
+        x = np.concatenate([rng.random(200_000), edges])
+        sys = make_manneville_pomeau(alpha)
+        with np.errstate(invalid="ignore"):
+            left = 1.0 + 2.0 ** alpha * (1.0 + alpha) * np.power(x, alpha)
+            ref = np.where(x <= 0.5, left, 2.0)
+            got = sys.differential_batch(x[:, None])
+            assert got.shape == (1, 1, x.size)
+            assert got[0, 0].tobytes() == ref.tobytes()
+            for i in [*range(0, 200_000, 1000), *range(200_000, x.size)]:
+                assert sys.differential_batch(x[i:i + 1, None]).tobytes() == got[..., i].tobytes()
+
     def test_dithered_orbit_escapes_float_collapse(self):
         # Pure float doubling hits 0 exactly within ~53 steps and freezes;
         # the dithered driver must keep the orbit alive.
