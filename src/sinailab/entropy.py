@@ -1,10 +1,19 @@
 """Metric entropy estimators.
 
-Three independent routes to the entropy of an approximate Sinai/SRB
-measure: the Pesin formula (sum of positive Lyapunov exponents), the
+Three routes to the entropy of an approximate Sinai/SRB measure: the
+Pesin formula (sum of positive Lyapunov exponents), the
 Ledrappier-Strelcyn exterior-power characterization (infimum over n of
 averaged log aggregate wedge norms), and the expected log Jacobian along
 the expanding subbundle. A cross-validation report compares all three.
+They are not three independent checks on every cloud. On a Birkhoff
+cloud Jacobian-F reads the orbit Pesin's spectrum reads. At dim_f = d
+(mp, viana) the two are one number, <log |det Df|> over the same points,
+with two error bars: they differ by 2.2e-16 on mp (alpha = 0.3, seed 5)
+and by -7.4e-16 on viana (mean over seeds 0-5), against reported SEs of
+1.9e-3 to 8.0e-3. At dim_f < d they read the same log volume 60 steps
+apart (skew, K = 0.5: a gap of -6.4e-6 with a seed spread of 2.6e-4, a
+tenth of either SE). There the independent check is LS against Pesin.
+An Ulam cloud gives Jacobian-F points that Pesin's orbit does not see.
 
 run_estimators, the one pipeline behind cross_validate, `sinailab entropy`
 and sweep points, decides which spectrum, default dim_f and seed each

@@ -33,16 +33,14 @@ if TYPE_CHECKING:
 #: n_cells * samples_per_cell nonzeros (at most one per sample point).
 MAX_ULAM_CELLS = 10_000_000
 
-#: sample points ulam_matrix maps at a time, rounded down to whole cells:
-#: for d = 2 a chunk's sample grid and images (512 kB each) and its
-#: image-cell column (256 kB) fit a 2 MB per-core L2 together. On such a
-#: Xeon a 128^2-cell, 256-sample da build takes 0.13 s at 2^15 and 0.19 s
-#: at 2^18, with traced peaks of 6 and 26 MB
-ULAM_CHUNK_POINTS = 2 ** 15
-
-#: most torus wavevectors _dictionary evaluates at a time (T^4 has 3280
-#: at cutoff 4): it bounds the (wavevectors, points) blocks held at once
-DICTIONARY_CHUNK = 64
+#: values a blocked loop holds per array. ulam_matrix maps this many
+#: sample points at a time, rounded down to whole cells: for d = 2 a
+#: chunk's sample grid and images (512 kB each) and its image-cell column
+#: (256 kB) fit a 2 MB per-core L2 together. On such a Xeon a
+#: 128^2-cell, 256-sample da build takes 0.13 s at 2^15 and 0.19 s at
+#: 2^18, with traced peaks of 6 and 26 MB. dictionary_moments evaluates
+#: the torus dictionary on this many (wavevector, point) values at a time
+BLOCK_POINTS = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +271,7 @@ def ulam_matrix(system: DynamicalSystem, resolution, samples_per_cell: int,
     # (s, d) sample offsets inside a cell, in phase-space units
     offsets = _lattice_offsets(s, d, rng) * cell_w
 
-    chunk = max(1, ULAM_CHUNK_POINTS // s)
+    chunk = max(1, BLOCK_POINTS // s)
     rows, cols, counts = [], [], []
     for start in range(0, n_cells, chunk):
         idx = np.arange(start, min(start + chunk, n_cells))
@@ -361,55 +359,60 @@ def _torus_wavevectors(d: int, cutoff: int):
     """Lexicographically positive half of the integer box, zero excluded."""
     grids = np.meshgrid(*[np.arange(-cutoff, cutoff + 1)] * d, indexing="ij")
     ks = np.column_stack([g.ravel() for g in grids])
-    keep = []
-    for k in ks:
-        nz = np.nonzero(k)[0]
-        if nz.size == 0:
-            continue
-        if k[nz[0]] > 0:
-            keep.append(k)
-    return np.array(keep)
+    # a wavevector's first nonzero entry (the zero vector's reads 0)
+    first = ks[np.arange(ks.shape[0]), np.argmax(ks != 0, axis=1)]
+    return ks[first > 0]
 
 
-def _dictionary(space: PhaseSpace, pts: np.ndarray, cutoff: int):
-    """The test dictionary at pts, in (functions, points) blocks.
+def dictionary_moments(measure, cutoff: int) -> np.ndarray:
+    """Integrals of the test dictionary against the measure, every point
+    counted, each one _weighted_mean over the whole cloud.
 
-    Torus: cos/sin(2 pi k.x) over |k|_inf <= cutoff, DICTIONARY_CHUNK
-    wavevectors per block. Interval: Chebyshev
-    polynomials to degree cutoff (affinely rescaled). Cylinder: products of
-    the two. The constant function is omitted (every measure integrates it
-    to 1).
+    Torus: cos(2 pi k.x), then sin(2 pi k.x), each over |k|_inf <= cutoff
+    in _torus_wavevectors order. An m-point cloud is evaluated on
+    max(1, BLOCK_POINTS // m) wavevectors at a time, so each array holds
+    about BLOCK_POINTS values whatever the dimension. A cloud of more than
+    BLOCK_POINTS points gets one wavevector at a time, a few rows of m
+    values: the floor for a moment that is one reduction over its whole
+    row. Every value, and so every moment and its place in the vector,
+    is the same whatever the block. Interval: Chebyshev polynomials to
+    degree cutoff (affinely rescaled). Cylinder: products of the two. The
+    constant function is omitted (every measure integrates it to 1).
     """
+    space, pts = measure.space, measure.points
+    w = _kept_weights(measure.weights)
+
+    def means(rows):
+        return [_weighted_mean(f, w) for f in rows]
+
     if space.kind == "torus":
         ks = _torus_wavevectors(space.dim, cutoff)
-        for start in range(0, ks.shape[0], DICTIONARY_CHUNK):
-            chunk = ks[start:start + DICTIONARY_CHUNK]
+        per_block = max(1, BLOCK_POINTS // pts.shape[0])
+        # contiguous coordinate rows: the phase sum reads each once per
+        # block, and over strided columns it ran at half the speed
+        coords = np.ascontiguousarray(pts.T)
+        cos, sin = [], []
+        for start in range(0, ks.shape[0], per_block):
+            chunk = ks[start:start + per_block]
             phases = 2.0 * math.pi * sum(np.multiply.outer(k, x)
-                                         for k, x in zip(chunk.T, pts.T))
-            yield np.cos(phases)
-            yield np.sin(phases)
+                                         for k, x in zip(chunk.T, coords))
+            cos += means(np.cos(phases))
+            sin += means(np.sin(phases))
+        moments = cos + sin
     elif space.kind == "interval":
         u = 2.0 * (pts[:, 0] - space.lo[0]) / space.widths()[0] - 1.0
-        yield _chebyshev_values(u, cutoff)[1:]
+        moments = means(_chebyshev_values(u, cutoff)[1:])
     elif space.kind == "cylinder":
         phases = 2.0 * math.pi * pts[:, 0]
         u = 2.0 * (pts[:, 1] - space.lo[1]) / space.widths()[1] - 1.0
         cheb = _chebyshev_values(u, cutoff)
-        yield cheb[1:]  # pure Chebyshev modes
+        moments = means(cheb[1:])  # pure Chebyshev modes
         for k in range(1, cutoff + 1):
-            yield np.cos(k * phases) * cheb
-            yield np.sin(k * phases) * cheb
+            moments += means(np.cos(k * phases) * cheb)
+            moments += means(np.sin(k * phases) * cheb)
     else:
         raise ValueError(f"no dictionary for space kind {space.kind!r}")
-
-
-def dictionary_moments(measure, cutoff: int) -> np.ndarray:
-    """Integrals of the test dictionary (see _dictionary) against the
-    measure, every point counted."""
-    w = _kept_weights(measure.weights)
-    return np.array([_weighted_mean(f, w)
-                     for block in _dictionary(measure.space, measure.points, cutoff)
-                     for f in block])
+    return np.array(moments)
 
 
 def moment_gap(m1: np.ndarray, m2: np.ndarray) -> float:

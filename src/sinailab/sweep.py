@@ -172,14 +172,19 @@ def _orbit_length(config: SweepConfig, t: float) -> int:
 
 
 def _sweep_point(config: SweepConfig, index: int) -> SweepRow:
+    """One grid point's row. A failure is recorded in the row's error as
+    "<stage>: <Type>: <msg>", the stage being the step that raised:
+    system, measure, moments or estimators."""
     t = config.grid[index]
     row = SweepRow(index=index, t=t)
+    stage = "system"
     try:
         family = get_family(config.family)
         system = family.build(t)
         seed = config.point_seed(index)
         length = _orbit_length(config, t)
         row.length_used = length
+        stage = "measure"
         if config.ulam_resolution:
             transfer = ulam_matrix(system, config.ulam_resolution,
                                    samples_per_cell=256, seed=seed)
@@ -187,7 +192,9 @@ def _sweep_point(config: SweepConfig, index: int) -> SweepRow:
         else:
             measure = birkhoff_sample(system, seed=seed,
                                       burn_in=config.burn_in, length=length)
+        stage = "moments"
         row.moments = dictionary_moments(measure, WEAK_STAR_CUTOFF)
+        stage = "estimators"
         row.estimates, spectrum = run_estimators(
             system, measure, config.estimators, seed, config.burn_in, length,
             n_max=config.n_max, dim_f=config.dim_f)
@@ -195,7 +202,7 @@ def _sweep_point(config: SweepConfig, index: int) -> SweepRow:
             row.spectrum_exponents = spectrum.exponents.tolist()
             row.spectrum_std_error = spectrum.std_error.tolist()
     except (SinaiLabError, ValueError, KeyError) as exc:
-        row.error = f"{type(exc).__name__}: {exc}"
+        row.error = f"{stage}: {type(exc).__name__}: {exc}"
         row.estimates = {}
         row.moments = None
     return row

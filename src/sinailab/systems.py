@@ -19,6 +19,7 @@ table, Jacobian-along-F, bundle frames, domination ratios) consumes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -258,19 +259,21 @@ def _cloud_walk(system: DynamicalSystem, pts: np.ndarray, dither_key):
     the identity from then on and stops moving. Only live points are stepped,
     with the dithered stepper seeded by dither_key, so binary-shift clouds
     do not degenerate. More than MAX_FAILURE_FRACTION dead points raise
-    SamplingFailureError. The cloud moves only when the next step is asked
-    for.
+    SamplingFailureError, whose message names the map step at which the
+    dead fraction crossed that share. The cloud moves only when the next
+    step is asked for.
     """
     m, d = pts.shape
     dither = np.random.default_rng(dither_key) if system.dither_scale else None
     alive = np.ones(m, dtype=bool)
     cur = pts.copy()
-    while True:
+    for step in itertools.count():
         alive &= ~system.unusable(cur)
         dead = m - int(np.count_nonzero(alive))
         if dead > MAX_FAILURE_FRACTION * m:
             raise SamplingFailureError(
-                f"{system.name}: {dead}/{m} orbit failures in the cloud walk"
+                f"{system.name}: {dead}/{m} orbit failures in the cloud walk "
+                f"at map step {step}"
             )
         if not dead:
             # the usual case: the whole cloud steps as it is, and the

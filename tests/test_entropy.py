@@ -184,6 +184,19 @@ class TestLSSequence:
         with pytest.raises(SamplingFailureError):
             jacobian_formula_entropy(sys, mu, dim_f=1)
 
+    @pytest.mark.parametrize("start, step", [(0.5, 0), (0.75, 1), (0.875, 2)])
+    def test_walk_failure_names_its_map_step(self, start, step):
+        # 5 of 400 points (over the 1% limit) reach mp's branch point 0.5
+        # after `step` maps, and no other point does
+        sys = make_manneville_pomeau(0.4)
+        pts = np.random.default_rng(8).uniform(0.01, 0.99, (400, 1))
+        pts[:5] = start
+        walk = _cloud_walk(sys, pts, 0)
+        with pytest.raises(SamplingFailureError,
+                           match=rf"5/400 orbit failures in the cloud walk at map step {step}$"):
+            for _ in range(step + 1):
+                next(walk)
+
     def test_row_means_bits_as_points_die(self):
         # ls_entropy forms its normalized weights once and again only when
         # a point dies: 0.75 reaches the branch point 0.5 after one step,

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import sinailab.measures as measures_mod
 from sinailab.errors import UlamConvergenceError
 from sinailab.measures import (
-    ULAM_CHUNK_POINTS,
+    BLOCK_POINTS,
     EmpiricalMeasure,
     TransferMatrix,
+    _kept_weights,
     _lattice_offsets,
     birkhoff_sample,
     bounded_jacobian_check,
@@ -92,6 +94,35 @@ def identity_ulam(space, resolution):
     the cell centers."""
     n = int(np.prod(resolution))
     return ulam_stationary(TransferMatrix(space, resolution, sp.identity(n, format="csr"), 1))
+
+
+def half_box(d, cutoff):
+    """The wavevectors with |k|_inf <= cutoff whose first nonzero entry is
+    positive, in lexicographic order."""
+    ks = np.array(list(np.ndindex(*(2 * cutoff + 1,) * d))) - cutoff
+    first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
+    return ks[first > 0]
+
+
+def traced_moments(mu, cutoff):
+    """dictionary_moments and its traced peak, after a warm-up call."""
+    dictionary_moments(mu, cutoff)
+    tracemalloc.start()
+    try:
+        m = dictionary_moments(mu, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return m, peak
+
+
+def few_rows(mu):
+    """Bytes of six float64 rows of max(BLOCK_POINTS, points) values (the
+    phase block, its running sum and term, a cos or sin block and the
+    weights, with room for the wavevector table) beside the cloud's
+    coordinates as d rows of its m points."""
+    m, d = mu.points.shape
+    return 8 * (6 * max(BLOCK_POINTS, m) + d * m)
 
 
 class TestMeasureContainers:
@@ -202,7 +233,7 @@ class TestUlam:
         (make_cat_map(), 37, 25),
         (make_derived_from_anosov(0.2), 64, 25),
         (make_derived_from_anosov(0.2), (24, 40), 50),
-        (make_manneville_pomeau(0.3), 8, ULAM_CHUNK_POINTS + 1),
+        (make_manneville_pomeau(0.3), 8, BLOCK_POINTS + 1),
     ], ids=["cat", "mp", "skew", "da", "cat4", "skew-tuple", "cat-25", "da-25",
             "da-tuple-50", "mp-over-a-chunk"])
     def test_chunked_build_matches_one_shot(self, system, resolution, samples):
@@ -210,7 +241,7 @@ class TestUlam:
         # bit at any sample count. At 256 samples cat's 37^2 = 1369 cells
         # fill ten 128-cell chunks and part of an eleventh; 50 samples leave
         # one seeded random point beside the 7 x 7 lattice; more samples than
-        # ULAM_CHUNK_POINTS give one-cell chunks
+        # BLOCK_POINTS give one-cell chunks
         t = ulam_matrix(system, resolution, samples_per_cell=samples, seed=3)
         ref = one_shot_ulam(system, resolution, samples, seed=3)
         for name in ("indptr", "indices", "data"):
@@ -268,6 +299,24 @@ class TestUlam:
         assert err.value.residual > 0.1
 
 
+@pytest.fixture(scope="module")
+def dictionary_clouds():
+    t = ulam_matrix(make_derived_from_anosov(0.2), 128, samples_per_cell=16, seed=3)
+    return {
+        # the benchmark's da sweep cloud: 16384 points on T^2
+        "da-ulam-128": ulam_stationary(t, tol=1e-10),
+        # more points than BLOCK_POINTS: one wavevector at a time
+        "cat-40000": birkhoff_sample(make_cat_map(), seed=2, burn_in=10, length=40_000),
+        # an odd length leaves a SIMD tail in every row
+        "skew-2001": birkhoff_sample(make_standard_skew(0.5, 2), seed=1,
+                                     burn_in=10, length=2001),
+        "mp-interval": birkhoff_sample(make_manneville_pomeau(0.3), seed=1,
+                                       burn_in=10, length=2001),
+        "viana-cylinder": birkhoff_sample(make_viana(1.7808, 0.02, 16), seed=2,
+                                          burn_in=10, length=2001),
+    }
+
+
 class TestWeakStar:
     def test_identical_measures_zero(self):
         mu = birkhoff_sample(make_cat_map(), seed=1, burn_in=0, length=100)
@@ -300,27 +349,28 @@ class TestWeakStar:
         with pytest.raises(ValueError):
             weak_star_distance(mu, nu)
 
-    def test_torus_dictionary_memory_stays_chunk_sized(self):
-        # T^4 at cutoff 4 has 3280 wavevectors: on a 2000-point cloud the
-        # whole (3280, 2000) phase array with its cos and sin peaks near 150 MB
-        mu = birkhoff_sample(make_standard_skew(0.5, 2), seed=1, burn_in=10, length=2000)
-        tracemalloc.start()
-        try:
-            m = dictionary_moments(mu, 4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
-        # the moments are the integrals of cos and sin(2 pi k.x), in some order
-        ks = np.array([k for k in np.ndindex(*(9,) * 4)]) - 4
-        first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
-        ks = ks[first > 0]
-        phases = 2.0 * math.pi * (mu.points[:200] @ ks.T)
+    def test_torus_dictionary_memory_stays_chunk_sized(self, dictionary_clouds):
+        # T^4 at cutoff 4 has 3280 wavevectors: on a 2001-point cloud the
+        # whole (3280, 2001) phase array with its cos and sin peaks near
+        # 150 MB, and 64 wavevectors at a time near 4.5 MB
+        mu = dictionary_clouds["skew-2001"]
+        m, peak = traced_moments(mu, 4)
+        assert peak < few_rows(mu)
+        # the moments are the integrals of cos, then sin(2 pi k.x)
         sub = EmpiricalMeasure(mu.space, mu.points[:200], np.full(200, 1.0 / 200))
+        phases = 2.0 * math.pi * (sub.points @ half_box(4, 4).T)
         ref = np.concatenate([np.cos(phases).mean(axis=0), np.sin(phases).mean(axis=0)])
         got = dictionary_moments(sub, 4)
         assert m.shape == got.shape == (2 * 3280,)
-        assert np.allclose(np.sort(got), np.sort(ref), rtol=0.0, atol=1e-12)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("cloud", ["da-ulam-128", "cat-40000"])
+    def test_torus_dictionary_memory_stays_block_sized(self, dictionary_clouds, cloud):
+        # 40 T^2 wavevectors 64 at a time held (40, m) arrays: 15 MB on the
+        # 128^2-cell Ulam cloud. A cloud of more than BLOCK_POINTS points
+        # takes one wavevector at a time, so a few rows of m values
+        _, peak = traced_moments(dictionary_clouds[cloud], 4)
+        assert peak < few_rows(dictionary_clouds[cloud])
 
     def test_grid_vs_empirical_same_uniform(self):
         g = identity_ulam(PhaseSpace.unit_interval(), (128,))
@@ -333,6 +383,52 @@ class TestWeakStar:
         mu = birkhoff_sample(v, seed=2, burn_in=10, length=200)
         m = dictionary_moments(mu, 2)
         assert m.shape[0] > 4 and np.all(np.isfinite(m))
+
+
+def canonical_moments(mu, cutoff):
+    """The dictionary moments one function at a time, in the documented
+    order: torus cos(2 pi k.x) over the half box, then sin; interval
+    Chebyshev T_1..T_cutoff; cylinder the Chebyshev modes, then cos(k x) T_j
+    and sin(k x) T_j for k = 1..cutoff and j = 0..cutoff."""
+    w = _kept_weights(mu.weights)
+    pts = mu.points
+    kind, lo, widths = mu.space.kind, mu.space.lo, mu.space.widths()
+    if kind == "torus":
+        phases = [2.0 * math.pi * sum(kj * x for kj, x in zip(k, pts.T))
+                  for k in half_box(mu.space.dim, cutoff)]
+        rows = [np.cos(p) for p in phases] + [np.sin(p) for p in phases]
+    elif kind == "interval":
+        u = 2.0 * (pts[:, 0] - lo[0]) / widths[0] - 1.0
+        rows = list(np.polynomial.chebyshev.chebvander(u, cutoff).T[1:])
+    else:
+        u = 2.0 * (pts[:, 1] - lo[1]) / widths[1] - 1.0
+        cheb = np.polynomial.chebyshev.chebvander(u, cutoff).T
+        rows = list(cheb[1:])
+        for k in range(1, cutoff + 1):
+            rows += [np.cos(2.0 * math.pi * k * pts[:, 0]) * c for c in cheb]
+            rows += [np.sin(2.0 * math.pi * k * pts[:, 0]) * c for c in cheb]
+    return np.array([np.sum(w * r) for r in rows])
+
+
+class TestDictionaryBlocks:
+    # the torus dictionary is evaluated a block of wavevectors at a time;
+    # every moment must keep its bits and its place whatever the block
+
+    @pytest.mark.parametrize("cloud", ["da-ulam-128", "cat-40000", "skew-2001",
+                                       "mp-interval", "viana-cylinder"])
+    def test_moments_bits_independent_of_blocks(self, dictionary_clouds, cloud,
+                                                monkeypatch):
+        mu = dictionary_clouds[cloud]
+        ref = dictionary_moments(mu, 4)
+        m = mu.points.shape[0]
+        for per_block in (1, 2, 7, 3280):
+            monkeypatch.setattr(measures_mod, "BLOCK_POINTS", per_block * m)
+            assert np.array_equal(dictionary_moments(mu, 4), ref), per_block
+        if mu.space.kind == "torus":
+            # the same arithmetic one wavevector at a time, in order
+            assert np.array_equal(ref, canonical_moments(mu, 4))
+        else:
+            assert np.allclose(ref, canonical_moments(mu, 4), rtol=0.0, atol=1e-12)
 
 
 class TestLS1:

@@ -1,6 +1,7 @@
 """Parameter sweeps, semicontinuity checks, and the entropy splitting."""
 
 import ctypes
+import dataclasses
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -71,7 +72,7 @@ def report_blas_threads(config, index):
 
 
 def failed_point(config, index):
-    return SweepRow(index=index, t=config.grid[index], error="ValueError: stand-in")
+    return SweepRow(index=index, t=config.grid[index], error="system: ValueError: stand-in")
 
 
 def raising_point(config, index):
@@ -202,7 +203,32 @@ class TestRunSweep:
         assert len(result.rows) == 5
         errors = [r for r in result.rows if not r.ok]
         assert len(errors) == 1
-        assert "boom" in errors[0].error
+        assert errors[0].error == "system: ValueError: boom"
+
+    @pytest.mark.parametrize("broken, stage, message", [
+        # every orbit leaves the reals, on every restart
+        ("orbit_fn", "measure",
+         "SamplingFailureError: manneville_pomeau: orbit hit the singular set on"),
+        # a zero derivative leaves Jacobian-F no point with a finite log volume
+        ("differential_batch", "estimators",
+         "SamplingFailureError: no usable points in the cloud"),
+    ], ids=["measure", "estimators"])
+    def test_failed_row_names_its_stage(self, monkeypatch, broken, stage, message):
+        import sinailab.sweep as sweep_mod
+
+        stand_ins = {
+            "orbit_fn": lambda x0, n, noise: iter([math.nan] * (n + 1)),
+            "differential_batch": lambda pts: np.zeros((1, 1, np.atleast_2d(pts).shape[0])),
+        }
+        family = FamilyHandle("broken", "t", 0.0, 1.0, lambda t: dataclasses.replace(
+            make_manneville_pomeau(t), **{broken: stand_ins[broken]}))
+        monkeypatch.setattr(sweep_mod, "get_family", lambda fid: family)
+        cfg = SweepConfig(family="mp", grid=(0.3,), estimators=(PESIN, JACOBIAN_F),
+                          seed=1, burn_in=50, length=2_000)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            row = _sweep_point(cfg, 0)
+        assert row.error.startswith(f"{stage}: {message}")
+        assert row.estimates == {} and row.moments is None
 
     def test_abort_over_threshold(self):
         always_bad = FamilyHandle("bad", "t", 0.0, 1.0,
