@@ -10,10 +10,11 @@ cloud Jacobian-F reads the orbit Pesin's spectrum reads. At dim_f = d
 (mp, viana) the two are one number, <log |det Df|> over the same points,
 with two error bars: they differ by 2.2e-16 on mp (alpha = 0.3, seed 5)
 and by -7.4e-16 on viana (mean over seeds 0-5), against reported SEs of
-1.9e-3 to 8.0e-3. At dim_f < d they read the same log volume 60 steps
-apart (skew, K = 0.5: a gap of -6.4e-6 with a seed spread of 2.6e-4, a
-tenth of either SE). There the independent check is LS against Pesin.
-An Ulam cloud gives Jacobian-F points that Pesin's orbit does not see.
+1.9e-3 to 8.0e-3. At dim_f < d they read the same log volume a frame
+transient apart (skew, K = 0.5, at 60 steps: a gap of -6.4e-6 with a seed
+spread of 2.6e-4, a tenth of either SE). There the independent check is
+LS against Pesin. An Ulam cloud gives Jacobian-F points that Pesin's
+orbit does not see.
 
 run_estimators, the one pipeline behind cross_validate, `sinailab entropy`
 and sweep points, decides which spectrum, default dim_f and seed each
@@ -29,7 +30,11 @@ measures._masked_mean_se, which takes its mean from the same routine.
 A cloud large enough keeps its LS products in contiguous blocks, one
 thread each, with the same bits as one block. Jacobian-F pushes its
 frames batch-last with matrixcore._qr_step, the QR step the Benettin
-spectrum runs on.
+spectrum runs on. Below full dimension their transient is sized from
+the spectral gap g at the split (frame_transient), since a random
+frame's distance from F decays like exp(-g T): T = ceil(log(1/FRAME_TOL)
+/ g), clipped to [T_MIN, T_MAX], read off the spectrum run_estimators
+holds. The diagnostics record gap, n_transient and transient_capped.
 """
 
 from __future__ import annotations
@@ -43,11 +48,11 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .matrixcore import (LOG_ZERO, WedgeAccumulatorBatch, _qr_step, _random_frames,
                          log_wedge_total_from_rows)
 from .measures import _kept_weights, _masked_mean_se, _weighted_mean
-from .oseledets import (FRAME_TRANSIENT, LyapunovSpectrum, benettin_spectrum,
-                        check_spectrum_length)
+from .oseledets import LyapunovSpectrum, benettin_spectrum, check_spectrum_length
 from .systems import DynamicalSystem, _cloud_walk, finite_nonnegative
 
 PESIN = "pesin"
@@ -71,6 +76,14 @@ STOP_DELTA = 1e-4
 #: 4000 points 1.4x), so a second block starts at twice this.
 LS_BLOCK_WORK = 2 ** 17
 
+#: Jacobian-F pushes its frames T = ceil(log(1/FRAME_TOL)/g) steps for the
+#: spectral gap g at its split, clipped to [T_MIN, T_MAX]. At 1e-7, cat and
+#: da take T_MIN and skew (K = 0.5) 54-61 steps; T_MAX = 240 matched Pesin
+#: on skew K = 0.02, whose gap of 0.032 asks for about 500.
+FRAME_TOL = 1e-7
+T_MIN = 10
+T_MAX = 240
+
 #: LS threads this process may run; None: one per core it may run on.
 #: run_sweep sets it to 1 around its fork pool.
 _ls_threads = None
@@ -86,8 +99,9 @@ class EntropyEstimate:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError("entropy estimate must be finite")
+        if not (math.isfinite(self.value) and math.isfinite(self.std_error)):
+            raise NonFiniteError(f"{self.method} estimate {self.value!r} "
+                                 f"(se {self.std_error!r}) is not finite")
         if self.value < 0.0:
             raise ValueError("entropy estimate must be non-negative")
 
@@ -100,16 +114,19 @@ class EntropyEstimate:
         }
 
 
-def _runs_spectrum(methods, dim_f: Optional[int]) -> bool:
-    """Pesin runs the Benettin spectrum, and so does Jacobian-F without dim_f."""
-    return PESIN in methods or (JACOBIAN_F in methods and dim_f is None)
+def _runs_spectrum(methods, dim_f: Optional[int], dim: Optional[int]) -> bool:
+    """Pesin runs the Benettin spectrum, and so does Jacobian-F unless dim_f
+    is the dimension: the spectrum gives it dim_f when none is given, and
+    the gap that sizes its transient below full dimension."""
+    return PESIN in methods or (JACOBIAN_F in methods and (dim_f is None or dim_f != dim))
 
 
-def check_estimator_args(methods, n_max: int, dim_f: Optional[int], dim: int,
+def check_estimator_args(methods, n_max: int, dim_f: Optional[int], dim: Optional[int],
                          length: Optional[int] = None) -> None:
     """ValueError when LS is among the methods and n_max lies outside
     [1, LS_N_MAX], Jacobian-F is and a given dim_f outside [1, dim], or a
-    given orbit length fails check_spectrum_length for a spectrum they run.
+    given orbit length fails check_spectrum_length for a spectrum they run
+    (Pesin's, or Jacobian-F's below full dimension).
 
     It needs no orbit, so commands and sweep configs run it before they
     sample anything; the two estimators run it on their own arguments.
@@ -118,7 +135,7 @@ def check_estimator_args(methods, n_max: int, dim_f: Optional[int], dim: int,
         raise ValueError(f"n_max must be in [1, {LS_N_MAX}]")
     if JACOBIAN_F in methods and dim_f is not None and not 1 <= dim_f <= dim:
         raise ValueError(f"dim_f must be in [1, {dim}]")
-    if length is not None and _runs_spectrum(methods, dim_f):
+    if length is not None and _runs_spectrum(methods, dim_f, dim):
         check_spectrum_length(length, dim)
 
 
@@ -243,43 +260,69 @@ def expanding_dim(spectrum: LyapunovSpectrum) -> int:
     return max(1, int((spectrum.exponents > 0.0).sum()))
 
 
+def frame_transient(spectrum: LyapunovSpectrum, dim_f: int) -> tuple:
+    """(gap, T, capped): the gap g = lambda_dim_f - lambda_(dim_f + 1) of
+    the spectrum at Jacobian-F's split, for 1 <= dim_f < d, and the
+    transient T = ceil(log(1/FRAME_TOL)/g), clipped to [T_MIN, T_MAX].
+
+    capped is set, with T = T_MAX, when g lies within 2 standard errors of
+    0 (cat4 at dim_f = 1) or when g T_MAX < log(1/FRAME_TOL): then the
+    frames may not have settled on F.
+    """
+    ex, se = spectrum.exponents, spectrum.std_error
+    gap = float(ex[dim_f - 1] - ex[dim_f])
+    need = math.log(1.0 / FRAME_TOL)
+    if abs(gap) <= 2.0 * math.hypot(se[dim_f - 1], se[dim_f]) or gap * T_MAX < need:
+        return gap, T_MAX, True
+    return gap, max(T_MIN, math.ceil(need / gap)), False
+
+
 def jacobian_formula_entropy(system: DynamicalSystem, measure, dim_f: int,
-                             seed: int = 0) -> EntropyEstimate:
+                             seed: int = 0,
+                             spectrum: Optional[LyapunovSpectrum] = None) -> EntropyEstimate:
     """Expected log volume expansion along the estimated F bundle.
 
-    The cloud walks FRAME_TRANSIENT steps while random frames are pushed
-    forward by _qr_step, batch-last; by invariance of the sampled measure
-    the advanced cloud integrates the same observable, so no backward
-    orbits are needed. The log volume at a point is the sum of log diag(R)
-    of the QR step that pushes its frame over one more step. dim_f = dim
-    takes no transient: it is <log |det Df|>.
+    Below full dimension the cloud walks T steps while random frames are
+    pushed forward by _qr_step, batch-last; by invariance of the sampled
+    measure the advanced cloud integrates the same observable, so no
+    backward orbits are needed. T comes from frame_transient on the given
+    spectrum (ValueError without one, or with one of another dimension).
+    The log volume at a point is the sum of log diag(R) of the QR step that
+    pushes its frame over one more step. dim_f = dim takes no transient and
+    reads no spectrum: it is <log |det Df|> over one step.
+
+    The diagnostics hold dim_f, n_transient (T), skipped_points and
+    raw_mean (the mean before the clip at 0); below full dimension also the
+    gap and transient_capped (see frame_transient).
     """
     pts, weights = measure.points, measure.weights
     m, d = pts.shape
     check_estimator_args((JACOBIAN_F,), None, dim_f, d)
-    walk = _cloud_walk(system, pts, [seed, 0xF1])
+    diagnostics = {"dim_f": dim_f}
     if dim_f == d:
-        frames, steps = np.broadcast_to(np.eye(d)[:, :, None], (d, d, m)), 1
+        frames, n_transient = np.broadcast_to(np.eye(d)[:, :, None], (d, d, m)), 0
     else:
+        if spectrum is None or spectrum.exponents.shape != (d,):
+            raise ValueError(f"Jacobian-F at dim_f = {dim_f} < {d} needs the system's "
+                             f"{d}-exponent spectrum to size its frame transient")
+        gap, n_transient, capped = frame_transient(spectrum, dim_f)
+        diagnostics.update(gap=gap, transient_capped=capped)
         frames = _random_frames(np.random.default_rng([seed, 0xF0]), m, d, dim_f)
-        steps = FRAME_TRANSIENT + 1
-    for _ in range(steps):
+    walk = _cloud_walk(system, pts, [seed, 0xF1])
+    for _ in range(n_transient + 1):
         dfs, alive = next(walk)
         frames, log_r = _qr_step(dfs, frames)
     good = alive & np.all(log_r > LOG_ZERO, axis=0)
     log_vol = np.where(good, log_r, 0.0).sum(axis=0)
     good &= np.isfinite(log_vol)
     mean, se = _masked_mean_se(log_vol, weights, good)
+    diagnostics.update(n_transient=n_transient, skipped_points=int(m - int(good.sum())),
+                       raw_mean=mean)
     return EntropyEstimate(
         value=max(mean, 0.0),
         method=JACOBIAN_F,
         std_error=se,
-        diagnostics={
-            "dim_f": dim_f,
-            "n_transient": FRAME_TRANSIENT,
-            "skipped_points": int(m - int(good.sum())),
-            "raw_mean": mean,
-        },
+        diagnostics=diagnostics,
     )
 
 
@@ -336,12 +379,13 @@ def run_estimators(system: DynamicalSystem, measure, methods, seed: int,
     for the named methods, and the spectrum used (None when none was).
 
     The Benettin spectrum, unless given, runs once and only for Pesin or a
-    Jacobian-F without dim_f: along the measure's own orbit when it keeps
-    one (benettin_spectrum rejects it unless it has burn_in + n_steps
-    points), else (Ulam clouds) along a fresh orbit from seed. dim_f
-    defaults to its expanding dimension.
+    Jacobian-F below full dimension or without dim_f: along the measure's
+    own orbit when it keeps one (benettin_spectrum rejects it unless it has
+    burn_in + n_steps points), else (Ulam clouds) along a fresh orbit from
+    seed. dim_f defaults to its expanding dimension, and below full
+    dimension its gap sizes Jacobian-F's frame transient.
     """
-    if spectrum is None and _runs_spectrum(methods, dim_f):
+    if spectrum is None and _runs_spectrum(methods, dim_f, system.space.dim):
         spectrum = benettin_spectrum(system, seed, burn_in, n_steps,
                                      orbit=measure.orbit)
     estimates = {}
@@ -353,7 +397,7 @@ def run_estimators(system: DynamicalSystem, measure, methods, seed: int,
     if JACOBIAN_F in methods:
         estimates[JACOBIAN_F] = jacobian_formula_entropy(
             system, measure, expanding_dim(spectrum) if dim_f is None else dim_f,
-            seed=seed)
+            seed=seed, spectrum=spectrum)
     return estimates, spectrum
 
 

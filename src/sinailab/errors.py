@@ -9,6 +9,10 @@ class SamplingFailureError(SinaiLabError):
     """Measure sampling failed persistently (e.g. repeated singular hits)."""
 
 
+class NonFiniteError(SinaiLabError):
+    """A computed exponent, entropy or standard error is not finite."""
+
+
 class UlamConvergenceError(SinaiLabError):
     """Power iteration on a transfer matrix did not converge."""
 

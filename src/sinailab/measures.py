@@ -282,12 +282,13 @@ def ulam_matrix(system: DynamicalSystem, resolution, samples_per_cell: int,
             np.add(corner[:, None], offsets[:, k], out=pts[:, :, k])
         images = system.eval_batch(pts.reshape(-1, d))
         # C-order image cell index by Horner's rule, each coordinate
-        # clipped into the grid
-        col = np.zeros(images.shape[0], dtype=np.int64)
+        # clipped into the grid; below MAX_ULAM_CELLS < 2^31 it fits int32,
+        # which halves the columns and the sort's work
+        col = np.zeros(images.shape[0], dtype=np.int32)
         for k in range(d):
             c = np.floor((images[:, k] - lo[k]) / cell_w[k]).astype(np.int64)
             col *= res[k]
-            col += np.clip(c, 0, res[k] - 1)
+            col += np.clip(c, 0, res[k] - 1, out=c)
         # a cell's entries are the runs of its sorted columns
         col = col.reshape(-1, s)
         col.sort(axis=1)

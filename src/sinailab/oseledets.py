@@ -17,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UnsupportedSystemError
+from .errors import NonFiniteError, SamplingFailureError, UnsupportedSystemError
 from .matrixcore import (
+    LOG_ZERO,
     WedgeAccumulatorBatch,
     _qr_step,
     _random_frames,
@@ -39,6 +40,9 @@ class LyapunovSpectrum:
     def __post_init__(self):
         self.exponents = np.asarray(self.exponents, dtype=float)
         self.std_error = np.asarray(self.std_error, dtype=float)
+        if not (np.isfinite(self.exponents).all() and np.isfinite(self.std_error).all()):
+            raise NonFiniteError(f"spectrum {self.exponents.tolist()} (se "
+                                 f"{self.std_error.tolist()}) is not finite")
 
     def to_json_dict(self) -> dict:
         return {
@@ -116,10 +120,24 @@ def benettin_spectrum(system: DynamicalSystem, seed: int, burn_in: int,
                          f"expected burn_in + n_steps = {burn_in + n_steps}")
     if d == 1:
         logs = system.differential_batch(orbit[burn_in:])[0]
-        np.log(np.abs(logs, out=logs), out=logs)
+        np.abs(logs, out=logs)
+        step = int(np.argmin(logs))  # the first zero (or NaN), if any
+        if not logs[0, step] > 0.0:
+            _raise_singular(system, burn_in + step)
+        np.log(logs, out=logs)
     else:
         logs = _lockstep_logs(system, orbit, burn_in)
+        if not logs.min() > LOG_ZERO:  # _qr_step logs a killed direction as LOG_ZERO
+            step = int(np.argmin((logs > LOG_ZERO).all(axis=0)))
+            _raise_singular(system, burn_in + step)
     return _spectrum_from_logs(logs, n_steps, blocks)
+
+
+def _raise_singular(system: DynamicalSystem, step: int):
+    """SamplingFailureError naming the orbit step whose derivative is
+    singular: its log diag(R) holds a log 0."""
+    raise SamplingFailureError(f"{system.name}: the derivative is singular at "
+                               f"orbit step {step}")
 
 
 def _spectrum_from_logs(logs: np.ndarray, n_steps: int, blocks: int) -> LyapunovSpectrum:
@@ -161,7 +179,11 @@ class SplittingEstimate:
 
 
 #: steps a random frame is pushed along an orbit before it stands for its
-#: Oseledets subspace: both legs of estimate_bundles_many and Jacobian-F
+#: Oseledets subspace, in both legs of estimate_bundles_many. It stays
+#: fixed, while Jacobian-F sizes its transient from the gap g: the
+#: domination report pushes E on for up to 12 more steps, over which the
+#: frame error grows like exp(g n), and a gap-sized 10-step leg on cat
+#: (e^-19.3) would reach e^(-19.3 + 23.1) > 1 at n = 12
 FRAME_TRANSIENT = 60
 
 

@@ -1,8 +1,21 @@
 """Shared fixtures."""
 
+import numpy as np
 import pytest
 
 from sinailab.systems import DynamicalSystem
+
+
+@pytest.fixture(autouse=True)
+def _raise_on_float_errors():
+    """Every test runs with numpy raising FloatingPointError on a division
+    by zero, an invalid operation or an overflow, so no silent inf or NaN
+    gets through; a test or the package opts out in an explicit
+    np.errstate block. numpy's error state is per thread: forked sweep
+    workers inherit it, the LS table's pool threads keep numpy's
+    defaults."""
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        yield
 
 
 @pytest.fixture

@@ -460,7 +460,10 @@ class TestUsageErrors:
         ["entropy", "--system", "skew", "--nmax", "100"],
         ["entropy", "--system", "skew", "--method", "jacobian", "--dimf", "5"],
         ["entropy", "--system", "mp", "--length", "15", "--method", "pesin"],
-    ], ids=["nmax", "dimf", "length-short-for-spectrum"])
+        # below full dimension Jacobian-F reads the spectrum's gap
+        ["entropy", "--system", "cat", "--method", "jacobian", "--dimf", "1",
+         "--length", "10", "--burn-in", "1e3"],
+    ], ids=["nmax", "dimf", "length-short-for-spectrum", "jacobian-short-for-spectrum"])
     def test_entropy_range_checked_before_sampling(self, tmp_path, capsys,
                                                    orbit_calls, argv):
         # n_max, dim_f and the spectrum's orbit length are checked against

@@ -1,5 +1,6 @@
 """The three entropy estimators and their cross-validation."""
 
+import dataclasses
 import math
 import threading
 
@@ -8,12 +9,14 @@ import pytest
 
 import sinailab.entropy as entropy_mod
 from sinailab.entropy import (
+    JACOBIAN_F,
     EntropyEstimate,
     combine_estimates,
     cross_validate,
     jacobian_formula_entropy,
     ls_entropy,
     pesin_entropy,
+    run_estimators,
 )
 from sinailab.errors import SamplingFailureError
 from sinailab.matrixcore import WedgeAccumulatorBatch, log_wedge_total_from_rows
@@ -31,6 +34,7 @@ from sinailab.systems import (
     make_standard_skew,
     make_viana,
 )
+from test_oseledets import constant_cocycle
 
 LAM = (3.0 + math.sqrt(5.0)) / 2.0
 LOG_LAM = math.log(LAM)
@@ -393,12 +397,86 @@ class TestExponentFunction:
             prev = v
 
 
+def cloud_spectrum(system, mu):
+    """The Benettin spectrum along a small_cloud's own orbit."""
+    return benettin_spectrum(system, 1, 50, mu.orbit.shape[0] - 50, orbit=mu.orbit)
+
+
+#: the g T at which a frame's error exp(-g T) reaches FRAME_TOL
+FRAME_NEED = math.log(1.0 / entropy_mod.FRAME_TOL)
+
+
 class TestJacobianFormulaEntropy:
     def test_cat_unstable(self):
+        # gap 2 log(lambda): the transient is sized from it, clipped below
         sys = make_cat_map()
         mu = small_cloud(sys, length=2000)
-        est = jacobian_formula_entropy(sys, mu, dim_f=1)
+        est = jacobian_formula_entropy(sys, mu, dim_f=1, spectrum=cloud_spectrum(sys, mu))
         assert est.value == pytest.approx(LOG_LAM, abs=1e-6)
+        assert est.diagnostics["n_transient"] == max(
+            entropy_mod.T_MIN, math.ceil(FRAME_NEED / (2.0 * LOG_LAM)))
+        assert est.diagnostics["gap"] == pytest.approx(2.0 * LOG_LAM, abs=1e-9)
+        assert est.diagnostics["transient_capped"] is False
+
+    def test_bias_follows_the_gap(self):
+        # a constant non-normal cocycle with gap g = 0.5: a random frame's
+        # error, and so the bias of the log volume, decays like exp(-g T),
+        # and at the sized T = ceil(log(1/FRAME_TOL)/g) it is below FRAME_TOL
+        gap = 0.5
+        sys = constant_cocycle(np.array([[math.exp(gap), 1.0], [0.0, 1.0]]))
+        pts = np.random.default_rng(0).uniform(size=(500, 2))
+        mu = EmpiricalMeasure(sys.space, pts, np.full(500, 1.0 / 500))
+
+        def bias(spectrum):
+            est = jacobian_formula_entropy(sys, mu, dim_f=1, spectrum=spectrum)
+            return est.diagnostics["raw_mean"] - gap, est.diagnostics
+
+        # spectra whose gaps ask for T = 20, 30 and 40 steps
+        scaled = [bias(spectrum_of(FRAME_NEED / (t - 0.5), 0.0))
+                  for t in (20, 30, 40)]
+        assert [diag["n_transient"] for _, diag in scaled] == [20, 30, 40]
+        rates = [b * math.exp(gap * diag["n_transient"]) for b, diag in scaled]
+        assert rates[0] > 0.0
+        assert rates == pytest.approx([rates[0]] * 3, rel=0.02)
+        sized, diag = bias(spectrum_of(gap, 0.0))
+        assert diag["n_transient"] == math.ceil(FRAME_NEED / gap)
+        assert 0.0 < sized < entropy_mod.FRAME_TOL
+
+    def test_cat4_transient_capped(self):
+        # cat4's two unstable exponents are equal: no gap at dim_f = 1, so
+        # the frames take T_MAX steps and the run says they may not settle
+        sys = make_cat_block(2)
+        mu = small_cloud(sys, length=500)
+        est = jacobian_formula_entropy(sys, mu, dim_f=1, spectrum=cloud_spectrum(sys, mu))
+        assert est.diagnostics["transient_capped"] is True
+        assert est.diagnostics["n_transient"] == entropy_mod.T_MAX
+        assert est.value == pytest.approx(LOG_LAM, abs=1e-6)
+
+    def test_small_gap_capped(self):
+        # a gap g with g T_MAX < log(1/FRAME_TOL), well outside 2 SE of 0
+        spec = spectrum_of(0.5 * FRAME_NEED / entropy_mod.T_MAX, 0.0, se=1e-6)
+        assert entropy_mod.frame_transient(spec, 1)[1:] == (entropy_mod.T_MAX, True)
+        spec = spectrum_of(2.0 * FRAME_NEED / entropy_mod.T_MAX, 0.0, se=1e-6)
+        assert entropy_mod.frame_transient(spec, 1)[1:] == (entropy_mod.T_MAX // 2, False)
+
+    def test_full_dim_takes_one_step_and_no_spectrum(self):
+        sys = make_standard_skew(0.5, 2)
+        calls = []
+        counted = dataclasses.replace(
+            sys, differential_batch=lambda pts: calls.append(1) or sys.differential_batch(pts))
+        mu = small_cloud(sys, length=2000)
+        est = jacobian_formula_entropy(counted, mu, dim_f=4)
+        assert len(calls) == 1
+        assert est.diagnostics["n_transient"] == 0
+        assert "gap" not in est.diagnostics and "transient_capped" not in est.diagnostics
+
+    def test_below_full_dim_needs_the_spectrum(self):
+        sys = make_standard_skew(0.5, 2)
+        mu = small_cloud(sys, length=200)
+        with pytest.raises(ValueError, match="spectrum"):
+            jacobian_formula_entropy(sys, mu, dim_f=2)
+        with pytest.raises(ValueError, match="spectrum"):
+            jacobian_formula_entropy(sys, mu, dim_f=2, spectrum=spectrum_of(1.0, -1.0))
 
     def test_full_dim_volume_preserving_zero(self):
         sys = make_standard_skew(0.5, 2)
@@ -449,6 +527,15 @@ class TestCrossValidate:
         spec = benettin_spectrum(sys, 3, 500, 2_000)
         assert rep.estimates["pesin"].value == pesin_entropy(spec).value
 
+    def test_jacobian_below_full_dim_runs_the_spectrum(self, orbit_calls):
+        # its gap sizes the transient; at full dimension no spectrum runs
+        sys = make_standard_skew(0.5, 2)
+        mu = birkhoff_sample(sys, seed=3, burn_in=500, length=2_000)
+        ests, spec = run_estimators(sys, mu, (JACOBIAN_F,), 3, 500, 2_000, dim_f=2)
+        assert orbit_calls == [2_499]
+        assert ests[JACOBIAN_F].diagnostics["gap"] == spec.exponents[1] - spec.exponents[2]
+        assert run_estimators(sys, mu, (JACOBIAN_F,), 3, 500, 2_000, dim_f=4)[1] is None
+
     def test_forced_inconsistency_flags_ruelle(self):
         zero_spec = pesin_entropy(spectrum_of(0.0, 0.0))
         ls = EntropyEstimate(value=1.53, method="ledrappier_strelcyn")
@@ -477,5 +564,5 @@ class TestEntropyEstimateInvariants:
         mu = birkhoff_sample(sys, seed=5, burn_in=500, length=20_000)
         spec = benettin_spectrum(sys, seed=5, burn_in=500, n_steps=20_000)
         p = pesin_entropy(spec)
-        j = jacobian_formula_entropy(sys, mu, dim_f=1)
+        j = jacobian_formula_entropy(sys, mu, dim_f=1, spectrum=spec)
         assert abs(p.value - j.value) <= 2.0 * (p.std_error + j.std_error) + 0.01

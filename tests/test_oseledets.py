@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from sinailab.entropy import jacobian_formula_entropy
-from sinailab.errors import UnsupportedSystemError
+from sinailab.entropy import EntropyEstimate
+from sinailab.errors import NonFiniteError, SamplingFailureError, UnsupportedSystemError
 from sinailab.matrixcore import (
     WedgeAccumulatorBatch,
     _qr_step,
@@ -16,6 +17,7 @@ from sinailab.matrixcore import (
 from sinailab.measures import EmpiricalMeasure, birkhoff_sample, log_det_batch, ls2_integral
 from sinailab.oseledets import (
     WARM,
+    LyapunovSpectrum,
     SplittingEstimate,
     _lockstep_logs,
     benettin_spectrum,
@@ -423,3 +425,36 @@ class TestGradedCocycle:
         out = ls2_integral(system, self._cloud(system))
         assert out["forward"] == pytest.approx(8.0 * math.log(10.0), rel=0.0, abs=1e-12)
         assert out["backward"] == pytest.approx(16.0 * math.log(10.0), rel=0.0, abs=1e-12)
+
+
+class TestNonFiniteGuards:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_singular_derivative_names_its_step(self, d):
+        # the derivative vanishes at one orbit point only: log 0 there
+        def dfb(pts):
+            keep = (np.atleast_2d(pts)[:, 0] != 0.5).astype(float)
+            return np.eye(d)[:, :, None] * keep
+        system = DynamicalSystem(name="zero", space=PhaseSpace.torus(d), params={},
+                                 eval_batch=lambda pts: pts.copy(),
+                                 differential_batch=dfb)
+        orbit = np.random.default_rng(2).uniform(0.0, 0.4, (100 + 400, d))
+        orbit[100 + 237] = 0.5
+        with pytest.raises(SamplingFailureError, match="singular at orbit step 337$"):
+            benettin_spectrum(system, 0, 100, 400, orbit=orbit)
+        orbit[100 + 237] = 0.25
+        assert benettin_spectrum(system, 0, 100, 400, orbit=orbit).exponents.tolist() == [0.0] * d
+
+    @pytest.mark.parametrize("exponents, std_error", [
+        ([0.5, -math.inf], [0.1, 0.1]), ([0.5, math.nan], [0.1, 0.1]),
+        ([0.5, -0.5], [0.1, math.nan]), ([0.5, -0.5], [math.inf, 0.1]),
+    ])
+    def test_spectrum_rejects_non_finite(self, exponents, std_error):
+        with pytest.raises(NonFiniteError):
+            LyapunovSpectrum(np.array(exponents), 100, np.array(std_error))
+
+    @pytest.mark.parametrize("value, std_error", [
+        (math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf),
+    ])
+    def test_estimate_rejects_non_finite(self, value, std_error):
+        with pytest.raises(NonFiniteError):
+            EntropyEstimate(value=value, method="pesin", std_error=std_error)

@@ -125,14 +125,18 @@ class TestSweepConfig:
         SweepConfig(family="skew", grid=(0.5,), estimators=(PESIN,), n_max=61, dim_f=5)
 
     def test_orbit_length_checked_where_the_spectrum_runs(self):
-        # the spectrum runs for Pesin and for Jacobian-F without dim_f, and
-        # needs 10 steps per dimension (40 on skew) and one per error block
+        # the spectrum runs for Pesin and for Jacobian-F below full dimension
+        # or without dim_f, and needs 10 steps per dimension (40 on skew)
+        # and one per error block
         with pytest.raises(ValueError, match="n_steps = 30 must be >= 40"):
             SweepConfig(family="skew", grid=(0.5,), estimators=(JACOBIAN_F,), length=30)
+        with pytest.raises(ValueError, match="n_steps = 30 must be >= 40"):
+            SweepConfig(family="skew", grid=(0.5,), estimators=(JACOBIAN_F,), length=30,
+                        dim_f=2)
         with pytest.raises(ValueError, match="n_steps = 10 must be >= 20"):
             SweepConfig(family="mp", grid=(0.5,), estimators=(PESIN,), length=10)
         SweepConfig(family="skew", grid=(0.5,), estimators=(JACOBIAN_F,), length=30,
-                    dim_f=2)
+                    dim_f=4)
         SweepConfig(family="mp", grid=(0.5,), estimators=(LEDRAPPIER_STRELCYN,), length=10)
 
     def test_ulam_cells_checked_against_the_guard(self):
@@ -209,9 +213,10 @@ class TestRunSweep:
         # every orbit leaves the reals, on every restart
         ("orbit_fn", "measure",
          "SamplingFailureError: manneville_pomeau: orbit hit the singular set on"),
-        # a zero derivative leaves Jacobian-F no point with a finite log volume
+        # a zero derivative is singular at the spectrum's first logged step
         ("differential_batch", "estimators",
-         "SamplingFailureError: no usable points in the cloud"),
+         "SamplingFailureError: manneville_pomeau: the derivative is singular at "
+         "orbit step 50"),
     ], ids=["measure", "estimators"])
     def test_failed_row_names_its_stage(self, monkeypatch, broken, stage, message):
         import sinailab.sweep as sweep_mod
@@ -225,8 +230,7 @@ class TestRunSweep:
         monkeypatch.setattr(sweep_mod, "get_family", lambda fid: family)
         cfg = SweepConfig(family="mp", grid=(0.3,), estimators=(PESIN, JACOBIAN_F),
                           seed=1, burn_in=50, length=2_000)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row = _sweep_point(cfg, 0)
+        row = _sweep_point(cfg, 0)
         assert row.error.startswith(f"{stage}: {message}")
         assert row.estimates == {} and row.moments is None
 
