@@ -2,7 +2,8 @@
 
 Lyapunov spectra via the discrete QR method, SRB/Sinai measure
 approximation (Birkhoff clouds and Ulam discretizations), three
-independent metric-entropy estimators, dominated-splitting verification,
+metric-entropy estimators (not independent on every cloud; see
+sinailab.entropy), dominated-splitting verification,
 and parameter sweeps that probe semicontinuity and continuity of the
 entropy along explicit map families.
 """

@@ -39,6 +39,7 @@ holds. The diagnostics record gap, n_transient and transient_capped.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from contextlib import nullcontext
@@ -207,7 +208,8 @@ def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
     kept in. Each block has its own WedgeAccumulatorBatch and steps on its
     slice of each (d, d, m) stack. With more than one block, the caller
     steps the first and a thread pool, which closes before this returns,
-    the others; their rows are joined in block order before the mean.
+    the others, each in a copy of the caller's context and so in its numpy
+    error state; their rows are joined in block order before the mean.
     Every point's row has the same bits in any block, so every number does
     too.
     """
@@ -227,7 +229,8 @@ def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
             else:
                 # every thread allocates from its own malloc arena: the
                 # caller's block reuses the memory this process already holds
-                rest = [pool.submit(_wedge_row, acc, dfs[:, :, lo:hi])
+                rest = [pool.submit(contextvars.copy_context().run, _wedge_row,
+                                    acc, dfs[:, :, lo:hi])
                         for acc, (lo, hi) in zip(accs[1:], blocks[1:])]
                 row = np.concatenate([_wedge_row(accs[0], dfs[:, :, :blocks[0][1]])]
                                      + [f.result() for f in rest])

@@ -9,15 +9,22 @@ integrability, parameter Hölder regularity of log |det Df|, Jacobian
 boundedness, and the split of <log |det Df|> at the singular set. One
 routine, _weighted_mean, sums every cloud integral, under weights that
 _kept_weights renormalizes once per set of kept points. The LS table's
-rows, the diagnose integrals, the singular-neighborhood masses and the
-weak* dictionary moments take the mean alone; _masked_mean_se adds the
-standard error to it for the estimators' values.
+rows, the diagnose integrals and the singular-neighborhood masses take
+the mean alone; _masked_mean_se adds the standard error to it for the
+estimators' values. The weak* test dictionary is one rule for every
+phase space: products of per-coordinate Fourier or Chebyshev modes, whose
+moments dictionary_moments gets in one real-arithmetic contraction of
+the first half of the coordinates against the second, a block of points
+at a time.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -38,8 +45,9 @@ MAX_ULAM_CELLS = 10_000_000
 #: chunk's sample grid and images (512 kB each) and its image-cell column
 #: (256 kB) fit a 2 MB per-core L2 together. On such a Xeon a
 #: 128^2-cell, 256-sample da build takes 0.13 s at 2^15 and 0.19 s at
-#: 2^18, with traced peaks of 6 and 26 MB. dictionary_moments evaluates
-#: the torus dictionary on this many (wavevector, point) values at a time
+#: 2^18, with traced peaks of 6 and 26 MB. dictionary_moments sums a block
+#: of BLOCK_POINTS // (2 x the larger half's mode count) points at a time,
+#: so each of its mode-product arrays holds about this many values
 BLOCK_POINTS = 2 ** 15
 
 
@@ -94,10 +102,11 @@ def _weighted_mean(values: np.ndarray, w: np.ndarray, keep=None) -> float:
     Values where keep is False are ignored, finite or not; keep=None
     means every point is kept, and nothing is masked.
 
-    The one place a cloud integral is summed. The sum is a numpy
-    reduction, never a BLAS product: a threaded BLAS splits a long dot
-    into per-thread partial sums, so its last bits would depend on the
-    host's thread count.
+    The one place a single cloud integral is summed (dictionary_moments
+    contracts its many at once). The sum is a numpy reduction, never a
+    BLAS product: a threaded BLAS splits a long dot into per-thread
+    partial sums, so its last bits would depend on the host's thread
+    count.
     """
     if keep is not None:
         values = np.where(keep, values, 0.0)
@@ -346,74 +355,73 @@ def ulam_stationary(transfer: TransferMatrix, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 
-def _chebyshev_values(u: np.ndarray, degree: int) -> np.ndarray:
-    """(degree + 1, len(u)) array of T_0..T_degree at u in [-1, 1]."""
-    out = np.ones((degree + 1, u.shape[0]))
-    if degree >= 1:
-        out[1] = u
-    for m in range(2, degree + 1):
-        out[m] = 2.0 * u * out[m - 1] - out[m - 2]
+def _modes(x: np.ndarray, js: np.ndarray, periodic: bool) -> np.ndarray:
+    """(2, len(js), points) real and imaginary parts of one coordinate's
+    modes at x: e^(2 pi i j x) if periodic, else T_j (js = 0..cutoff)."""
+    out = np.zeros((2, len(js), x.shape[0]))
+    if periodic:
+        phases = 2.0 * math.pi * np.multiply.outer(js, x)
+        out[0], out[1] = np.cos(phases), np.sin(phases, out=phases)
+        return out
+    out[0, 0], out[0, 1] = 1.0, x
+    for j in js[2:]:
+        out[0, j] = 2.0 * x * out[0, j - 1] - out[0, j - 2]
     return out
 
 
-def _torus_wavevectors(d: int, cutoff: int):
-    """Lexicographically positive half of the integer box, zero excluded."""
-    grids = np.meshgrid(*[np.arange(-cutoff, cutoff + 1)] * d, indexing="ij")
-    ks = np.column_stack([g.ravel() for g in grids])
-    # a wavevector's first nonzero entry (the zero vector's reads 0)
-    first = ks[np.arange(ks.shape[0]), np.argmax(ks != 0, axis=1)]
-    return ks[first > 0]
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every row of a times every row of b as complex numbers, a's rows major."""
+    out = np.empty((2, a.shape[1], b.shape[1], a.shape[2]))
+    np.multiply(a[0][:, None], b[0], out=out[0])
+    out[0] -= a[1][:, None] * b[1]
+    np.multiply(a[0][:, None], b[1], out=out[1])
+    out[1] += a[1][:, None] * b[0]
+    return out.reshape(2, -1, a.shape[2])
+
+
+def _block_gram(space: PhaseSpace, x: np.ndarray, w: np.ndarray, ranges) -> np.ndarray:
+    """One point block's sums of w times each first-half mode product times
+    each second-half one: (2, 2, first, second), real and imaginary parts."""
+    u = np.where(space.periodic, x, 2.0 * (x - space.lo) / space.widths() - 1.0)
+    modes = list(map(_modes, u.T, ranges, space.periodic))
+    h = len(modes) // 2
+    head = reduce(_times, modes[:h], np.multiply.outer([1.0, 0.0], w)[:, None])
+    tail = reduce(_times, modes[h:])
+    return np.einsum("cap,dbp->cdab", head, tail)
 
 
 def dictionary_moments(measure, cutoff: int) -> np.ndarray:
     """Integrals of the test dictionary against the measure, every point
-    counted, each one _weighted_mean over the whole cloud.
+    counted; ValueError unless cutoff is an integer >= 1.
 
-    Torus: cos(2 pi k.x), then sin(2 pi k.x), each over |k|_inf <= cutoff
-    in _torus_wavevectors order. An m-point cloud is evaluated on
-    max(1, BLOCK_POINTS // m) wavevectors at a time, so each array holds
-    about BLOCK_POINTS values whatever the dimension. A cloud of more than
-    BLOCK_POINTS points gets one wavevector at a time, a few rows of m
-    values: the floor for a moment that is one reduction over its whole
-    row. Every value, and so every moment and its place in the vector,
-    is the same whatever the block. Interval: Chebyshev polynomials to
-    degree cutoff (affinely rescaled). Cylinder: products of the two. The
-    constant function is omitted (every measure integrates it to 1).
+    The dictionary is the products of one mode per coordinate (_modes) over
+    the multi-indices with |j| <= cutoff whose first nonzero entry is
+    positive, in lexicographic order: their real parts, then the imaginary
+    parts of those with a nonzero periodic entry. Torus: every cos(2 pi k.x),
+    then every sin(2 pi k.x). Interval: T_1..T_cutoff. Cylinder: the T_j,
+    then the cos(2 pi k x) T_j, then the sin(2 pi k x) T_j. Each moment is
+    an entry of one contraction of the first half's mode products against
+    the second half's, summed over contiguous point blocks in order, with
+    about BLOCK_POINTS values per array. numpy element-wise ops and
+    np.einsum do the real arithmetic: no BLAS, so no thread count moves a
+    bit.
     """
-    space, pts = measure.space, measure.points
-    w = _kept_weights(measure.weights)
-
-    def means(rows):
-        return [_weighted_mean(f, w) for f in rows]
-
-    if space.kind == "torus":
-        ks = _torus_wavevectors(space.dim, cutoff)
-        per_block = max(1, BLOCK_POINTS // pts.shape[0])
-        # contiguous coordinate rows: the phase sum reads each once per
-        # block, and over strided columns it ran at half the speed
-        coords = np.ascontiguousarray(pts.T)
-        cos, sin = [], []
-        for start in range(0, ks.shape[0], per_block):
-            chunk = ks[start:start + per_block]
-            phases = 2.0 * math.pi * sum(np.multiply.outer(k, x)
-                                         for k, x in zip(chunk.T, coords))
-            cos += means(np.cos(phases))
-            sin += means(np.sin(phases))
-        moments = cos + sin
-    elif space.kind == "interval":
-        u = 2.0 * (pts[:, 0] - space.lo[0]) / space.widths()[0] - 1.0
-        moments = means(_chebyshev_values(u, cutoff)[1:])
-    elif space.kind == "cylinder":
-        phases = 2.0 * math.pi * pts[:, 0]
-        u = 2.0 * (pts[:, 1] - space.lo[1]) / space.widths()[1] - 1.0
-        cheb = _chebyshev_values(u, cutoff)
-        moments = means(cheb[1:])  # pure Chebyshev modes
-        for k in range(1, cutoff + 1):
-            moments += means(np.cos(k * phases) * cheb)
-            moments += means(np.sin(k * phases) * cheb)
-    else:
-        raise ValueError(f"no dictionary for space kind {space.kind!r}")
-    return np.array(moments)
+    if not isinstance(cutoff, numbers.Integral) or cutoff < 1:
+        raise ValueError(f"cutoff must be an integer >= 1 (got {cutoff!r})")
+    space, pts, w = measure.space, measure.points, _kept_weights(measure.weights)
+    h, periodic = space.dim // 2, np.array(space.periodic)
+    # the dictionary has no index of negative first entry: skip its modes
+    ranges = [np.arange(-cutoff if p and k else 0, cutoff + 1)
+              for k, p in enumerate(periodic)]
+    halves = [math.prod(map(len, ranges[:h])), math.prod(map(len, ranges[h:]))]
+    step = max(1, BLOCK_POINTS // (2 * max(halves)))
+    gram = sum(_block_gram(space, pts[i:i + step], w[i:i + step], ranges)
+               for i in range(0, w.shape[0], step))
+    (rr, ri), (ir, ii) = gram
+    index = list(product(*ranges))
+    real = np.array([k > (0,) * space.dim for k in index])  # lexicographically
+    imag = real & np.any(np.array(index)[:, periodic] != 0, axis=1)
+    return np.concatenate([(rr - ii).ravel()[real], (ri + ir).ravel()[imag]])
 
 
 def moment_gap(m1: np.ndarray, m2: np.ndarray) -> float:

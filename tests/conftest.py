@@ -11,9 +11,9 @@ def _raise_on_float_errors():
     """Every test runs with numpy raising FloatingPointError on a division
     by zero, an invalid operation or an overflow, so no silent inf or NaN
     gets through; a test or the package opts out in an explicit
-    np.errstate block. numpy's error state is per thread: forked sweep
-    workers inherit it, the LS table's pool threads keep numpy's
-    defaults."""
+    np.errstate block. numpy's error state is a context variable: forked
+    sweep workers inherit it, and the LS table runs each pool thread's
+    block in a copy of the caller's context, so in the same state."""
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         yield
 

@@ -358,6 +358,26 @@ class TestLSBlocks:
         ls_entropy(sys, mu, 5)
         assert threading.active_count() == before
 
+    def test_pool_threads_run_in_the_callers_error_state(self, skew_cloud, monkeypatch):
+        # numpy keeps its error state in a context variable, which a new
+        # thread starts without: each block must see the caller's state
+        sys, mu = skew_cloud
+        monkeypatch.setattr(entropy_mod, "_ls_threads", 2)
+        assert len(entropy_mod._ls_blocks(4000, 4)) == 2
+        seen = []
+        wedge_row = entropy_mod._wedge_row
+
+        def recorded(acc, dfs):
+            seen.append((threading.get_ident(), np.geterr()))
+            return wedge_row(acc, dfs)
+
+        monkeypatch.setattr(entropy_mod, "_wedge_row", recorded)
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            caller = np.geterr()
+            ls_entropy(sys, mu, 5, early_stop=False)
+        assert len({ident for ident, _ in seen}) == 2 and len(seen) == 10
+        assert all(state == caller for _, state in seen)
+
     def test_no_thread_outlives_the_table(self, skew_cloud, monkeypatch):
         sys, mu = skew_cloud
         monkeypatch.setattr(entropy_mod, "_ls_threads", 2)

@@ -117,10 +117,9 @@ def traced_moments(mu, cutoff):
 
 
 def few_rows(mu):
-    """Bytes of six float64 rows of max(BLOCK_POINTS, points) values (the
-    phase block, its running sum and term, a cos or sin block and the
-    weights, with room for the wavevector table) beside the cloud's
-    coordinates as d rows of its m points."""
+    """Bytes of six float64 rows of max(BLOCK_POINTS, points) values (a
+    point block's mode arrays, their products and the weights) beside the
+    cloud's coordinates as d rows of its m points."""
     m, d = mu.points.shape
     return 8 * (6 * max(BLOCK_POINTS, m) + d * m)
 
@@ -305,7 +304,7 @@ def dictionary_clouds():
     return {
         # the benchmark's da sweep cloud: 16384 points on T^2
         "da-ulam-128": ulam_stationary(t, tol=1e-10),
-        # more points than BLOCK_POINTS: one wavevector at a time
+        # more points than BLOCK_POINTS: its weights outweigh a block
         "cat-40000": birkhoff_sample(make_cat_map(), seed=2, burn_in=10, length=40_000),
         # an odd length leaves a SIMD tail in every row
         "skew-2001": birkhoff_sample(make_standard_skew(0.5, 2), seed=1,
@@ -343,6 +342,16 @@ class TestWeakStar:
         assert d01 == pytest.approx(d10, abs=1e-15)
         assert d02 <= d01 + d12 + 1e-15
 
+    @pytest.mark.parametrize("cutoff", [0, -1, 2.5])
+    def test_bad_cutoff_rejected(self, cutoff):
+        # 0 and -1 leave no function; 2.5 would give non-integer wavevectors
+        mu = dirac(PhaseSpace.torus(2), [0.1, 0.2])
+        nu = dirac(PhaseSpace.torus(2), [0.3, 0.4])
+        with pytest.raises(ValueError, match="cutoff"):
+            dictionary_moments(mu, cutoff)
+        with pytest.raises(ValueError, match="cutoff"):
+            weak_star_distance(mu, nu, cutoff)
+
     def test_mismatched_spaces_rejected(self):
         mu = dirac(PhaseSpace.torus(1), [0.1])
         nu = dirac(PhaseSpace.unit_interval(), [0.1])
@@ -367,8 +376,8 @@ class TestWeakStar:
     @pytest.mark.parametrize("cloud", ["da-ulam-128", "cat-40000"])
     def test_torus_dictionary_memory_stays_block_sized(self, dictionary_clouds, cloud):
         # 40 T^2 wavevectors 64 at a time held (40, m) arrays: 15 MB on the
-        # 128^2-cell Ulam cloud. A cloud of more than BLOCK_POINTS points
-        # takes one wavevector at a time, so a few rows of m values
+        # 128^2-cell Ulam cloud. Point blocks hold about BLOCK_POINTS values
+        # per array, beside a few rows of m values
         _, peak = traced_moments(dictionary_clouds[cloud], 4)
         assert peak < few_rows(dictionary_clouds[cloud])
 
@@ -388,8 +397,9 @@ class TestWeakStar:
 def canonical_moments(mu, cutoff):
     """The dictionary moments one function at a time, in the documented
     order: torus cos(2 pi k.x) over the half box, then sin; interval
-    Chebyshev T_1..T_cutoff; cylinder the Chebyshev modes, then cos(k x) T_j
-    and sin(k x) T_j for k = 1..cutoff and j = 0..cutoff."""
+    Chebyshev T_1..T_cutoff; cylinder the Chebyshev modes, then the
+    cos(2 pi k x) T_j blocks, then the sin(2 pi k x) T_j blocks, for
+    k = 1..cutoff and j = 0..cutoff."""
     w = _kept_weights(mu.weights)
     pts = mu.points
     kind, lo, widths = mu.space.kind, mu.space.lo, mu.space.widths()
@@ -404,31 +414,64 @@ def canonical_moments(mu, cutoff):
         u = 2.0 * (pts[:, 1] - lo[1]) / widths[1] - 1.0
         cheb = np.polynomial.chebyshev.chebvander(u, cutoff).T
         rows = list(cheb[1:])
-        for k in range(1, cutoff + 1):
-            rows += [np.cos(2.0 * math.pi * k * pts[:, 0]) * c for c in cheb]
-            rows += [np.sin(2.0 * math.pi * k * pts[:, 0]) * c for c in cheb]
+        for trig in (np.cos, np.sin):
+            rows += [trig(2.0 * math.pi * k * pts[:, 0]) * c
+                     for k in range(1, cutoff + 1) for c in cheb]
     return np.array([np.sum(w * r) for r in rows])
 
 
 class TestDictionaryBlocks:
-    # the torus dictionary is evaluated a block of wavevectors at a time;
-    # every moment must keep its bits and its place whatever the block
+    # the dictionary is summed a block of points at a time; every moment
+    # must keep its place and its value, to rounding, whatever the block
 
     @pytest.mark.parametrize("cloud", ["da-ulam-128", "cat-40000", "skew-2001",
                                        "mp-interval", "viana-cylinder"])
-    def test_moments_bits_independent_of_blocks(self, dictionary_clouds, cloud,
-                                                monkeypatch):
+    def test_moments_match_canonical_in_any_block(self, dictionary_clouds, cloud,
+                                                  monkeypatch):
         mu = dictionary_clouds[cloud]
-        ref = dictionary_moments(mu, 4)
+        ref = canonical_moments(mu, 4)
         m = mu.points.shape[0]
         for per_block in (1, 2, 7, 3280):
             monkeypatch.setattr(measures_mod, "BLOCK_POINTS", per_block * m)
-            assert np.array_equal(dictionary_moments(mu, 4), ref), per_block
-        if mu.space.kind == "torus":
-            # the same arithmetic one wavevector at a time, in order
-            assert np.array_equal(ref, canonical_moments(mu, 4))
-        else:
-            assert np.allclose(ref, canonical_moments(mu, 4), rtol=0.0, atol=1e-12)
+            got = dictionary_moments(mu, 4)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-15, per_block
+
+
+def gauss_chebyshev(n, lo, hi):
+    """The n Gauss-Chebyshev nodes cos(pi (k + 1/2) / n), mapped from
+    [-1, 1] onto [lo, hi]."""
+    return lo + (hi - lo) * (1.0 + np.cos(math.pi * (np.arange(n) + 0.5) / n)) / 2.0
+
+
+class TestDictionaryOracle:
+    # discrete orthogonality: on these grids every moment is 0 in exact
+    # arithmetic, which checks the tensor product without a reference
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_torus_cell_centers(self, d):
+        # the r^d cell centers sum e^(2 pi i k.x) to 0 for 0 < |k|_inf < r
+        mu = identity_ulam(PhaseSpace.torus(d), (5,) * d)
+        m = dictionary_moments(mu, 4)
+        assert m.shape == ((9 ** d - 1),)
+        assert np.max(np.abs(m)) <= 1e-15
+
+    def test_interval_gauss_chebyshev(self):
+        # n nodes sum T_j to 0 for 0 < j < 2n: here j = 1..5 on 3 nodes
+        pts = gauss_chebyshev(3, 0.0, 1.0)[:, None]
+        mu = EmpiricalMeasure(PhaseSpace.unit_interval(), pts, np.full(3, 1.0 / 3))
+        m = dictionary_moments(mu, 5)
+        assert m.shape == (5,)
+        assert np.max(np.abs(m)) <= 1e-15
+
+    def test_cylinder_product_grid(self):
+        space = PhaseSpace.cylinder(-1.5, 2.0)
+        angle = (np.arange(5) + 0.5) / 5.0
+        grid = np.array([(a, x) for a in angle for x in gauss_chebyshev(3, -1.5, 2.0)])
+        mu = EmpiricalMeasure(space, grid, np.full(15, 1.0 / 15))
+        m = dictionary_moments(mu, 4)
+        assert m.shape == (4 + 2 * 4 * 5,)
+        assert np.max(np.abs(m)) <= 1e-15
 
 
 class TestLS1:
