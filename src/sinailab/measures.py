@@ -42,12 +42,16 @@ MAX_ULAM_CELLS = 10_000_000
 
 #: values a blocked loop holds per array. ulam_matrix maps this many
 #: sample points at a time, rounded down to whole cells: for d = 2 a
-#: chunk's sample grid and images (512 kB each) and its image-cell column
-#: (256 kB) fit a 2 MB per-core L2 together. On such a Xeon a
-#: 128^2-cell, 256-sample da build takes 0.13 s at 2^15 and 0.19 s at
-#: 2^18, with traced peaks of 6 and 26 MB. dictionary_moments sums a block
-#: of BLOCK_POINTS // (2 x the larger half's mode count) points at a time,
-#: so each of its mode-product arrays holds about this many values
+#: chunk's sample grid and images (512 kB each), its two float image-cell
+#: buffers (256 kB each) and its int32 columns (128 kB) fit a 2 MB
+#: per-core L2 together. On such a Xeon a 128^2-cell, 256-sample da build
+#: took 0.13 s at 2^15 and 0.19 s at 2^18, with traced peaks of 6 and
+#: 26 MB. dictionary_moments sums a block of BLOCK_POINTS // (2 x the
+#: larger half's mode count) points at a time, so each of its mode-product
+#: arrays holds about this many values. Benettin's _lockstep_logs asks
+#: differential_batch for BLOCK_POINTS // (d^2 x live time blocks)
+#: consecutive lockstep steps at once, so each derivative stack holds
+#: about this many values too
 BLOCK_POINTS = 2 ** 15
 
 
@@ -246,6 +250,19 @@ def _lattice_offsets(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return lattice
 
 
+def _check_finite_images(system: DynamicalSystem, images: np.ndarray, start: int,
+                         s: int, res: np.ndarray) -> None:
+    """SamplingFailureError naming the first Ulam cell, of a chunk that
+    begins at cell `start`, with a sample point whose image is not finite."""
+    bad = ~np.isfinite(images).all(axis=1)
+    if bad.any():
+        cell = start + int(np.argmax(bad)) // s
+        raise SamplingFailureError(
+            f"{system.name}: a sample point of Ulam cell {cell} "
+            f"{tuple(int(i) for i in np.unravel_index(cell, tuple(res)))} "
+            "has a non-finite image")
+
+
 def ulam_matrix(system: DynamicalSystem, resolution, samples_per_cell: int,
                 seed: int) -> TransferMatrix:
     """Row-stochastic Ulam matrix: row i is the empirical image-cell
@@ -255,6 +272,8 @@ def ulam_matrix(system: DynamicalSystem, resolution, samples_per_cell: int,
     the grid and the image-cell index are built one coordinate at a time,
     and each cell's entries are counted as the runs of its sorted image
     columns, so the chunks give their entries in (row, column) order.
+    A finite image outside the grid counts toward the nearest edge cell; a
+    non-finite one raises SamplingFailureError naming its cell.
     """
     import scipy.sparse as sp
 
@@ -281,6 +300,8 @@ def ulam_matrix(system: DynamicalSystem, resolution, samples_per_cell: int,
     offsets = _lattice_offsets(s, d, rng) * cell_w
 
     chunk = max(1, BLOCK_POINTS // s)
+    # the image-cell index and one coordinate's cell, for a whole chunk
+    index_buf, coord_buf = np.empty(chunk * s), np.empty(chunk * s)
     rows, cols, counts = [], [], []
     for start in range(0, n_cells, chunk):
         idx = np.arange(start, min(start + chunk, n_cells))
@@ -290,16 +311,24 @@ def ulam_matrix(system: DynamicalSystem, resolution, samples_per_cell: int,
             corner = lo[k] + coord * cell_w[k]
             np.add(corner[:, None], offsets[:, k], out=pts[:, :, k])
         images = system.eval_batch(pts.reshape(-1, d))
-        # C-order image cell index by Horner's rule, each coordinate
-        # clipped into the grid; below MAX_ULAM_CELLS < 2^31 it fits int32,
-        # which halves the columns and the sort's work
-        col = np.zeros(images.shape[0], dtype=np.int32)
+        # C-order image cell index by Horner's rule in float, exact below
+        # MAX_ULAM_CELLS < 2^31 < 2^53; each coordinate's cell is clipped
+        # into the grid only when an image lies outside it. The int32
+        # columns halve the sort's work
+        col = index_buf[:images.shape[0]]
         for k in range(d):
-            c = np.floor((images[:, k] - lo[k]) / cell_w[k]).astype(np.int64)
-            col *= res[k]
-            col += np.clip(c, 0, res[k] - 1, out=c)
+            c = col if k == 0 else coord_buf[:images.shape[0]]
+            np.subtract(images[:, k], lo[k], out=c)
+            np.divide(c, cell_w[k], out=c)
+            np.floor(c, out=c)
+            if not (c.min() >= 0.0 and c.max() <= res[k] - 1):
+                _check_finite_images(system, images, start, s, res)
+                np.clip(c, 0, res[k] - 1, out=c)
+            if k:
+                col *= res[k]
+                col += c
         # a cell's entries are the runs of its sorted columns
-        col = col.reshape(-1, s)
+        col = col.astype(np.int32).reshape(-1, s)
         col.sort(axis=1)
         col = col.ravel()
         run = np.empty(col.shape[0], dtype=bool)

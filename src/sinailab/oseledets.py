@@ -2,11 +2,11 @@
 
 The spectrum comes from the discrete QR (Benettin) scheme run along a
 Birkhoff orbit, cut into contiguous time blocks whose frames advance
-together: one matrixcore._qr_step per map step, on differential_batch at
-the blocks' points. Each block's frame first warms up over the WARM orbit
-steps before it. The per-step logs are put back in time order, so the
-batch means read them as one sequential run. For d = 1 the spectrum is
-the closed-form orbit average of log |f'|.
+together: one matrixcore._qr_step per map step, on the blocks' slice of a
+differential_batch call that covers a run of steps. Each block's frame
+first warms up over the WARM orbit steps before it. The per-step logs are
+put back in time order, so the batch means read them as one sequential
+run. For d = 1 the spectrum is the closed-form orbit average of log |f'|.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .matrixcore import (
     _random_frames,
     log_singular_values_from_wedges,
 )
-from .measures import _sample_orbit
+from . import measures
 from .systems import DynamicalSystem, _cloud_walk
 
 
@@ -68,11 +68,16 @@ def _lockstep_logs(system: DynamicalSystem, orbit: np.ndarray, burn_in: int) -> 
 
     The live steps are cut into contiguous time blocks (the first
     n_steps % n_blocks one step longer) that advance together: one
-    _qr_step per map step, on differential_batch at the blocks' points.
-    Each block's frame starts at the identity WARM steps before the block,
-    or at step 0 if later, and is not logged until the block begins: by
-    then it has forgotten its start, since the QR frame converges
-    exponentially fast onto the Oseledets flag when exponents separate.
+    _qr_step per map step. Each block's frame starts at the identity WARM
+    steps before the block, or at step 0 if later, and is not logged until
+    the block begins: by then it has forgotten its start, since the QR
+    frame converges exponentially fast onto the Oseledets flag when
+    exponents separate. The derivatives come from one differential_batch
+    call per run of consecutive steps, at all their blocks' points: about
+    measures.BLOCK_POINTS values, BLOCK_POINTS // (d^2 x live blocks)
+    steps, and each step reads its slice of that stack. A point's
+    derivative has the same bits in any batch, so the run length does not
+    change the logs.
     """
     n_steps, d = orbit.shape[0] - burn_in, orbit.shape[1]
     n_blocks = max(1, min(MAX_BLOCKS, n_steps // WARM))
@@ -81,12 +86,22 @@ def _lockstep_logs(system: DynamicalSystem, orbit: np.ndarray, burn_in: int) -> 
     starts = burn_in + blocks * length + np.minimum(blocks, extra)
     q = np.broadcast_to(np.eye(d)[:, :, None], (d, d, n_blocks)).copy()
     logs = np.empty((d, n_steps))
-    for t in range(-min(WARM, int(starts[-1])), length + (extra > 0)):
-        live = slice(0 if starts[0] + t >= 0 else 1, n_blocks if t < length else extra)
-        idx = starts[live] + t
-        q[:, :, live], step_logs = _qr_step(system.differential_batch(orbit[idx]), q[:, :, live])
-        if t >= 0:
-            logs[:, idx - burn_in] = step_logs
+    t, stop = -min(WARM, int(starts[-1])), length + (extra > 0)
+    while t < stop:
+        # the live blocks change only where block 0 starts and at `length`
+        first = 0 if starts[0] + t >= 0 else 1
+        live = slice(first, n_blocks if t < length else extra)
+        end = -int(starts[0]) if first else (length if t < length else stop)
+        n_live = live.stop - first
+        upto = min(end, t + max(1, measures.BLOCK_POINTS // (d * d * n_live)))
+        idx = starts[live] + np.arange(t, upto)[:, None]
+        dfs = system.differential_batch(orbit[idx.ravel()])
+        for j in range(upto - t):
+            q[:, :, live], step_logs = _qr_step(dfs[:, :, j * n_live:(j + 1) * n_live],
+                                                q[:, :, live])
+            if t + j >= 0:
+                logs[:, idx[j] - burn_in] = step_logs
+        t = upto
     return logs
 
 
@@ -114,7 +129,7 @@ def benettin_spectrum(system: DynamicalSystem, seed: int, burn_in: int,
         raise ValueError(f"blocks = {blocks} must be >= 2")
     check_spectrum_length(n_steps, d, blocks)
     if orbit is None:
-        orbit, _ = _sample_orbit(system, seed, burn_in, n_steps)
+        orbit, _ = measures._sample_orbit(system, seed, burn_in, n_steps)
     elif orbit.shape[0] != burn_in + n_steps:
         raise ValueError(f"orbit has {orbit.shape[0]} points, "
                          f"expected burn_in + n_steps = {burn_in + n_steps}")

@@ -496,16 +496,21 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
         and the margin covers the rounding of the wrap and of q. The first
         coordinate is tested on every point and the second only on the
         ~20% that pass, which keeps the candidates in index order. Only the
-        candidates are wrapped and given the exact test q < r2.
+        candidates are wrapped and given the exact test q < r2. The
+        eigenbasis projections are element-wise products and sums, not a
+        BLAS product, so a point gets the same bits alone as in any batch.
         """
         lim = DA_BUMP_RADIUS * (1.0 + 1e-9)
         x = pts[:, 0]
-        cand = np.flatnonzero(np.abs(x - np.round(x)) < lim)
+        off = np.round(x)
+        np.subtract(x, off, out=off)
+        cand = np.flatnonzero(np.abs(off, out=off) < lim)
         x = pts[cand, 1]
         cand = cand[np.abs(x - np.round(x)) < lim]
         y = _wrap_unit(pts[cand] + 0.5) - 0.5  # wrap to the cell centered at 0
-        u = y @ vu
-        s = y @ vs
+        y0, y1 = y[:, 0], y[:, 1]
+        u = y0 * vu[0] + y1 * vu[1]
+        s = y0 * vs[0] + y1 * vs[1]
         q = u * u + s * s
         inside = q < r2
         u, s, q = u[inside], s[inside], q[inside]

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import sinailab.measures as measures_mod
-from sinailab.errors import UlamConvergenceError
+from sinailab.errors import SamplingFailureError, UlamConvergenceError
 from sinailab.measures import (
     BLOCK_POINTS,
     EmpiricalMeasure,
@@ -251,6 +251,44 @@ class TestUlam:
             ref_t = TransferMatrix(t.space, t.resolution, ref, samples)
             assert np.array_equal(ulam_stationary(t, tol=1e-10).weights,
                                   ulam_stationary(ref_t, tol=1e-10).weights)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_image_names_its_cell(self, bad, axis, monkeypatch):
+        # cells (4, 5) and (6, 2) of an 8^2 grid map to a non-finite point;
+        # the build names the first, in a chunk after the first (4 cells a
+        # chunk), instead of counting it toward cell 0
+        def ev(pts):
+            out = np.atleast_2d(pts).copy()
+            cell = np.floor(out * 8.0)
+            out[((cell[:, 0] == 4) & (cell[:, 1] == 5))
+                | ((cell[:, 0] == 6) & (cell[:, 1] == 2)), axis] = bad
+            return out
+
+        system = DynamicalSystem(name="holed", space=PhaseSpace.torus(2), params={},
+                                 eval_batch=ev,
+                                 differential_batch=lambda pts: np.ones((2, 2, len(pts))))
+        monkeypatch.setattr(measures_mod, "BLOCK_POINTS", 16)
+        with pytest.raises(SamplingFailureError, match=r"holed: .* Ulam cell 37 \(4, 5\) "
+                                                       "has a non-finite image"):
+            ulam_matrix(system, 8, samples_per_cell=4, seed=0)
+
+    def test_finite_images_outside_the_grid_go_to_the_edge_cells(self):
+        # each cell of [0, 1) maps to one value; those outside [0, 1) land
+        # in the nearer edge cell, as mp's image 1.0 of x = 1/2 does
+        targets = np.array([-1e300, -0.2, -0.0, 1.0, 1.5, 1e300, 0.3, 0.999])
+
+        def ev(pts):
+            return targets[np.floor(np.atleast_2d(pts)[:, 0] * 8.0).astype(int)][:, None]
+
+        system = DynamicalSystem(name="edges", space=PhaseSpace.unit_interval(), params={},
+                                 eval_batch=ev,
+                                 differential_batch=lambda pts: np.ones((1, 1, len(pts))))
+        t = ulam_matrix(system, 8, samples_per_cell=4, seed=0)
+        assert np.array_equal(t.matrix.toarray(), np.eye(8)[[0, 0, 0, 7, 7, 7, 2, 7]])
+        mp = make_manneville_pomeau(0.3)
+        assert mp.eval_batch(np.array([[0.5]]))[0, 0] == 1.0
+        assert ulam_matrix(mp, 256, samples_per_cell=64, seed=0).matrix.indices.max() == 255
 
     def test_build_memory_stays_chunk_sized(self):
         # 128^2 cells x 256 samples: the one-shot build peaks near 390 MB,

@@ -1,11 +1,13 @@
 """Lyapunov spectra, subbundle estimation, domination, restricted Jacobians."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import sinailab.measures as measures_mod
 from sinailab.entropy import jacobian_formula_entropy
 from sinailab.entropy import EntropyEstimate
 from sinailab.errors import NonFiniteError, SamplingFailureError, UnsupportedSystemError
@@ -154,9 +156,10 @@ class TestBenettinSpectrum:
         (lambda: make_manneville_pomeau(0.5), 200_000),
     ], ids=["cat", "skew", "mp"])
     def test_peak_memory_is_the_log_table(self, make, n_steps):
-        # the derivatives come one lockstep step at a time (d = 1: the
-        # whole orbit's, in one buffer that becomes the logs), so the
-        # spectrum allocates little beyond its (d, n_steps) table of logs
+        # the derivatives come a run of lockstep steps at a time, about
+        # BLOCK_POINTS values (d = 1: the whole orbit's, in one buffer that
+        # becomes the logs), so the spectrum allocates little beyond its
+        # (d, n_steps) table of logs
         system = make()
         burn_in = 1_000
         orbit = birkhoff_sample(system, seed=5, burn_in=burn_in, length=n_steps).orbit
@@ -222,6 +225,38 @@ class TestLockstepLogs:
         start3 = burn_in + 201 + 2 * 200
         ref3 = _sequential_qr_logs(mats[start3 - WARM:start3 + 200])[WARM:]
         assert np.allclose(logs[601:801], ref3, atol=1e-10)
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_cat_block(2), lambda: make_standard_skew(0.5, 2), make_viana,
+        lambda: make_derived_from_anosov(0.35),
+    ], ids=["cat4", "skew", "viana", "da"])
+    @pytest.mark.parametrize("burn_in, n_steps", [(1_000, 20_000), (100, 20_123)])
+    def test_logs_do_not_depend_on_the_derivative_block(self, make, burn_in, n_steps,
+                                                         monkeypatch):
+        # each differential_batch call covers about BLOCK_POINTS values of
+        # consecutive lockstep steps; one step per call and a whole run per
+        # call must give the default's bits. At (1_000, 20_000) the 100
+        # blocks are live together over all WARM + 200 steps, so the whole
+        # run is one call; at (100, 20_123) block 0 joins late and 123
+        # blocks take a last step alone
+        system = make()
+        orbit = birkhoff_sample(system, seed=5, burn_in=burn_in, length=n_steps).orbit
+        calls = []
+
+        def counted(pts):
+            calls.append(pts.shape[0])
+            return system.differential_batch(pts)
+
+        counting = dataclasses.replace(system, differential_batch=counted)
+        ref = _lockstep_logs(counting, orbit, burn_in)
+        runs = {"default": len(calls)}
+        for name, block_points in [("step", 1), ("whole", 2 ** 40)]:
+            monkeypatch.setattr(measures_mod, "BLOCK_POINTS", block_points)
+            calls.clear()
+            assert _lockstep_logs(counting, orbit, burn_in).tobytes() == ref.tobytes()
+            runs[name] = len(calls)
+        if burn_in == 1_000:
+            assert runs["step"] == WARM + 200 > runs["default"] > runs["whole"] == 1
 
     def test_constant_non_normal_small_gap(self):
         # eigenvalues 1.01 and 1 (log gap 0.01), far from the singular

@@ -53,7 +53,8 @@ def finite_difference_jacobian(system, x, h=1e-5):
 def _unscreened_da(t):
     """(eval_batch, differential_batch) of the DA map with the bump worked
     out at every point, none screened out: the reference the screened
-    batch map must match bit for bit."""
+    batch map must match bit for bit. It projects onto the eigenbasis
+    element-wise, as the map does."""
     a = np.asarray(CAT_MATRIX, dtype=float)
     lam_inv = 1.0 / LAM
     vu = np.array([1.0, LAM - 2.0])
@@ -65,8 +66,8 @@ def _unscreened_da(t):
 
     def bump_terms(pts):
         y = np.mod(pts + 0.5, 1.0) - 0.5
-        u = y @ vu
-        s = y @ vs
+        u = y[:, 0] * vu[0] + y[:, 1] * vu[1]
+        s = y[:, 0] * vs[0] + y[:, 1] * vs[1]
         q = u * u + s * s
         inside = q < r2
         z = np.where(inside, 1.0 - q / r2, 0.0)
@@ -637,16 +638,19 @@ def _layout_points(name, system, rng, m=300):
     return system.space.uniform(rng, m)
 
 
-@pytest.mark.parametrize("name", ["cat", "cat4", "mp", "da-inside", "da-outside",
-                                  "skew", "viana"])
+LAYOUT_SYSTEMS = {"cat": make_cat_map, "cat4": lambda: make_cat_block(2),
+                  "mp": lambda: make_manneville_pomeau(0.3),
+                  "da-inside": lambda: make_derived_from_anosov(0.35),
+                  "da-outside": lambda: make_derived_from_anosov(0.35),
+                  "skew": lambda: make_standard_skew(0.5, 2), "viana": make_viana}
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_SYSTEMS))
 def test_differential_batch_is_batch_last(name):
     # every derivative stack is one C-contiguous (d, d, m) float array, and
-    # a point's slice is what the point alone gets, bit for bit
-    system = {"cat": make_cat_map, "cat4": lambda: make_cat_block(2),
-              "mp": lambda: make_manneville_pomeau(0.3),
-              "da-inside": lambda: make_derived_from_anosov(0.35),
-              "da-outside": lambda: make_derived_from_anosov(0.35),
-              "skew": lambda: make_standard_skew(0.5, 2), "viana": make_viana}[name]()
+    # a point's slice is what the point alone gets, bit for bit (da's bump
+    # projects element-wise, so inside the bump too)
+    system = LAYOUT_SYSTEMS[name]()
     pts = _layout_points(name, system, np.random.default_rng(43))
     m, d = pts.shape
     dfs = system.differential_batch(pts)
@@ -654,14 +658,23 @@ def test_differential_batch_is_batch_last(name):
     assert dfs.dtype == np.float64 and dfs.flags.c_contiguous
     alone = np.concatenate([system.differential_batch(pts[i:i + 1]) for i in range(m)],
                            axis=2)
-    if name != "da-inside":
-        assert dfs.tobytes() == alone.tobytes()
-        return
-    # inside the bump the eigenbasis projections y @ vu and y @ vs go
-    # through BLAS, whose last bits depend on the batch size
-    assert not np.array_equal(dfs, np.broadcast_to(
-        np.asarray(CAT_MATRIX, float)[:, :, None], dfs.shape))
-    assert np.allclose(dfs, alone, rtol=1e-14, atol=1e-15)
+    assert dfs.tobytes() == alone.tobytes()
+    if name == "da-inside":
+        assert not np.array_equal(dfs, np.broadcast_to(
+            np.asarray(CAT_MATRIX, float)[:, :, None], dfs.shape))
+
+
+@pytest.mark.parametrize("name", list(LAYOUT_SYSTEMS))
+def test_eval_batch_point_alone_is_its_batch(name):
+    # the cloud walk steps its live subset and the Ulam build a chunk at a
+    # time, batches of every size: a point's image must not depend on them
+    system = LAYOUT_SYSTEMS[name]()
+    pts = _layout_points(name, system, np.random.default_rng(47))
+    images = system.eval_batch(pts)
+    alone = np.concatenate([system.eval_batch(pts[i:i + 1]) for i in range(pts.shape[0])])
+    assert images.tobytes() == alone.tobytes()
+    if name == "da-inside":
+        assert not np.array_equal(images, make_cat_map().eval_batch(pts))
 
 
 class TestBuildSystem:
