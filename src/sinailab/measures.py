@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import SamplingFailureError, UlamConvergenceError
-from .systems import DynamicalSystem, FamilyHandle, PhaseSpace, finite_nonnegative
+from .systems import BLOCK_POINTS, DynamicalSystem, FamilyHandle, PhaseSpace, finite_nonnegative
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -39,20 +39,6 @@ if TYPE_CHECKING:
 #: what is held whole: the density vector, and a CSR matrix of at most
 #: n_cells * samples_per_cell nonzeros (at most one per sample point).
 MAX_ULAM_CELLS = 10_000_000
-
-#: values a blocked loop holds per array. ulam_matrix maps this many
-#: sample points at a time, rounded down to whole cells: for d = 2 a
-#: chunk's sample grid and images (512 kB each), its two float image-cell
-#: buffers (256 kB each) and its int32 columns (128 kB) fit a 2 MB
-#: per-core L2 together. On such a Xeon a 128^2-cell, 256-sample da build
-#: took 0.13 s at 2^15 and 0.19 s at 2^18, with traced peaks of 6 and
-#: 26 MB. dictionary_moments sums a block of BLOCK_POINTS // (2 x the
-#: larger half's mode count) points at a time, so each of its mode-product
-#: arrays holds about this many values. Benettin's _lockstep_logs asks
-#: differential_batch for BLOCK_POINTS // (d^2 x live time blocks)
-#: consecutive lockstep steps at once, so each derivative stack holds
-#: about this many values too
-BLOCK_POINTS = 2 ** 15
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,10 @@ def benettin_spectrum(system: DynamicalSystem, seed: int, burn_in: int,
         if not logs.min() > LOG_ZERO:  # _qr_step logs a killed direction as LOG_ZERO
             step = int(np.argmin((logs > LOG_ZERO).all(axis=0)))
             _raise_singular(system, burn_in + step)
+    # an orbit drawn here has no other reference: free it before the batch
+    # statistics, so that their first-call costs do not add to the peak
+    # that holds both the orbit and the logs
+    del orbit
     return _spectrum_from_logs(logs, n_steps, blocks)
 
 

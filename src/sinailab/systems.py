@@ -10,11 +10,14 @@ a singular set (a union of coordinate hyperplanes), and (when available)
 an inverse. DynamicalSystem.unusable is the one rule for which points an
 orbit or a cloud integral may use: orbit sampling, the cloud walk, the
 diagnose integrals and the Hölder check drop the points it flags.
-Each family's fast scalar loop yields its orbit's coordinates one float at
-a time, and DynamicalSystem.orbit streams them into the one array an
-orbit is stored in. Batches of points advance through the derivative
-cocycle along one generator, _cloud_walk, which every forward product (LS
-table, Jacobian-along-F, bundle frames, domination ratios) consumes.
+Each family's orbit_fn returns its orbit as one (n+1, d) array. The
+torus automorphisms build it in exact integer blocks once the orbit
+reaches the float lattice it then stays on; the other families' scalar
+loops yield the coordinates one float at a time into _streamed, the one
+place a float stream becomes an orbit. Batches of points advance through
+the derivative cocycle along one generator, _cloud_walk, which every
+forward product (LS table, Jacobian-along-F, bundle frames, domination
+ratios) consumes.
 """
 
 from __future__ import annotations
@@ -42,6 +45,22 @@ SINGULAR_HIT_DISTANCE = 1e-15
 #: orbit-failure fraction above which a cloud walk refuses to go on
 MAX_FAILURE_FRACTION = 0.01
 
+#: values a blocked loop holds per array. A torus automorphism's orbit
+#: builds BLOCK_POINTS // 2 integer coordinates at a time (rounded down to
+#: a power of two of rows), one 128 kB buffer beside the orbit array.
+#: measures.ulam_matrix maps this many sample points at a time, rounded
+#: down to whole cells: for d = 2 a chunk's sample grid and images (512 kB
+#: each), its two float image-cell buffers (256 kB each) and its int32
+#: columns (128 kB) fit a 2 MB per-core L2 together. On such a Xeon a
+#: 128^2-cell, 256-sample da build took 0.13 s at 2^15 and 0.19 s at 2^18,
+#: with traced peaks of 6 and 26 MB. measures.dictionary_moments sums a
+#: block of BLOCK_POINTS // (2 x the larger half's mode count) points at a
+#: time, so each of its mode-product arrays holds about this many values.
+#: Benettin's _lockstep_logs asks differential_batch for BLOCK_POINTS //
+#: (d^2 x live time blocks) consecutive lockstep steps at once, so each
+#: derivative stack holds about this many values too
+BLOCK_POINTS = 2 ** 15
+
 
 def _wrap_unit(x: np.ndarray) -> np.ndarray:
     """x mod 1, in place: the one wrap rule for the periodic unit
@@ -52,6 +71,17 @@ def _wrap_unit(x: np.ndarray) -> np.ndarray:
     """
     x -= np.floor(x)
     return x
+
+
+def _streamed(loop: Callable) -> Callable:
+    """orbit_fn from a scalar loop(x0, n, noise) that yields an orbit's
+    coordinates as floats in row-major order: the one place a float stream
+    becomes an orbit. numpy allocates the (n+1)*d buffer once and fills it
+    from the stream."""
+    def orbit_fn(x0, n, noise):
+        d = len(x0)
+        return np.fromiter(loop(x0, n, noise), float, d * (n + 1)).reshape(n + 1, d)
+    return orbit_fn
 
 
 # ---------------------------------------------------------------------------
@@ -214,28 +244,23 @@ class DynamicalSystem:
         """(n+1, d) array [x0, f(x0), ..., f^n(x0)], dithered (see _dither)
         when dither_rng is given; ValueError for n < 0.
 
-        The family's scalar loop orbit_fn(x0, n, noise) gets the dither
-        noise as a list of floats, or None, so that it runs on Python
-        floats, and yields the coordinates as floats in row-major order;
-        without one, eval_batch steps the orbit. This is the one
-        place an orbit is stored: numpy allocates the (n+1)*d buffer once
-        and fills it from the stream.
+        The family's orbit_fn(x0, n, noise) gets the dither noise as a
+        list of floats, or None, so that a scalar loop runs on Python
+        floats, and returns the (n+1, d) array, allocated once. Without
+        one, eval_batch steps the orbit through _streamed.
         """
         if n < 0:
             raise ValueError(f"orbit length n must be >= 0, got {n}")
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         noise = self._dither(n, dither_rng)
         if self.orbit_fn is not None:
-            coords = self.orbit_fn(x0, n, None if noise is None else noise.tolist())
-        elif noise is not None:
+            return self.orbit_fn(x0, n, None if noise is None else noise.tolist())
+        if noise is not None:
             raise UnsupportedSystemError(f"{self.name}: a dithered orbit needs an orbit_fn")
-        else:
-            coords = self._eval_orbit(x0, n)
-        d = self.space.dim
-        return np.fromiter(coords, float, d * (n + 1)).reshape(n + 1, d)
+        return _streamed(self._eval_orbit)(x0, n, None)
 
-    def _eval_orbit(self, x0: np.ndarray, n: int):
-        """orbit_fn's coordinate stream, one eval_batch call per step."""
+    def _eval_orbit(self, x0: np.ndarray, n: int, _noise):
+        """The orbit's coordinate stream, one eval_batch call per step."""
         cur = x0[None, :]
         yield from x0.tolist()
         for _ in range(n):
@@ -293,6 +318,10 @@ def _cloud_walk(system: DynamicalSystem, pts: np.ndarray, dither_key):
 
 CAT_MATRIX = ((2, 1), (1, 1))
 
+#: the bits of the float 2^52; or'ed with an integer m < 2^52 they read as
+#: the float 2^52 + m
+FLOAT_2_52_BITS = 0x4330000000000000
+
 
 def _integer_inverse(a: np.ndarray) -> np.ndarray:
     inv = np.linalg.inv(a)
@@ -303,7 +332,27 @@ def _integer_inverse(a: np.ndarray) -> np.ndarray:
 
 
 def make_torus_automorphism(matrix) -> DynamicalSystem:
-    """Linear automorphism x -> A x (mod 1) of the d-torus, |det A| = 1."""
+    """Linear automorphism x -> A x (mod 1) of the d-torus, |det A| = 1.
+
+    The orbit is the float loop x_i <- sum(a_ij * x_j) % 1.0, summed in
+    index order. Once every coordinate of a point is a multiple of 2^-e in
+    [0, 1), where e = 53 - ceil(log2 S) and S is the largest row sum of
+    |a_ij| (e = 51 for the cat map; e is capped at 52), every product
+    a_ij * x_j and every partial sum in that order is a multiple of 2^-e
+    of magnitude below S <= 2^(53 - e): each is exact, and so is Python's
+    % 1.0 (an exact fmod, plus an exact + 1.0 for a negative remainder).
+    The loop then stays on the lattice 2^-e Z^d and is the integer map
+    m -> A m mod 2^e on m = 2^e x, which uint64 arithmetic, wrapping mod
+    2^64, computes exactly because e < 64. So orbit_fn runs the float loop
+    only until a point lands on the lattice, a transient of about a
+    hundred steps for the cat maps, or to n if none does (a NaN, or a
+    coordinate too fine for the lattice on which A does not expand). It
+    builds the rest in blocks of rows A^k m by doubling (rows [h, 2h) are
+    rows [0, h) times (A^h)^T, masked to e bits) in the orbit array's own
+    memory, and turns each block into the floats 2^-e m in place: the
+    same bits as the float loop, without its Python cost per step, and no
+    memory beyond the orbit array.
+    """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -317,6 +366,7 @@ def make_torus_automorphism(matrix) -> DynamicalSystem:
     space = PhaseSpace.torus(d)
     a_inv = _integer_inverse(a)
     rows = [tuple(float(v) for v in a[i]) for i in range(d)]
+    rng_d = range(d)
 
     def ev(pts):
         return _wrap_unit(np.atleast_2d(pts) @ a.T)
@@ -327,26 +377,52 @@ def make_torus_automorphism(matrix) -> DynamicalSystem:
     def inv_ev(pts):
         return _wrap_unit(np.atleast_2d(pts) @ a_inv.T)
 
-    if d == 2:
-        a00, a01 = rows[0]
-        a10, a11 = rows[1]
+    # the lattice 2^-e Z^d (see the docstring); for S > 2^52 it is {0}
+    e = min(max(53 - (int(np.abs(a).sum(axis=1).max()) - 1).bit_length(), 0), 52)
+    scale, mask = 2.0 ** e, (1 << e) - 1
+    block = 1 << (max(BLOCK_POINTS // (2 * d), 1).bit_length() - 1)  # rows, a power of two
+    # (A^(2^j))^T mod 2^e for the doubling steps h = 2^j < block
+    powers = [np.array([[int(v) & mask for v in col] for col in a.T], dtype=np.uint64)]
+    while 2 ** len(powers) < block:
+        powers.append((powers[-1] @ powers[-1]) & mask)
 
-        def orbit_fn(x0, n, _noise):
-            x, y = float(x0[0]), float(x0[1])
-            yield x
-            yield y
-            for _ in range(n):
-                x, y = (a00 * x + a01 * y) % 1.0, (a10 * x + a11 * y) % 1.0
-                yield x
-                yield y
-    else:
-        def orbit_fn(x0, n, _noise):
-            cur = [float(v) for v in x0]
-            yield from cur
-            rng_d = range(d)
-            for _ in range(n):
-                cur = [sum(r[i] * cur[i] for i in rng_d) % 1.0 for r in rows]
-                yield from cur
+    def lattice_blocks(out, m):
+        """Fill out[1:] from out[0] = 2^-e m, as the float loop would. Each
+        block's rows are built as uint64 in out's own memory, then turned
+        into floats in place: m < 2^52 or'ed into the bits of 2^52 reads
+        as the float 2^52 + m, from which 2^52 is subtracted exactly."""
+        ints = out.view(np.uint64)
+        last = np.array([m], dtype=np.uint64)
+        for start in range(1, len(out), block):
+            rows_int = ints[start:start + block]
+            np.matmul(last, powers[0], out=rows_int[:1])
+            rows_int[:1] &= mask
+            h = 1
+            for p in powers:  # p = (A^h)^T
+                top = min(2 * h, len(rows_int))
+                if h >= top:
+                    break
+                np.matmul(rows_int[:top - h], p, out=rows_int[h:top])
+                rows_int[h:top] &= mask
+                h *= 2
+            last[0] = rows_int[-1]
+            rows_int |= FLOAT_2_52_BITS
+            rows_float = out[start:start + len(rows_int)]
+            rows_float -= 2.0 ** 52
+            rows_float *= 1.0 / scale
+
+    def orbit_fn(x0, n, _noise):
+        out = np.empty((n + 1, d))
+        cur = [float(v) for v in x0]
+        out[0] = cur
+        k = 0
+        while k < n and not all(0.0 <= c < 1.0 and (c * scale).is_integer() for c in cur):
+            cur = [sum(r[i] * cur[i] for i in rng_d) % 1.0 for r in rows]
+            k += 1
+            out[k] = cur
+        if k < n:
+            lattice_blocks(out[k:], [int(c * scale) for c in cur])
+        return out
 
     return DynamicalSystem(
         name="torus_automorphism",
@@ -423,6 +499,7 @@ def make_manneville_pomeau(alpha: float) -> DynamicalSystem:
     if alpha > 0.0:
         singular.append(SingularHyperplane(0, 0.0, "neutral"))
 
+    @_streamed
     def orbit_fn(x0, n, noise):
         x = float(x0[0])
         yield x
@@ -551,6 +628,7 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
             x = _wrap_unit(x + step)
         return x
 
+    @_streamed
     def orbit_fn(x0, n, _noise):
         x, y = float(x0[0]), float(x0[1])
         yield x
@@ -661,6 +739,7 @@ def make_standard_skew(K: float, N: int) -> DynamicalSystem:
     b00, b01, b10, b11 = (float(a2n[0, 0]), float(a2n[0, 1]),
                           float(a2n[1, 0]), float(a2n[1, 1]))
 
+    @_streamed
     def orbit_fn(x0, n, _noise):
         z0, z1, w0, w1 = (float(x0[0]), float(x0[1]), float(x0[2]), float(x0[3]))
         yield z0
@@ -747,6 +826,7 @@ def make_viana(a0: float = VIANA_A0, eps: float = 0.02, d: int = 16) -> Dynamica
         out[1, 1] = -2.0 * p[:, 1]
         return out
 
+    @_streamed
     def orbit_fn(x0, n, noise):
         theta, x = float(x0[0]), float(x0[1])
         yield theta

@@ -20,7 +20,14 @@ from sinailab.entropy import (
 )
 from sinailab.errors import SamplingFailureError
 from sinailab.matrixcore import WedgeAccumulatorBatch, log_wedge_total_from_rows
-from sinailab.measures import EmpiricalMeasure, _masked_mean_se, birkhoff_sample
+from sinailab.measures import (
+    EmpiricalMeasure,
+    _masked_mean_se,
+    birkhoff_sample,
+    dictionary_moments,
+    ulam_matrix,
+    ulam_stationary,
+)
 from sinailab.oseledets import LyapunovSpectrum, benettin_spectrum
 from sinailab.systems import (
     DynamicalSystem,
@@ -586,3 +593,45 @@ class TestEntropyEstimateInvariants:
         p = pesin_entropy(spec)
         j = jacobian_formula_entropy(sys, mu, dim_f=1, spectrum=spec)
         assert abs(p.value - j.value) <= 2.0 * (p.std_error + j.std_error) + 0.01
+
+
+def make_constant_map():
+    """The constant map of T^2 onto (0.3, 0.7), with its zero derivative."""
+    return DynamicalSystem(
+        name="constant", space=PhaseSpace.torus(2), params={},
+        eval_batch=lambda pts: np.tile([0.3, 0.7], (np.atleast_2d(pts).shape[0], 1)),
+        differential_batch=lambda pts: np.zeros((2, 2, np.atleast_2d(pts).shape[0])),
+    )
+
+
+class TestDegenerateInput:
+    # what each entry point does with a degenerate map, cloud or weights,
+    # under the suite's raising numpy error state
+    def test_constant_map(self):
+        system = make_constant_map()
+        with pytest.raises(SamplingFailureError, match="singular at orbit step 50"):
+            benettin_spectrum(system, seed=1, burn_in=50, n_steps=2_000)
+        birkhoff = birkhoff_sample(system, seed=1, burn_in=50, length=2_000)
+        ulam = ulam_stationary(ulam_matrix(system, 16, 16, seed=1))
+        for mu in (birkhoff, ulam):
+            with pytest.raises(SamplingFailureError, match="no usable points in the cloud"):
+                jacobian_formula_entropy(system, mu, dim_f=2)
+            est = ls_entropy(system, mu)
+            assert (est.value, est.std_error) == (0.0, 0.0)
+
+    def test_one_point_cloud(self):
+        # the cat map's derivative is constant, so one point gives the LS
+        # upper bound for log lambda; one point has no spread, and its
+        # standard error reads 0
+        system = make_cat_map()
+        mu = EmpiricalMeasure(system.space, np.array([[0.123, 0.456]]), np.array([1.0]))
+        est = ls_entropy(system, mu)
+        assert LOG_LAM <= est.value < LOG_LAM + 1e-6 and est.std_error == 0.0
+        est = jacobian_formula_entropy(system, mu, dim_f=2)
+        assert (est.value, est.std_error) == (0.0, 0.0)
+        assert np.all(np.isfinite(dictionary_moments(mu, 4)))
+
+    def test_all_zero_weights(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            EmpiricalMeasure(PhaseSpace.torus(2), np.array([[0.1, 0.2], [0.3, 0.4]]),
+                             np.zeros(2))

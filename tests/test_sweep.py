@@ -222,7 +222,7 @@ class TestRunSweep:
         import sinailab.sweep as sweep_mod
 
         stand_ins = {
-            "orbit_fn": lambda x0, n, noise: iter([math.nan] * (n + 1)),
+            "orbit_fn": lambda x0, n, noise: np.full((n + 1, 1), math.nan),
             "differential_batch": lambda pts: np.zeros((1, 1, np.atleast_2d(pts).shape[0])),
         }
         family = FamilyHandle("broken", "t", 0.0, 1.0, lambda t: dataclasses.replace(

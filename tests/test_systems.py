@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sinailab.systems as systems_mod
 from sinailab.errors import EscapeError, UnsupportedSystemError
 from sinailab.systems import (
     CAT_MATRIX,
@@ -429,14 +430,14 @@ class TestDitherRule:
                              ids=["mp0", "viana"])
     def test_orbit_loop_gets_float_noise(self, make):
         # orbit() hands the loop its noise as Python floats, so that it runs
-        # on floats; the stream is the one the numpy noise array gives
+        # on floats; the orbit is the one the numpy noise array gives
         sys = make()
         d, n = sys.space.dim, 20_000
         x0 = np.linspace(0.37, 0.5, d)
         noise = sys._dither(n, np.random.default_rng(3))
-        stream = np.fromiter(sys.orbit_fn(x0, n, noise), float, d * (n + 1))
+        expected = sys.orbit_fn(x0, n, noise)
         orb = sys.orbit(x0, n, np.random.default_rng(3))
-        assert orb.tobytes() == stream.tobytes()
+        assert orb.tobytes() == expected.tobytes()
 
     def test_dither_needs_an_orbit_loop(self):
         sys = make_manneville_pomeau(0.0)
@@ -509,9 +510,9 @@ class TestWrapRule:
 
 
 class TestOrbitStore:
-    # orbit() stores every family's coordinate stream, and the eval_batch
-    # fallback's, in one buffer; tol is 0 where the scalar loop and
-    # eval_batch do the same float operations
+    # every family's orbit_fn, and the eval_batch fallback, return the
+    # orbit in one buffer; tol is 0 where the orbit and eval_batch do the
+    # same float operations
     @pytest.mark.parametrize("make, tol", [
         (make_cat_map, 0.0),
         (make_cat_block, 0.0),
@@ -555,6 +556,134 @@ class TestOrbitStore:
         finally:
             tracemalloc.stop()
         assert peak < 1.2 * orb.nbytes
+
+
+def float_loop_orbit(matrix, x0, n):
+    """Reference torus-automorphism orbit: the general-d float loop,
+    sum(r[i] * cur[i]) % 1.0 in index order, run for every step."""
+    rows = [tuple(float(v) for v in r) for r in np.asarray(matrix, dtype=float)]
+    cur = [float(v) for v in x0]
+    out = [cur]
+    for _ in range(n):
+        cur = [sum(r[i] * cur[i] for i in range(len(cur))) % 1.0 for r in rows]
+        out.append(cur)
+    return np.array(out)
+
+
+def first_lattice_row(orbit, e):
+    """Index of the first orbit row whose coordinates all lie in [0, 1) on
+    2^-e Z, or None."""
+    for k, row in enumerate(orbit.tolist()):
+        if all(0.0 <= c < 1.0 and (c * 2.0 ** e).is_integer() for c in row):
+            return k
+    return None
+
+
+#: matrix and e = 53 - ceil(log2 S), S its largest row sum of |a_ij|
+#: (at most 52)
+LATTICE_CASES = {
+    "cat": (CAT_MATRIX, 51),
+    "cat4": (np.kron(np.eye(2), CAT_MATRIX).astype(int).tolist(), 51),
+    "negative": (((2, -1), (-1, 1)), 51),
+    "shear": (((1, 1), (0, 1)), 52),
+    "e49": (((5, 8), (3, 5)), 49),
+}
+
+
+class TestTorusLattice:
+    # a torus automorphism's orbit leaves its float loop for exact integer
+    # blocks once it lands on the lattice 2^-e Z^d; every bit must be the
+    # float loop's. 20000 steps span several blocks, the last one ragged
+    @pytest.mark.parametrize("case", sorted(LATTICE_CASES))
+    def test_lattice_orbit_is_the_float_loop(self, case):
+        # from a start on the lattice, where the blocks begin at row 0, and
+        # from a random one that reaches it after a transient (1 to 47
+        # steps here); negative entries wrap in uint64
+        matrix, e = LATTICE_CASES[case]
+        system = make_torus_automorphism(matrix)
+        rng = np.random.default_rng(7)
+        d = len(matrix)
+        on_lattice = np.floor(rng.random(d) * 2.0 ** e) / 2.0 ** e
+        for x0 in (on_lattice, rng.random(d)):
+            ref = float_loop_orbit(matrix, x0, 20_000)
+            assert first_lattice_row(ref, e) < 100
+            for n in (0, 5, 20_000):
+                assert system.orbit(x0, n).tobytes() == ref[:n + 1].tobytes()
+
+    @pytest.mark.parametrize("case", ["cat", "cat4"])
+    def test_lattice_orbit_after_a_transient(self, case):
+        # this start lands on the lattice at step 18 on both maps: n ends
+        # before, at and after the switch, and several blocks past it
+        matrix, e = LATTICE_CASES[case]
+        system = make_torus_automorphism(matrix)
+        x0 = np.random.default_rng(19).random(len(matrix))
+        ref = float_loop_orbit(matrix, x0, 20_000)
+        k = first_lattice_row(ref, e)
+        assert k == 18
+        for n in (0, k - 1, k, k + 1, 20_000):
+            assert system.orbit(x0, n).tobytes() == ref[:n + 1].tobytes()
+
+    @pytest.mark.parametrize("x0", [[-0.0, 0.3], [3.0, 0.5], [-0.5, 0.25], [math.nan, 0.2]],
+                             ids=["minus-zero", "three", "minus-half", "nan"])
+    def test_lattice_orbit_from_edge_starts(self, x0):
+        # -0.0 is on the lattice and stays in row 0 as given; 3.0 and -0.5
+        # are on 2^-51 Z but outside [0, 1); a NaN never reaches the lattice
+        ref = float_loop_orbit(CAT_MATRIX, x0, 2_000)
+        assert make_cat_map().orbit(np.array(x0), 2_000).tobytes() == ref.tobytes()
+
+    def test_lattice_orbit_off_the_lattice(self):
+        # the swap keeps 1e-300 off 2^-52 Z forever (S = 1, e capped at
+        # 52): the float loop runs to n
+        matrix, x0 = ((0, 1), (1, 0)), [1e-300, 0.3]
+        ref = float_loop_orbit(matrix, x0, 2_000)
+        assert first_lattice_row(ref, 52) is None
+        orb = make_torus_automorphism(matrix).orbit(np.array(x0), 2_000)
+        assert orb.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("block_points", [8, 16, 64])
+    @pytest.mark.parametrize("make", [make_cat_map, make_cat_block], ids=["cat", "cat4"])
+    def test_lattice_orbit_block_size(self, monkeypatch, make, block_points):
+        # blocks of 1 to 16 rows give the default's bits
+        system = make()
+        x0 = np.linspace(0.123, 0.456, system.space.dim)
+        expected = system.orbit(x0, 3_000)
+        monkeypatch.setattr(systems_mod, "BLOCK_POINTS", block_points)
+        assert make().orbit(x0, 3_000).tobytes() == expected.tobytes()
+
+
+class TestLoopAgainstBatch:
+    # each family's orbit_fn and eval_batch are two codings of one map.
+    # Over 3 x 2e4 undithered steps they agree bit for bit, except on two
+    # maps whose loop and batch call different math:
+    # - da: the loop takes tk * z * z * z through math.expm1, the batch
+    #   t * kappa * z ** 3 through np.expm1;
+    # - mp: the loop's x ** alpha is libm pow, the batch's np.power.
+    # Those two are held to 4 and 3 ulp, the largest gaps measured (here
+    # da differs at 5 steps by 1 ulp, and mp at 670 by up to 3 with
+    # numpy's AVX-512 kernels on, at none without). A wrap to the other
+    # side of [0, 1) would break the bound
+    @pytest.mark.parametrize("make, ulps", [
+        (make_cat_map, 0),
+        (make_cat_block, 0),
+        (lambda: make_manneville_pomeau(0.0), 0),
+        (lambda: make_standard_skew(0.5, 2), 0),
+        (make_viana, 0),
+        (lambda: make_derived_from_anosov(0.35), 4),
+        (lambda: make_manneville_pomeau(0.3), 3),
+    ], ids=["cat", "cat4", "mp0", "skew", "viana", "da", "mp"])
+    def test_loop_against_batch(self, make, ulps):
+        system = make()
+        d = system.space.dim
+        # the second start sits inside da's bump
+        for x0 in (np.linspace(0.011, 0.37, d), np.full(d, 0.02),
+                   np.linspace(0.6, 0.93, d)):
+            orb = system.orbit(x0, 20_000)
+            step = system.eval_batch(orb[:-1])
+            if ulps == 0:
+                assert step.tobytes() == orb[1:].tobytes()
+            else:  # coordinates in [0, 1]: the int64 views are ordered
+                gap = np.abs(step.view(np.int64) - orb[1:].view(np.int64))
+                assert gap.max() <= ulps
 
 
 class TestViana:
