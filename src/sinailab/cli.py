@@ -393,7 +393,7 @@ def cmd_diagnose(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, length_default="100000"):
+def _add_common(p):
     p.add_argument("--out", default="sinailab_out", help="output directory")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--burn-in", dest="burn_in", default="10000",

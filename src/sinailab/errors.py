@@ -26,8 +26,8 @@ class UlamConvergenceError(SinaiLabError):
 
 
 class UnsupportedSystemError(SinaiLabError):
-    """Operation requested is undefined for this system (e.g. backward
-    iteration of a non-invertible map)."""
+    """Operation requested is undefined for this system (e.g. a splitting
+    with dim E > 0 of a non-invertible map, whose F depends on the past)."""
 
 
 class EscapeError(SinaiLabError):

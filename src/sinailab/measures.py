@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import SamplingFailureError, UlamConvergenceError
-from .systems import BLOCK_POINTS, DynamicalSystem, FamilyHandle, PhaseSpace, finite_nonnegative
+from .systems import (BLOCK_POINTS, DynamicalSystem, FamilyHandle, PhaseSpace,
+                      finite_nonnegative, whole_number)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -259,12 +260,16 @@ def ulam_matrix(system: DynamicalSystem, resolution, samples_per_cell: int,
     and each cell's entries are counted as the runs of its sorted image
     columns, so the chunks give their entries in (row, column) order.
     A finite image outside the grid counts toward the nearest edge cell; a
-    non-finite one raises SamplingFailureError naming its cell.
+    non-finite one raises SamplingFailureError naming its cell. Sample
+    counts and resolution entries must be whole numbers, >= 1 and >= 2.
     """
     import scipy.sparse as sp
 
     d = system.space.dim
-    res = np.atleast_1d(np.asarray(resolution, dtype=int))
+    s = whole_number(samples_per_cell, "samples_per_cell")
+    if s < 1:
+        raise ValueError(f"samples_per_cell must be >= 1, got {samples_per_cell!r}")
+    res = np.array([whole_number(r, "resolution") for r in np.atleast_1d(resolution)])
     if res.shape[0] == 1 and d > 1:
         res = np.full(d, res[0])
     if res.shape[0] != d:
@@ -281,7 +286,6 @@ def ulam_matrix(system: DynamicalSystem, resolution, samples_per_cell: int,
     cell_w = widths / res
 
     rng = np.random.default_rng([seed, 0x0E11])
-    s = samples_per_cell
     # (s, d) sample offsets inside a cell, in phase-space units
     offsets = _lattice_offsets(s, d, rng) * cell_w
 
@@ -334,7 +338,7 @@ def ulam_matrix(system: DynamicalSystem, resolution, samples_per_cell: int,
         space=system.space,
         resolution=tuple(int(r) for r in res),
         matrix=mat.tocsr(),
-        samples_per_cell=int(samples_per_cell),
+        samples_per_cell=s,
     )
 
 

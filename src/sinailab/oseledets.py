@@ -215,19 +215,19 @@ def _check_splitting(system: DynamicalSystem, dim_f: int) -> None:
     if dim_f < d and not system.invertible:
         raise UnsupportedSystemError(
             f"{system.name}: estimating a splitting with dim E = {d - dim_f} > 0 "
-            "requires an invertible system (backward iteration)"
+            "requires an invertible system: F of a non-invertible map depends on the past"
         )
 
 
 def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
                           dim_f: int) -> SplittingEstimate:
-    """Splitting estimates at several anchor points at once.
-
-    F at x is the pushforward of a random dim_f-frame from the
-    FRAME_TRANSIENT-step backward orbit of x; E at x is the pull of a
-    random complementary frame through the inverse-derivative cocycle
-    along the forward orbit; both legs push batch-last frames with
-    _qr_step. Non-invertible systems support only dim_f = dim.
+    """Splitting estimates at the anchors y = f^FRAME_TRANSIENT(x) of
+    several starts x at once, by forward iteration only: F at y is a random
+    dim_f-frame pushed along x's orbit, stepped with eval_batch (an
+    invertible family has no dither and no singular set), and E at y a
+    random complementary frame pulled through Df^-1 along the forward walk
+    from y, both with _qr_step. At dim_f = dim, the one case non-invertible
+    systems support, the starts stay the anchors.
     """
     _check_splitting(system, dim_f)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -236,14 +236,10 @@ def estimate_bundles_many(system: DynamicalSystem, points: np.ndarray,
     if dim_f == d:
         eye = np.repeat(np.eye(d)[:, :, None], m, axis=2)
         return SplittingEstimate(pts, np.empty((d, 0, m)), eye)
-    # backward orbit buffer z_k = f^-k(x), k = 0..n
-    back = [pts]
-    for _ in range(FRAME_TRANSIENT):
-        back.append(system.inverse_eval_batch(back[-1]))
     f_frames = _random_frames(rng, m, d, dim_f)
-    for k in range(FRAME_TRANSIENT, 0, -1):
-        f_frames = _qr_step(system.differential_batch(back[k]), f_frames)[0]
-    # pull a complementary frame back through Df^-1 along the forward walk
+    for _ in range(FRAME_TRANSIENT):
+        f_frames = _qr_step(system.differential_batch(pts), f_frames)[0]
+        pts = system.eval_batch(pts)
     walk = _cloud_walk(system, pts, [0, 0xE])
     invs = [np.linalg.inv(next(walk)[0].transpose(2, 0, 1)) for _ in range(FRAME_TRANSIENT)]
     e_frames = _random_frames(rng, m, d, d - dim_f)

@@ -6,10 +6,10 @@ isotopy of the cat map, a standard-map skew product over T^4, and the
 quadratic-fiber skew products of Viana type.
 
 Every system bundles a phase space, a vectorized map, its exact Jacobian,
-a singular set (a union of coordinate hyperplanes), and (when available)
-an inverse. DynamicalSystem.unusable is the one rule for which points an
-orbit or a cloud integral may use: orbit sampling, the cloud walk, the
-diagnose integrals and the Hölder check drop the points it flags.
+a singular set (a union of coordinate hyperplanes), and an invertible flag;
+no inverse map is kept. DynamicalSystem.unusable is the one rule for which
+points an orbit or a cloud integral may use: orbit sampling, the cloud
+walk, the diagnose integrals and the Hölder check drop the points it flags.
 Each family's orbit_fn returns its orbit as one (n+1, d) array. The
 torus automorphisms build it in exact integer blocks once the orbit
 reaches the float lattice it then stays on; the other families' scalar
@@ -177,7 +177,8 @@ class DynamicalSystem:
 
     eval_batch / differential_batch are vectorized over (n, d) point
     arrays; differential_batch returns a new C-contiguous (d, d, n) stack,
-    which the caller may overwrite.
+    which the caller may overwrite. invertible declares a diffeomorphism,
+    which alone gets a splitting with dim E > 0 and a backward ls2 norm.
     Systems are immutable after construction and all evaluation is pure,
     so instances are safe to share across threads and processes.
     """
@@ -188,13 +189,9 @@ class DynamicalSystem:
     eval_batch: Callable[[np.ndarray], np.ndarray]
     differential_batch: Callable[[np.ndarray], np.ndarray]
     singular_set: list = field(default_factory=list)
-    inverse_eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     orbit_fn: Optional[Callable] = None
     dither_scale: float = 0.0
-
-    @property
-    def invertible(self) -> bool:
-        return self.inverse_eval_batch is not None
+    invertible: bool = False
 
     # -- pointwise conveniences -------------------------------------------
     def eval(self, x) -> np.ndarray:
@@ -323,14 +320,6 @@ CAT_MATRIX = ((2, 1), (1, 1))
 FLOAT_2_52_BITS = 0x4330000000000000
 
 
-def _integer_inverse(a: np.ndarray) -> np.ndarray:
-    inv = np.linalg.inv(a)
-    inv_round = np.rint(inv)
-    if not np.allclose(a @ inv_round, np.eye(a.shape[0]), atol=1e-9):
-        raise ValueError("matrix has no integer inverse")
-    return inv_round
-
-
 def make_torus_automorphism(matrix) -> DynamicalSystem:
     """Linear automorphism x -> A x (mod 1) of the d-torus, |det A| = 1.
 
@@ -364,7 +353,6 @@ def make_torus_automorphism(matrix) -> DynamicalSystem:
         raise ValueError(f"|det| must be 1, got {det}")
     d = a.shape[0]
     space = PhaseSpace.torus(d)
-    a_inv = _integer_inverse(a)
     rows = [tuple(float(v) for v in a[i]) for i in range(d)]
     rng_d = range(d)
 
@@ -373,9 +361,6 @@ def make_torus_automorphism(matrix) -> DynamicalSystem:
 
     def dfb(pts):
         return np.broadcast_to(a[:, :, None], (d, d, len(np.atleast_2d(pts)))).copy()
-
-    def inv_ev(pts):
-        return _wrap_unit(np.atleast_2d(pts) @ a_inv.T)
 
     # the lattice 2^-e Z^d (see the docstring); for S > 2^52 it is {0}
     e = min(max(53 - (int(np.abs(a).sum(axis=1).max()) - 1).bit_length(), 0), 52)
@@ -431,7 +416,7 @@ def make_torus_automorphism(matrix) -> DynamicalSystem:
         eval_batch=ev,
         differential_batch=dfb,
         singular_set=[],
-        inverse_eval_batch=inv_ev,
+        invertible=True,
         orbit_fn=orbit_fn,
     )
 
@@ -614,20 +599,6 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
         out[:, :, idx] += vs[:, None, None] * grad.T
         return out
 
-    a_inv = _integer_inverse(a)
-
-    def inv_ev(pts):
-        """Newton solve of f(x) = y on the torus, seeded at A^-1 y."""
-        y = np.atleast_2d(pts)
-        x = _wrap_unit(y @ a_inv.T)
-        for _ in range(60):
-            res = space.displacement(ev(x), y)
-            if np.max(np.abs(res)) < 1e-14:
-                break
-            step = np.linalg.solve(dfb(x).transpose(2, 0, 1), res[:, :, None])[:, :, 0]
-            x = _wrap_unit(x + step)
-        return x
-
     @_streamed
     def orbit_fn(x0, n, _noise):
         x, y = float(x0[0]), float(x0[1])
@@ -659,7 +630,7 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
         eval_batch=ev,
         differential_batch=dfb,
         singular_set=[],
-        inverse_eval_batch=inv_ev,
+        invertible=True,
         orbit_fn=orbit_fn,
     )
 
@@ -719,22 +690,6 @@ def make_standard_skew(K: float, N: int) -> DynamicalSystem:
         out[2:, 2:] = a2n[:, :, None]
         return out
 
-    a2n_inv = _integer_inverse(a2n)
-
-    def inv_ev(pts):
-        p = np.atleast_2d(pts)
-        w = _wrap_unit(p[:, 2:] @ a2n_inv.T)
-        drive = an[0, 0] * w[:, 0] + an[0, 1] * w[:, 1]
-        z0p = p[:, 0] - drive
-        z0 = _wrap_unit(z0p - p[:, 1])
-        kick = c * np.sin(TWO_PI * z0)
-        z1 = _wrap_unit(p[:, 1] - kick)
-        out = np.empty_like(p)
-        out[:, 0] = z0
-        out[:, 1] = z1
-        out[:, 2:] = w
-        return out
-
     an00, an01 = float(an[0, 0]), float(an[0, 1])
     b00, b01, b10, b11 = (float(a2n[0, 0]), float(a2n[0, 1]),
                           float(a2n[1, 0]), float(a2n[1, 1]))
@@ -763,7 +718,7 @@ def make_standard_skew(K: float, N: int) -> DynamicalSystem:
         eval_batch=ev,
         differential_batch=dfb,
         singular_set=[],
-        inverse_eval_batch=inv_ev,
+        invertible=True,
         orbit_fn=orbit_fn,
     )
 

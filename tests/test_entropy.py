@@ -67,7 +67,7 @@ def make_torus_identity(d=2):
         params={},
         eval_batch=ev,
         differential_batch=dfb,
-        inverse_eval_batch=ev,
+        invertible=True,
     )
 
 

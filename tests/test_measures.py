@@ -222,6 +222,15 @@ class TestUlam:
         with pytest.raises(MemoryError):
             ulam_matrix(make_cat_map(), 4000, samples_per_cell=4, seed=0)
 
+    @pytest.mark.parametrize("resolution, samples", [
+        (8, 0), (8, -4), (8, 4.5), (2.7, 4),
+    ], ids=["zero-samples", "negative-samples", "fractional-samples",
+            "fractional-resolution"])
+    def test_rejects_non_whole_arguments(self, resolution, samples):
+        # a fractional resolution must not be truncated into a smaller grid
+        with pytest.raises(ValueError):
+            ulam_matrix(make_cat_map(), resolution, samples_per_cell=samples, seed=0)
+
     @pytest.mark.parametrize("system, resolution, samples", [
         (make_cat_map(), 37, 256),
         (make_manneville_pomeau(0.3), 256, 256),

@@ -18,6 +18,7 @@ from sinailab.matrixcore import (
 )
 from sinailab.measures import EmpiricalMeasure, birkhoff_sample, log_det_batch, ls2_integral
 from sinailab.oseledets import (
+    FRAME_TRANSIENT,
     WARM,
     LyapunovSpectrum,
     SplittingEstimate,
@@ -301,8 +302,35 @@ class TestEstimateBundles:
     def test_noninvertible_with_e_requested(self):
         from sinailab.systems import make_viana
 
-        with pytest.raises(UnsupportedSystemError):
+        with pytest.raises(UnsupportedSystemError, match="invertible"):
             estimate_bundles_many(make_viana(1.7808, 0.02, 16), [[0.3, 0.5]], dim_f=1)
+
+    @pytest.mark.parametrize("build, dim_f", [
+        (lambda: make_derived_from_anosov(0.3), 1),
+        (lambda: make_derived_from_anosov(0.9), 1),
+        (lambda: make_cat_block(2), 2),
+    ], ids=["da-0.3", "da-0.9", "cat4"])
+    def test_estimate_is_invariant(self, build, dim_f):
+        # the anchors are the starts' FRAME_TRANSIENT-step images, and the
+        # estimate from f(x) is the one from x carried a step further: Df(y)
+        # maps F(y) onto F(f(y)) and E(y) onto E(f(y))
+        system = build()
+        x = system.space.uniform(np.random.default_rng(30), 6)
+        est = estimate_bundles_many(system, x, dim_f)
+        y = x
+        for _ in range(FRAME_TRANSIENT):
+            y = system.eval_batch(y)
+        assert est.points.tobytes() == y.tobytes()
+        carried = estimate_bundles_many(system, system.eval_batch(x), dim_f)
+        assert carried.points.tobytes() == system.eval_batch(est.points).tobytes()
+        dfs = system.differential_batch(est.points)
+        for frames, moved in ((est.f_frames, carried.f_frames),
+                              (est.e_frames, carried.e_frames)):
+            for i in range(x.shape[0]):
+                image = np.linalg.qr(dfs[:, :, i] @ frames[:, :, i])[0]
+                target = moved[:, :, i]
+                sine = np.linalg.norm(image - target @ (target.T @ image), 2)
+                assert sine <= 1e-12
 
 
 def constant_cocycle(a):
@@ -456,7 +484,7 @@ class TestGradedCocycle:
 
     def test_ls2_forward_and_backward(self):
         system = constant_cocycle(GRADED)
-        system.inverse_eval_batch = lambda pts: pts.copy()
+        system.invertible = True
         out = ls2_integral(system, self._cloud(system))
         assert out["forward"] == pytest.approx(8.0 * math.log(10.0), rel=0.0, abs=1e-12)
         assert out["backward"] == pytest.approx(16.0 * math.log(10.0), rel=0.0, abs=1e-12)
