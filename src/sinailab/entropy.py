@@ -28,7 +28,7 @@ it forms again only when a point dies, and masks nothing while every
 point lives; its standard error and Jacobian-F's (mean, error) come from
 measures._masked_mean_se, which takes its mean from the same routine.
 A cloud large enough keeps its LS products in contiguous blocks, one
-thread each, with the same bits as one block. Jacobian-F pushes its
+per process, with the same bits as one block. Jacobian-F pushes its
 frames batch-last with matrixcore._qr_step, the QR step the Benettin
 spectrum runs on. Below full dimension their transient is sized from
 the spectral gap g at the split (frame_transient), since a random
@@ -39,12 +39,14 @@ holds. The diagnostics record gap, n_transient and transient_capped.
 
 from __future__ import annotations
 
-import contextvars
 import math
+import mmap
 import os
-from contextlib import nullcontext
+import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
@@ -71,11 +73,13 @@ STOP_WINDOW = 5
 STOP_DELTA = 1e-4
 
 #: least work of an LS block: its points times the sum_j C(d, j)^2
-#: compound entries each point carries per step. Two threads against one
-#: break even near 2^17.4 of work in all (2 vCPU: a 2000-point skew
-#: cloud, 69 entries a point, ran 0.8-0.9x as fast, 3000 points 1.1-1.3x,
-#: 4000 points 1.4x), so a second block starts at twice this.
-LS_BLOCK_WORK = 2 ** 17
+#: compound entries each point carries per step. Two processes against one
+#: break even near 2^15 of work in all (2 vCPU, 6 alternating runs: a
+#: 500-point skew cloud, 69 entries a point, won 4 of 6 at 0.78-1.29x;
+#: 1000 points 6 of 6 at 1.0-1.3x, 4000 at 1.4-1.8x; a 16384-point da
+#: cloud, 5 entries a point, at 1.5-1.7x), so a second block starts at
+#: twice this.
+LS_BLOCK_WORK = 2 ** 15
 
 #: Jacobian-F pushes its frames T = ceil(log(1/FRAME_TOL)/g) steps for the
 #: spectral gap g at its split, clipped to [T_MIN, T_MAX]. At 1e-7, cat and
@@ -85,8 +89,9 @@ FRAME_TOL = 1e-7
 T_MIN = 10
 T_MAX = 240
 
-#: LS threads this process may run; None: one per core it may run on.
-#: run_sweep sets it to 1 around its fork pool.
+#: LS blocks this process may step at once, its own and one per helper
+#: process; None: one per core it may run on. run_sweep sets it to 1
+#: around its fork pool.
 _ls_threads = None
 
 
@@ -155,29 +160,91 @@ def pesin_entropy(spectrum: LyapunovSpectrum) -> EntropyEstimate:
 
 def _ls_blocks(m: int, d: int) -> list:
     """Contiguous (lo, hi) blocks of the LS table's m points: one per
-    thread of the budget (the cores this process may run on unless
-    _ls_threads is set), but no more than leave each LS_BLOCK_WORK of
-    work, and at least one."""
-    threads = _ls_threads
-    if threads is None:
+    process of the budget (the cores this process may run on unless
+    _ls_threads is set; 1 where there is no os.fork), but no more than
+    leave each LS_BLOCK_WORK of work, and at least one."""
+    budget = _ls_threads if hasattr(os, "fork") else 1
+    if budget is None:
         try:
-            threads = len(os.sched_getaffinity(0))
+            budget = len(os.sched_getaffinity(0))
         except AttributeError:  # no affinity call on this platform
-            threads = os.cpu_count() or 1
+            budget = os.cpu_count() or 1
     work = m * sum(math.comb(d, j) ** 2 for j in range(1, d + 1))
-    blocks = max(1, min(threads, work // LS_BLOCK_WORK))
+    blocks = max(1, min(budget, work // LS_BLOCK_WORK))
     cuts = [m * b // blocks for b in range(blocks + 1)]
     return list(zip(cuts, cuts[1:]))
 
 
-def _block_pool(blocks: int):
-    """For a with around the LS table: a thread for each block but the
-    first, which the caller steps itself; no pool for one block."""
-    if blocks == 1:
-        return nullcontext()
-    from concurrent.futures import ThreadPoolExecutor
+@contextmanager
+def _block_pool(blocks: list, d: int):
+    """For a with around the LS table: yields step(dfs), which steps each
+    block's products by its slice of a (d, d, m) stack and returns their
+    log(1 + sum_j ||wedge_j||) rows joined in block order. The caller
+    steps the first block; each other one lives in a helper process
+    (_helper) forked here, so in the caller's numpy error state, and reaped
+    before the with ends, also on an exception. Per step the caller copies
+    the helpers' slices into a shared anonymous mapping, signals each on
+    its command pipe and, past its own block, waits for each answer on its
+    reply pipe; the rows come back through the mapping."""
+    eye = np.broadcast_to(np.eye(d)[:, :, None], (d, d, blocks[-1][1]))
+    cut = blocks[0][1]
+    first = WedgeAccumulatorBatch(eye[:, :, :cut])
+    if len(blocks) == 1:
+        yield partial(_wedge_row, first)
+        return
+    shared = mmap.mmap(-1, 8 * (d * d + 1) * (eye.shape[2] - cut))
+    stack = np.ndarray((d, d, eye.shape[2] - cut), buffer=shared)
+    rows = np.ndarray(stack.shape[2], buffer=shared, offset=stack.nbytes)
+    ends, pids = [], []  # the caller's (command, reply) pipe ends; helper pids
+    try:
+        for lo, hi in blocks[1:]:
+            (command, to_helper), (from_helper, reply) = os.pipe(), os.pipe()
+            ends.append((to_helper, from_helper))
+            try:
+                if (pid := os.fork()) == 0:
+                    _helper(eye[:, :, lo:hi], stack[:, :, lo - cut:hi - cut],
+                            rows[lo - cut:hi - cut], command, reply, chain(*ends))
+            finally:
+                os.close(command)
+                os.close(reply)
+            pids.append(pid)
 
-    return ThreadPoolExecutor(blocks - 1)
+        def step(dfs):
+            stack[...] = dfs[:, :, cut:]
+            for to_helper, _ in ends:
+                os.write(to_helper, b"s")
+            row = _wedge_row(first, dfs[:, :, :cut])
+            for _, from_helper in ends:
+                if (got := os.read(from_helper, 1)) != b"k":  # EOF or a pickle
+                    while chunk := os.read(from_helper, 1 << 16):
+                        got += chunk
+                    raise pickle.loads(got) if got else RuntimeError("an LS helper died")
+            return np.concatenate([row, rows])
+
+        yield step
+    finally:  # closing the reply pipes too ends a helper blocked on a long answer
+        for fd in chain(*ends):
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _helper(frames, stack, row, command, reply, inherited) -> None:
+    """An LS helper process's body, which never returns: it closes the
+    caller's inherited pipe ends, then for each byte on command steps the
+    products from frames by stack, puts the row into row and answers b"k",
+    until end of file. It sends any exception back pickled."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        acc = WedgeAccumulatorBatch(frames)
+        while os.read(command, 1):
+            row[...] = _wedge_row(acc, stack)
+            os.write(reply, b"k")
+    except BaseException as exc:  # interrupts too: the caller raises it again
+        os.write(reply, pickle.dumps(exc))
+    finally:
+        os._exit(0)
 
 
 def _wedge_row(acc: WedgeAccumulatorBatch, dfs: np.ndarray) -> np.ndarray:
@@ -203,37 +270,24 @@ def ls_entropy(system: DynamicalSystem, measure, n_max: int = 40,
     diagnostics hold the table (a_n, index k for a_{k+1}), the minimizing
     n (argmin_n, 1-based) and skipped_points.
 
-    One _cloud_walk advances the whole cloud, so the dither draws and the
-    dead points do not depend on the blocks (_ls_blocks) its products are
-    kept in. Each block has its own WedgeAccumulatorBatch and steps on its
-    slice of each (d, d, m) stack. With more than one block, the caller
-    steps the first and a thread pool, which closes before this returns,
-    the others, each in a copy of the caller's context and so in its numpy
-    error state; their rows are joined in block order before the mean.
-    Every point's row has the same bits in any block, so every number does
-    too.
+    One _cloud_walk in the caller advances the whole cloud, so the dither
+    draws and the dead points do not depend on the blocks (_ls_blocks) its
+    products are kept in. Each block has its own WedgeAccumulatorBatch and
+    steps on its slice of each (d, d, m) stack: the caller's first block in
+    this process, every other one in a helper process forked for this call
+    and reaped before it returns (_block_pool). Their rows are joined in
+    block order before the mean. Every point's row has the same bits in
+    any block, so every number does too.
     """
     check_estimator_args((LEDRAPPIER_STRELCYN,), n_max, None, system.space.dim)
     pts, weights = measure.points, measure.weights
     m, d = pts.shape
-    blocks = _ls_blocks(m, d)
-    eye = np.broadcast_to(np.eye(d)[:, :, None], (d, d, m))
-    accs = [WedgeAccumulatorBatch(eye[:, :, lo:hi]) for lo, hi in blocks]
     totals = []
     live = -1
-    with _block_pool(len(blocks)) as pool:
+    with _block_pool(_ls_blocks(m, d), d) as step:
         for n, (dfs, alive) in zip(range(1, n_max + 1),
                                    _cloud_walk(system, pts, [seed, 0xD17A])):
-            if pool is None:
-                row = _wedge_row(accs[0], dfs)
-            else:
-                # every thread allocates from its own malloc arena: the
-                # caller's block reuses the memory this process already holds
-                rest = [pool.submit(contextvars.copy_context().run, _wedge_row,
-                                    acc, dfs[:, :, lo:hi])
-                        for acc, (lo, hi) in zip(accs[1:], blocks[1:])]
-                row = np.concatenate([_wedge_row(accs[0], dfs[:, :, :blocks[0][1]])]
-                                     + [f.result() for f in rest])
+            row = step(dfs)
             count = np.count_nonzero(alive)
             if count != live:  # alive only loses points: a new count is a new set
                 live, w = count, _kept_weights(weights, alive)

@@ -375,13 +375,13 @@ def ulam_stationary(transfer: TransferMatrix, tol: float = 1e-12,
 
 
 def _modes(x: np.ndarray, js: np.ndarray, periodic: bool) -> np.ndarray:
-    """(2, len(js), points) real and imaginary parts of one coordinate's
-    modes at x: e^(2 pi i j x) if periodic, else T_j (js = 0..cutoff)."""
-    out = np.zeros((2, len(js), x.shape[0]))
+    """One coordinate's modes at x: (2, len(js), points) real and imaginary
+    parts of e^(2 pi i j x) if periodic, else (1, len(js), points) T_j
+    (js = 0..cutoff), which are real."""
     if periodic:
         phases = 2.0 * math.pi * np.multiply.outer(js, x)
-        out[0], out[1] = np.cos(phases), np.sin(phases, out=phases)
-        return out
+        return np.stack([np.cos(phases), np.sin(phases, out=phases)])
+    out = np.empty((1, len(js), x.shape[0]))
     out[0, 0], out[0, 1] = 1.0, x
     for j in js[2:]:
         out[0, j] = 2.0 * x * out[0, j - 1] - out[0, j - 2]
@@ -389,7 +389,11 @@ def _modes(x: np.ndarray, js: np.ndarray, periodic: bool) -> np.ndarray:
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Every row of a times every row of b as complex numbers, a's rows major."""
+    """Every row of a times every row of b, a's rows major: as complex
+    numbers when both have an imaginary part (a leading axis of 2), else
+    each part of one times the other's real part."""
+    if len(a) == 1 or len(b) == 1:
+        return (a[:, :, None] * b[:, None]).reshape(max(len(a), len(b)), -1, a.shape[2])
     out = np.empty((2, a.shape[1], b.shape[1], a.shape[2]))
     np.multiply(a[0][:, None], b[0], out=out[0])
     out[0] -= a[1][:, None] * b[1]
@@ -400,13 +404,16 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _block_gram(space: PhaseSpace, x: np.ndarray, w: np.ndarray, ranges) -> np.ndarray:
     """One point block's sums of w times each first-half mode product times
-    each second-half one: (2, 2, first, second), real and imaginary parts."""
+    each second-half one: (2, 2, first, second), real and imaginary parts,
+    the latter 0 for a half without a periodic coordinate."""
     u = np.where(space.periodic, x, 2.0 * (x - space.lo) / space.widths() - 1.0)
     modes = list(map(_modes, u.T, ranges, space.periodic))
     h = len(modes) // 2
-    head = reduce(_times, modes[:h], np.multiply.outer([1.0, 0.0], w)[:, None])
+    head = reduce(_times, modes[:h], w[None, None])
     tail = reduce(_times, modes[h:])
-    return np.einsum("cap,dbp->cdab", head, tail)
+    gram = np.zeros((2, 2, head.shape[1], tail.shape[1]))
+    gram[:len(head), :len(tail)] = np.einsum("cap,dbp->cdab", head, tail)
+    return gram
 
 
 def dictionary_moments(measure, cutoff: int) -> np.ndarray:

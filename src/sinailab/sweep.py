@@ -216,12 +216,12 @@ _OPENBLAS_NAMES = tuple((prefix, suffix) for prefix in ("", "scipy_") for suffix
 
 @contextmanager
 def _one_thread():
-    """Run every OpenBLAS loaded in this process, and the LS table, on one
-    thread for the block.
+    """Run every OpenBLAS loaded in this process on one thread, and the LS
+    table in one block, for the block.
 
     run_sweep opens it around its fork pool, so the workers start with the
-    cap and run no more threads than their core: the LS table keeps its
-    cloud in one block (entropy._ls_threads = 1), and OpenBLAS never runs
+    cap and keep to their core: the LS table keeps its cloud in one block
+    and forks no helper (entropy._ls_threads = 1), and OpenBLAS never runs
     its default pool, whose helper threads busy-wait after each threaded
     call on cores the other workers need. Setting the OpenBLAS count inside
     a fresh fork would itself start a spinning helper, since OpenBLAS's
@@ -271,15 +271,15 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     assembled in grid order and every point derives its own seed). Raises
     SweepAbortError when more than 20% of the points fail; individual
     failures are recorded in their rows and the sweep continues. Pool
-    workers are forked with every loaded OpenBLAS and the LS table capped
-    at one thread each (_one_thread), which the caller gets back at its
-    own counts when the pool has shut down; fork is pinned so the workers
-    inherit the cap whatever the platform's default start method. The
-    cap changes no number: the LS table's blocks and OpenBLAS's threads
-    leave every bit as it is. Workers get the points longest orbit first,
-    grid order among equal lengths, so no long point starts last. The
-    serial path keeps the defaults: OpenBLAS's count, and an LS table
-    split across the cores this process may run on.
+    workers are forked with every loaded OpenBLAS capped at one thread and
+    the LS table at one block each (_one_thread), which the caller gets
+    back at its own counts when the pool has shut down; fork is pinned so
+    the workers inherit the cap whatever the platform's default start
+    method. The cap changes no number: the LS table's blocks and
+    OpenBLAS's threads leave every bit as it is. Workers get the points
+    longest orbit first, grid order among equal lengths, so no long point
+    starts last. The serial path keeps the defaults: OpenBLAS's count, and
+    an LS table split across the cores this process may run on.
     """
     n = len(config.grid)
     if config.workers > 1 and n > 1:

@@ -132,17 +132,6 @@ class PhaseSpace:
         lo = np.asarray(self.lo)
         return lo + rng.random((n, self.dim)) * self.widths()
 
-    def displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Shortest vector from a to b, wrapping periodic coordinates."""
-        a = np.atleast_2d(a)
-        b = np.atleast_2d(b)
-        d = b - a
-        w = self.widths()
-        for i, per in enumerate(self.periodic):
-            if per:
-                d[:, i] = (d[:, i] + 0.5 * w[i]) % w[i] - 0.5 * w[i]
-        return d
-
     def coord_distance(self, values: np.ndarray, c: float, axis: int) -> np.ndarray:
         """Distance |x_axis - c| along one coordinate, wrapped if periodic."""
         d = np.abs(values - c)
@@ -194,12 +183,6 @@ class DynamicalSystem:
     invertible: bool = False
 
     # -- pointwise conveniences -------------------------------------------
-    def eval(self, x) -> np.ndarray:
-        return self.eval_batch(np.atleast_1d(np.asarray(x, float))[None, :])[0]
-
-    def differential(self, x) -> np.ndarray:
-        return self.differential_batch(np.atleast_1d(np.asarray(x, float))[None, :])[..., 0]
-
     # -- singular set ------------------------------------------------------
     def singular_distance(self, pts: np.ndarray) -> np.ndarray:
         """Distance from each point to the nearest singular hyperplane;

@@ -2,7 +2,8 @@
 
 import dataclasses
 import math
-import threading
+import os
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -276,9 +277,10 @@ def ls_bits(est):
 
 
 class TestLSBlocks:
-    # the LS table keeps its products in contiguous blocks, one thread
-    # each; every number must have the bits of one block, whatever the
-    # block count (4000 or 400 points cut 3 or 7 ways: uneven blocks)
+    # the LS table keeps its products in contiguous blocks, each but the
+    # first in a forked helper process; every number must have the bits of
+    # one block, whatever the block count (4000 or 400 points cut 3 or 7
+    # ways: uneven blocks)
 
     @pytest.mark.parametrize("early_stop", [True, False])
     def test_skew_bits_independent_of_blocks(self, skew_cloud, monkeypatch, early_stop):
@@ -334,7 +336,8 @@ class TestLSBlocks:
 
     def test_block_count_rule(self, monkeypatch):
         # min(cores this process may run on, work // LS_BLOCK_WORK), at
-        # least 1; work is points x sum_j C(d, j)^2 (69 at d = 4)
+        # least 1, and 1 without os.fork; work is points x sum_j C(d, j)^2
+        # (69 at d = 4)
         monkeypatch.setattr(entropy_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         unit = entropy_mod.LS_BLOCK_WORK
         assert len(entropy_mod._ls_blocks(10**6, 4)) == 3
@@ -346,52 +349,84 @@ class TestLSBlocks:
         assert len(entropy_mod._ls_blocks(10**6, 4)) == 1
         monkeypatch.setattr(entropy_mod, "_ls_threads", 2)
         assert len(entropy_mod._ls_blocks(10**6, 4)) == 2
+        monkeypatch.delattr(entropy_mod.os, "fork")  # no helper process to fork
+        assert len(entropy_mod._ls_blocks(10**6, 4)) == 1
 
-    def test_small_cloud_starts_no_thread(self, monkeypatch):
+    def test_small_cloud_forks_nothing(self, skew_cloud, monkeypatch):
         # under twice the work constant the table runs one block in the
-        # calling thread, whatever the budget: no pool is opened
-        import concurrent.futures
+        # calling process, whatever the budget: no helper is forked
+        def no_fork():
+            raise AssertionError("an LS helper was forked")
 
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("a thread pool was opened")
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+        monkeypatch.setattr(entropy_mod.os, "fork", no_fork)
         monkeypatch.setattr(entropy_mod, "_ls_threads", 7)
         sys = make_standard_skew(0.5, 2)
-        mu = birkhoff_sample(sys, seed=5, burn_in=500, length=1000)
-        assert len(entropy_mod._ls_blocks(1000, 4)) == 1
-        before = threading.active_count()
+        mu = birkhoff_sample(sys, seed=5, burn_in=500, length=400)
+        assert len(entropy_mod._ls_blocks(400, 4)) == 1
         ls_entropy(sys, mu, 5)
-        assert threading.active_count() == before
+        with pytest.raises(AssertionError, match="forked"):  # the patch holds
+            ls_entropy(*skew_cloud, 5)
 
-    def test_pool_threads_run_in_the_callers_error_state(self, skew_cloud, monkeypatch):
-        # numpy keeps its error state in a context variable, which a new
-        # thread starts without: each block must see the caller's state
+    def test_helpers_run_in_the_callers_error_state(self, skew_cloud, monkeypatch):
+        # a helper is forked from the caller, so it steps its block in the
+        # caller's numpy error state, and what it raises reaches the caller
+        # with its type
         sys, mu = skew_cloud
         monkeypatch.setattr(entropy_mod, "_ls_threads", 2)
         assert len(entropy_mod._ls_blocks(4000, 4)) == 2
-        seen = []
+        caller = os.getpid()
         wedge_row = entropy_mod._wedge_row
 
-        def recorded(acc, dfs):
-            seen.append((threading.get_ident(), np.geterr()))
+        def divided(acc, dfs):
+            if os.getpid() != caller:
+                np.divide(1.0, np.zeros(1))
             return wedge_row(acc, dfs)
 
-        monkeypatch.setattr(entropy_mod, "_wedge_row", recorded)
-        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            caller = np.geterr()
-            ls_entropy(sys, mu, 5, early_stop=False)
-        assert len({ident for ident, _ in seen}) == 2 and len(seen) == 10
-        assert all(state == caller for _, state in seen)
+        monkeypatch.setattr(entropy_mod, "_wedge_row", divided)
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError, match="divide by zero"):
+                ls_entropy(sys, mu, 5, early_stop=False)
+        with np.errstate(divide="ignore"):
+            ignored = ls_bits(ls_entropy(sys, mu, 5, early_stop=False))
+        monkeypatch.setattr(entropy_mod, "_ls_threads", 1)
+        assert ignored == ls_bits(ls_entropy(sys, mu, 5, early_stop=False))
 
-    def test_no_thread_outlives_the_table(self, skew_cloud, monkeypatch):
+    @pytest.mark.parametrize("where", ["end", "early_stop", "caller", "walk", "helper",
+                                       "helper_died"])
+    def test_no_helper_outlives_the_table(self, skew_cloud, monkeypatch, where):
+        # after a full table, an early stop, an exception in the caller's
+        # block, in the cloud walk or in a helper, and a helper's death,
+        # this process has no child left, not even one to reap
         sys, mu = skew_cloud
         monkeypatch.setattr(entropy_mod, "_ls_threads", 2)
-        assert len(entropy_mod._ls_blocks(4000, 4)) == 2
-        before = set(threading.enumerate())
-        ls_entropy(sys, mu, 5)
-        assert set(threading.enumerate()) == before
+        caller = os.getpid()
+        wedge_row, walk = entropy_mod._wedge_row, entropy_mod._cloud_walk
+
+        def failing_row(acc, dfs):
+            if (os.getpid() == caller) == (where == "caller"):
+                if where == "helper_died":
+                    os._exit(1)
+                raise ValueError(where)
+            return wedge_row(acc, dfs)
+
+        def failing_walk(*args):
+            yield from islice(walk(*args), 3)
+            raise ValueError(where)
+
+        monkeypatch.setattr(entropy_mod, "STOP_DELTA", math.inf)  # stops at n = 6
+        if where in ("end", "early_stop"):
+            est = ls_entropy(sys, mu, 8, early_stop=where == "early_stop")
+            assert len(est.diagnostics["a_n"]) == (6 if where == "early_stop" else 8)
+        else:
+            if where == "walk":
+                monkeypatch.setattr(entropy_mod, "_cloud_walk", failing_walk)
+            else:
+                monkeypatch.setattr(entropy_mod, "_wedge_row", failing_row)
+            error = RuntimeError if where == "helper_died" else ValueError
+            with pytest.raises(error, match="died" if where == "helper_died" else where):
+                ls_entropy(sys, mu, 5)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestExponentFunction:

@@ -29,6 +29,7 @@ from sinailab.systems import (
     make_torus_automorphism,
     make_viana,
 )
+from conftest import displacement, point_differential, point_eval
 
 LAM = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -47,7 +48,7 @@ def finite_difference_jacobian(system, x, h=1e-5):
         e[j] = h
         fp = system.eval_batch((x + e)[None, :])
         fm = system.eval_batch((x - e)[None, :])
-        jac[:, j] = system.space.displacement(fm, fp)[0] / (2.0 * h)
+        jac[:, j] = displacement(system.space, fm, fp)[0] / (2.0 * h)
     return jac
 
 
@@ -143,7 +144,7 @@ def _sample_points_off_singular(system, n, seed, margin=2e-2):
 def _assert_differential_matches_fd(system, seed=123, n=100, tol=1e-6):
     pts = _sample_points_off_singular(system, n, seed)
     for x in pts:
-        analytic = system.differential(x)
+        analytic = point_differential(system, x)
         fd = finite_difference_jacobian(system, x)
         scale = max(1.0, np.max(np.abs(analytic)))
         assert np.max(np.abs(analytic - fd)) / scale <= tol, (
@@ -154,7 +155,7 @@ def _assert_differential_matches_fd(system, seed=123, n=100, tol=1e-6):
 class TestPhaseSpace:
     def test_displacement_wraps_shortest(self):
         sp = PhaseSpace.torus(1)
-        d = sp.displacement(np.array([[0.95]]), np.array([[0.05]]))
+        d = displacement(sp, np.array([[0.95]]), np.array([[0.05]]))
         assert d[0, 0] == pytest.approx(0.1, abs=1e-12)
 
     def test_cylinder_contains(self):
@@ -166,16 +167,16 @@ class TestPhaseSpace:
 class TestTorusAutomorphism:
     def test_fixed_point(self):
         sys = make_cat_map()
-        assert np.allclose(sys.eval([0.0, 0.0]), [0.0, 0.0])
+        assert np.allclose(point_eval(sys, [0.0, 0.0]), [0.0, 0.0])
 
     def test_direct_arithmetic(self):
         sys = make_cat_map()
-        assert np.allclose(sys.eval([0.5, 0.5]), [0.5, 0.0])
+        assert np.allclose(point_eval(sys, [0.5, 0.5]), [0.5, 0.0])
 
     def test_block_four_dim(self):
         sys = make_cat_block(2)
         assert sys.space.dim == 4
-        df = sys.differential([0.1, 0.2, 0.3, 0.4])
+        df = point_differential(sys, [0.1, 0.2, 0.3, 0.4])
         assert round(float(np.linalg.det(df))) == 1
 
     def test_rejects_non_unimodular(self):
@@ -203,21 +204,21 @@ class TestTorusAutomorphism:
 class TestMannevillePomeau:
     def test_alpha_zero_is_doubling(self):
         sys = make_manneville_pomeau(0.0)
-        assert sys.eval([0.3])[0] == pytest.approx(0.6, abs=1e-15)
-        assert sys.differential([0.3])[0, 0] == pytest.approx(2.0, abs=1e-15)
-        assert sys.differential([0.8])[0, 0] == pytest.approx(2.0, abs=1e-15)
+        assert point_eval(sys, [0.3])[0] == pytest.approx(0.6, abs=1e-15)
+        assert point_differential(sys, [0.3])[0, 0] == pytest.approx(2.0, abs=1e-15)
+        assert point_differential(sys, [0.8])[0, 0] == pytest.approx(2.0, abs=1e-15)
 
     def test_neutral_fixed_point(self):
         for alpha in (0.2, 0.5, 0.9):
             sys = make_manneville_pomeau(alpha)
-            assert sys.eval([0.0])[0] == 0.0
-            assert sys.differential([0.0])[0, 0] == pytest.approx(1.0, abs=1e-15)
+            assert point_eval(sys, [0.0])[0] == 0.0
+            assert point_differential(sys, [0.0])[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_branch_values_at_half(self):
         # left-branch formula at 1/2 equals exactly 1; right branch limits to 0+
         sys = make_manneville_pomeau(0.5)
-        assert sys.eval([0.5])[0] == pytest.approx(1.0, abs=1e-15)
-        assert sys.eval([0.5 + 1e-12])[0] == pytest.approx(0.0, abs=1e-11)
+        assert point_eval(sys, [0.5])[0] == pytest.approx(1.0, abs=1e-15)
+        assert point_eval(sys, [0.5 + 1e-12])[0] == pytest.approx(0.0, abs=1e-11)
 
     def test_singular_set_contents(self):
         assert len(make_manneville_pomeau(0.0).singular_set) == 1
@@ -301,7 +302,7 @@ class TestDerivedFromAnosov:
     def test_origin_fixed(self):
         for t in (0.0, 0.2, 0.5, 0.9):
             sys = make_derived_from_anosov(t)
-            assert np.allclose(sys.eval([0.0, 0.0]), [0.0, 0.0], atol=1e-15)
+            assert np.allclose(point_eval(sys, [0.0, 0.0]), [0.0, 0.0], atol=1e-15)
 
     def test_differential_fd(self):
         for t in (0.0, 0.2, 0.6):
@@ -310,7 +311,7 @@ class TestDerivedFromAnosov:
     def test_still_contracting_in_bump_at_small_t(self):
         # stable multiplier at the bump center: interpolated in log scale
         sys = make_derived_from_anosov(0.2)
-        df = sys.differential([0.0, 0.0])
+        df = point_differential(sys, [0.0, 0.0])
         ev = np.sort(np.abs(np.linalg.eigvals(df)))
         expected = math.exp(0.8 * -math.log(LAM) + 0.2 * 0.1)
         assert ev[0] == pytest.approx(expected, rel=1e-10)
@@ -326,8 +327,8 @@ class TestDerivedFromAnosov:
         dfs = sys.differential_batch(pts)
         assert np.ascontiguousarray(dfs.transpose(2, 0, 1)).tobytes() == dfb(pts).tobytes()
         for p in pts[::97]:  # one point at a time: subsets of size one
-            assert sys.eval(p).tobytes() == ev(p[None, :])[0].tobytes()
-            assert sys.differential(p).tobytes() == dfb(p[None, :])[0].tobytes()
+            assert point_eval(sys, p).tobytes() == ev(p[None, :])[0].tobytes()
+            assert point_differential(sys, p).tobytes() == dfb(p[None, :])[0].tobytes()
 
     @pytest.mark.parametrize("t", [0.1, 0.35, 0.95])
     def test_outside_the_bump_is_the_cat_map(self, t):
@@ -358,7 +359,7 @@ class TestStandardSkew:
 
     def test_zero_coupling_is_shear(self):
         sys = make_standard_skew(0.0, 1)
-        df = sys.differential([0.3, 0.1, 0.7, 0.9])
+        df = point_differential(sys, [0.3, 0.1, 0.7, 0.9])
         assert np.allclose(df[:2, :2], [[1.0, 1.0], [0.0, 1.0]])
 
     def test_fiber_block_is_exact_power(self):
@@ -366,7 +367,7 @@ class TestStandardSkew:
         sys = make_standard_skew(0.5, n)
         a = np.asarray(CAT_MATRIX, dtype=float)
         a2n = np.linalg.matrix_power(a, 2 * n)
-        df = sys.differential([0.11, 0.22, 0.33, 0.44])
+        df = point_differential(sys, [0.11, 0.22, 0.33, 0.44])
         assert np.array_equal(df[2:, 2:], a2n)
 
     def test_differential_fd(self):
@@ -514,7 +515,7 @@ class TestOrbitStore:
                 if tol == 0.0:
                     assert np.array_equal(orb[k + 1], step)
                 else:
-                    assert np.max(np.abs(sys.space.displacement(orb[k + 1], step))) <= tol
+                    assert np.max(np.abs(displacement(sys.space, orb[k + 1], step))) <= tol
             assert np.array_equal(sys.orbit(x0, 0), x0[None, :])
             with pytest.raises(ValueError):
                 sys.orbit(x0, -1)
@@ -666,12 +667,12 @@ class TestLoopAgainstBatch:
 class TestViana:
     def test_eps_zero_decouples(self):
         sys = make_viana(1.7808, 0.0, 16)
-        out = sys.eval([0.37, 0.5])
+        out = point_eval(sys, [0.37, 0.5])
         assert out[1] == pytest.approx(1.7808 - 0.25, abs=1e-12)
 
     def test_critical_derivative(self):
         sys = make_viana()
-        df = sys.differential([0.2, 0.0])
+        df = point_differential(sys, [0.2, 0.0])
         assert df[1, 1] == 0.0
         assert df[0, 0] == 16.0
         assert df[0, 1] == 0.0
