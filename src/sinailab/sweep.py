@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -208,62 +207,6 @@ def _sweep_point(config: SweepConfig, index: int) -> SweepRow:
     return row
 
 
-#: (prefix, suffix) of the thread-count getter and setter exported by a
-#: stock OpenBLAS and by the scipy_openblas builds in numpy's and scipy's
-#: wheels (64_: the ILP64 one)
-_OPENBLAS_NAMES = tuple((prefix, suffix) for prefix in ("", "scipy_") for suffix in ("", "64_"))
-
-
-@contextmanager
-def _one_thread():
-    """Run every OpenBLAS loaded in this process on one thread, and the LS
-    table in one block, for the block.
-
-    run_sweep opens it around its fork pool, so the workers start with the
-    cap and keep to their core: the LS table keeps its cloud in one block
-    and forks no helper (entropy._ls_threads = 1), and OpenBLAS never runs
-    its default pool, whose helper threads busy-wait after each threaded
-    call on cores the other workers need. Setting the OpenBLAS count inside
-    a fresh fork would itself start a spinning helper, since OpenBLAS's
-    fork handler has shut the pool down. Each library's count is read
-    through its getter, and both it and the LS budget are set back on
-    exit, also on an exception; raising the OpenBLAS count again restarts
-    the caller's pool once. The libraries are found in /proc/self/maps;
-    without /proc, or under another BLAS, only the LS budget changes.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
-            paths = {fields[5].strip() for fields in (line.split(None, 5) for line in maps)
-                     if len(fields) == 6 and "openblas" in fields[5].rsplit("/", 1)[-1]}
-    except OSError:
-        paths = set()
-    saved = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in _OPENBLAS_NAMES:
-            getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if getter is not None and setter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                saved.append((setter, getter()))
-                setter(1)
-    ls_threads, entropy._ls_threads = entropy._ls_threads, 1
-    try:
-        yield
-    finally:
-        entropy._ls_threads = ls_threads
-        # in reverse, so a library reached under two names ends at the
-        # count read before the first of them capped it
-        for setter, count in reversed(saved):
-            setter(count)
-
-
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate the configured estimators at every grid point.
 
@@ -271,15 +214,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     assembled in grid order and every point derives its own seed). Raises
     SweepAbortError when more than 20% of the points fail; individual
     failures are recorded in their rows and the sweep continues. Pool
-    workers are forked with every loaded OpenBLAS capped at one thread and
-    the LS table at one block each (_one_thread), which the caller gets
-    back at its own counts when the pool has shut down; fork is pinned so
-    the workers inherit the cap whatever the platform's default start
-    method. The cap changes no number: the LS table's blocks and
-    OpenBLAS's threads leave every bit as it is. Workers get the points
-    longest orbit first, grid order among equal lengths, so no long point
-    starts last. The serial path keeps the defaults: OpenBLAS's count, and
-    an LS table split across the cores this process may run on.
+    workers are forked with the LS table at one block each
+    (entropy._ls_threads = 1), so each forks no LS helper and, as no batch
+    map calls BLAS, runs on one thread; the caller gets its own budget
+    back when the pool has shut down, also on an exception. fork is
+    pinned so the workers inherit that budget, and the scipy.sparse import
+    made before the fork, whatever the platform's default start method.
+    The budget changes no number: the LS table's blocks leave every bit as
+    it is. Workers get the points longest orbit first, grid order among
+    equal lengths, so no long point starts last. The serial path keeps an
+    LS table split across the cores this process may run on.
     """
     n = len(config.grid)
     if config.workers > 1 and n > 1:
@@ -288,10 +232,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             # here, before the fork, spares each worker the import
             import scipy.sparse  # noqa: F401
         order = sorted(range(n), key=lambda i: -_orbit_length(config, config.grid[i]))
-        with _one_thread(), ProcessPoolExecutor(
-                max_workers=min(config.workers, n),
-                mp_context=multiprocessing.get_context("fork")) as pool:
-            rows = list(pool.map(_sweep_point, [config] * n, order))
+        ls_threads, entropy._ls_threads = entropy._ls_threads, 1
+        try:
+            with ProcessPoolExecutor(max_workers=min(config.workers, n),
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                rows = list(pool.map(_sweep_point, [config] * n, order))
+        finally:
+            entropy._ls_threads = ls_threads
     else:
         rows = [_sweep_point(config, i) for i in range(n)]
     rows.sort(key=lambda r: r.index)

@@ -182,7 +182,6 @@ class DynamicalSystem:
     dither_scale: float = 0.0
     invertible: bool = False
 
-    # -- pointwise conveniences -------------------------------------------
     # -- singular set ------------------------------------------------------
     def singular_distance(self, pts: np.ndarray) -> np.ndarray:
         """Distance from each point to the nearest singular hyperplane;
@@ -303,6 +302,20 @@ CAT_MATRIX = ((2, 1), (1, 1))
 FLOAT_2_52_BITS = 0x4330000000000000
 
 
+def _linear_batch(rows, pts: np.ndarray) -> np.ndarray:
+    """pts A^T for the matrix A with these rows: each output coordinate
+    sums its row's products a_ij * x_j element-wise, in index order. That
+    is the float loop's own arithmetic, and no BLAS product, so a point
+    gets the same bits alone as in any batch and no BLAS thread starts."""
+    out = np.empty(pts.shape)
+    for i, row in enumerate(rows):
+        col = out[:, i]
+        np.multiply(pts[:, 0], row[0], out=col)
+        for j in range(1, len(row)):
+            col += row[j] * pts[:, j]
+    return out
+
+
 def make_torus_automorphism(matrix) -> DynamicalSystem:
     """Linear automorphism x -> A x (mod 1) of the d-torus, |det A| = 1.
 
@@ -323,7 +336,9 @@ def make_torus_automorphism(matrix) -> DynamicalSystem:
     rows [0, h) times (A^h)^T, masked to e bits) in the orbit array's own
     memory, and turns each block into the floats 2^-e m in place: the
     same bits as the float loop, without its Python cost per step, and no
-    memory beyond the orbit array.
+    memory beyond the orbit array. eval_batch sums the loop's products in
+    the loop's order element-wise (_linear_batch), not as a BLAS product,
+    so it has the loop's bits also off the lattice.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -340,7 +355,7 @@ def make_torus_automorphism(matrix) -> DynamicalSystem:
     rng_d = range(d)
 
     def ev(pts):
-        return _wrap_unit(np.atleast_2d(pts) @ a.T)
+        return _wrap_unit(_linear_batch(rows, np.atleast_2d(pts)))
 
     def dfb(pts):
         return np.broadcast_to(a[:, :, None], (d, d, len(np.atleast_2d(pts)))).copy()
@@ -566,7 +581,7 @@ def make_derived_from_anosov(deformation: float) -> DynamicalSystem:
 
     def ev(pts):
         pts = np.atleast_2d(pts)
-        out = pts @ a.T
+        out = _linear_batch(CAT_MATRIX, pts)
         idx, _, s, _, g = _bump_terms(pts)
         out[idx] += (s * lam_inv * g)[:, None] * vs
         return _wrap_unit(out)

@@ -1,6 +1,5 @@
 """Parameter sweeps, semicontinuity checks, and the entropy splitting."""
 
-import ctypes
 import dataclasses
 import math
 import os
@@ -30,41 +29,41 @@ from sinailab.sweep import (
     run_sweep,
     usc_check,
 )
-from sinailab.systems import FamilyHandle, get_family, make_manneville_pomeau
+from sinailab.systems import (
+    FamilyHandle,
+    get_family,
+    make_cat_block,
+    make_cat_map,
+    make_derived_from_anosov,
+    make_manneville_pomeau,
+    make_standard_skew,
+    make_viana,
+)
 
 LOG2 = math.log(2.0)
 LOG_LAM = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 
 
-def openblas_thread_counts():
-    """Thread count each OpenBLAS loaded in this process reports (empty
-    when none is loaded or none exports a getter)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
-            fields = [line.split(None, 5) for line in maps]
-    except OSError:
-        return []
-    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
-    counts = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for prefix in ("", "scipy_"):
-            for suffix in ("", "64_"):
-                getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-                if getter is not None:
-                    getter.argtypes, getter.restype = [], ctypes.c_int
-                    counts.append(getter())
-    return counts
+#: every family's batch maps, as the stand-in sweep point below calls them
+BATCH_FAMILIES = (make_cat_map, make_cat_block, lambda: make_derived_from_anosov(0.35),
+                  lambda: make_manneville_pomeau(0.3), lambda: make_standard_skew(0.5, 2),
+                  make_viana)
 
 
-def report_blas_threads(config, index):
-    """Stand-in sweep point: this process's OS thread count and every
-    OpenBLAS count, at its start and after a product large enough for
-    OpenBLAS to thread, and the LS thread budget with the block count of a
-    cloud large enough to split."""
-    seen = [(len(os.listdir("/proc/self/task")), openblas_thread_counts())]
-    np.ones((2**18, 2)) @ np.ones((2, 2))
-    seen.append((len(os.listdir("/proc/self/task")), openblas_thread_counts()))
+def report_threads(config, index):
+    """Stand-in sweep point: this process's OS thread count at its start
+    and after each family's eval_batch and differential_batch on 2^18
+    points, a cloud large enough for OpenBLAS to thread a product, and the
+    LS thread budget with the block count of a cloud large enough to
+    split."""
+    rng = np.random.default_rng(index)
+    seen = [len(os.listdir("/proc/self/task"))]
+    for make in BATCH_FAMILIES:
+        system = make()
+        pts = system.space.uniform(rng, 2**18)
+        system.eval_batch(pts)
+        system.differential_batch(pts)
+        seen.append(len(os.listdir("/proc/self/task")))
     row = SweepRow(index=index, t=config.grid[index])
     row.estimates["seen"] = seen
     row.estimates["ls"] = (entropy_mod._ls_threads, len(entropy_mod._ls_blocks(10**6, 4)))
@@ -346,26 +345,22 @@ class TestRunSweep:
         assert sizes == [2]
         assert rows[3] == rows[1]
 
-    def test_one_blas_thread_in_a_forked_worker(self, monkeypatch):
-        # the cap is set before the fork: a worker that set it itself would
-        # start a spinning helper thread, as would OpenBLAS's default count
-        # on a product it threads; the caller's counts come back afterwards
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="threads are counted in /proc/self/task")
+    def test_one_thread_in_a_forked_worker(self, monkeypatch):
+        # no batch map calls BLAS, so a worker starts no OpenBLAS thread
+        # even on clouds OpenBLAS would split, and its LS table forks no
+        # helper; the caller's LS budget comes back afterwards
         import sinailab.sweep as sweep_mod
 
-        before = openblas_thread_counts()
-        if not before:
-            pytest.skip("no OpenBLAS with a thread-count getter is loaded")
-        monkeypatch.setattr(sweep_mod, "_sweep_point", report_blas_threads)
+        monkeypatch.setattr(sweep_mod, "_sweep_point", report_threads)
         cfg = SweepConfig(family="mp", grid=(0.0, 0.3), workers=2)
         for caller in (None, 3):
             monkeypatch.setattr(entropy_mod, "_ls_threads", caller)
             rows = run_sweep(cfg).rows
-            assert openblas_thread_counts() == before
             assert entropy_mod._ls_threads == caller
             for row in rows:
-                for threads, counts in row.estimates["seen"]:
-                    assert threads == 1
-                    assert counts and all(c == 1 for c in counts)
+                assert row.estimates["seen"] == [1] * (len(BATCH_FAMILIES) + 1)
                 # the worker's LS table keeps even a 1e6-point cloud in one block
                 assert row.estimates["ls"] == (1, 1)
 
@@ -373,18 +368,14 @@ class TestRunSweep:
         (failed_point, SweepAbortError),
         (raising_point, RuntimeError),
     ], ids=["abort", "raise"])
-    def test_caller_blas_counts_restored_on_failure(self, monkeypatch, point, error):
+    def test_caller_ls_budget_restored_on_failure(self, monkeypatch, point, error):
         import sinailab.sweep as sweep_mod
 
-        before = openblas_thread_counts()
-        if not before:
-            pytest.skip("no OpenBLAS with a thread-count getter is loaded")
         monkeypatch.setattr(sweep_mod, "_sweep_point", point)
         monkeypatch.setattr(entropy_mod, "_ls_threads", 3)
         cfg = SweepConfig(family="mp", grid=(0.0, 0.3), workers=2)
         with pytest.raises(error):
             run_sweep(cfg)
-        assert openblas_thread_counts() == before
         assert entropy_mod._ls_threads == 3
 
     def test_pesin_point_draws_one_orbit(self, orbit_calls):
